@@ -2,7 +2,7 @@
 
 Subpackages:
     stabilizer  bit-packed tableau simulation of Clifford circuits
-    dense       exact small-n linear algebra and the Jacobi eigensolver
+    dense       exact small-n linear algebra; spectra from LAPACK
     sampling    two-qubit fragment, design-circuit and uniform Clifford draws
     design      moment estimation, gamma, design-band certification
     protocol    keys, codebooks, encrypt/decrypt, file formats

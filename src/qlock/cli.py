@@ -12,9 +12,9 @@ Exit codes: 0 success, 1 validation error, 2 internal numerical failure.
 from __future__ import annotations
 
 import argparse
+import math
 import secrets
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
 from . import design, protocol, sampling, security
@@ -76,10 +76,6 @@ def _parse_range(text: str) -> list[int]:
     if step <= 0:
         raise ValueError("range step must be positive")
     return list(range(start, stop, step))
-
-
-def _uniform_prior(n: int) -> security.PriorDistribution:
-    return security.PriorDistribution(n=n)
 
 
 def _params_for(args, n: int) -> security.SecurityParams:
@@ -227,54 +223,22 @@ def _cmd_fig2(args) -> None:
         _emit(lines, args.out)
 
 
-def _chernoff_chunk(payload):
-    n, K, trials, seed, eps, delta, c, lo, hi = payload
-    prior = _uniform_prior(n)
-    report = security.empirical_chernoff(n, K, prior, trials, seed, eps,
-                                         delta=delta, depth_factor=c,
-                                         trial_indices=range(lo, hi))
-    return report.trials
-
-
-def _maurer_chunk(payload):
-    n, K, x, trials, seed, tau, gamma, lo, hi = payload
-    report = security.empirical_maurer(n, K, x, "0" * n, trials, seed, tau,
-                                       gamma=gamma,
-                                       trial_indices=range(lo, hi))
-    return report.means
-
-
-def _chunks(trials: int, jobs: int) -> list[tuple[int, int]]:
-    size = (trials + jobs - 1) // jobs
-    return [(lo, min(lo + size, trials)) for lo in range(0, trials, size)]
-
-
-def _run_chunked(worker, payloads, jobs: int):
-    if jobs <= 1:
-        return [worker(p) for p in payloads]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(worker, payloads))
-
-
 def _cmd_verify_chernoff(args) -> None:
     seed = _parse_seed(args.seed)
-    prior = _uniform_prior(args.n)
-    params = security.SecurityParams.from_prior(prior, args.eps)
+    prior = security.PriorDistribution(n=args.n)
     K = args.K
     if K is None:
-        import math
+        params = security.SecurityParams.from_prior(prior, args.eps)
         K = math.ceil(security.chernoff_threshold(params))
-    payloads = [(args.n, K, args.trials, seed, args.eps, args.delta,
-                 args.depth_factor, lo, hi)
-                for lo, hi in _chunks(args.trials, args.jobs)]
-    trials = [t for chunk in _run_chunked(_chernoff_chunk, payloads, args.jobs)
-              for t in chunk]
-    freq = sum(t.violated for t in trials) / len(trials)
-    p1 = security.chernoff_p1(params, K).bound
+    report = security.empirical_chernoff(args.n, K, prior, args.trials, seed,
+                                         args.eps, delta=args.delta,
+                                         depth_factor=args.depth_factor,
+                                         jobs=args.jobs)
     header = ["trial", "lambda_max", "epsilon_hat", "violated"]
     rows = [[i, t.lambda_max, t.epsilon_hat, t.violated]
-            for i, t in enumerate(trials)]
-    summary = [f"K={K}", f"violation_freq={_fmt(freq)}", f"p1_bound={_fmt(p1)}"]
+            for i, t in enumerate(report.trials)]
+    summary = [f"K={K}", f"violation_freq={_fmt(report.violation_freq)}",
+               f"p1_bound={_fmt(report.p1_bound)}"]
     if args.csv:
         _emit(_csv(header, rows) + [",".join(summary)], args.out)
     else:
@@ -284,21 +248,15 @@ def _cmd_verify_chernoff(args) -> None:
 def _cmd_verify_maurer(args) -> None:
     seed = _parse_seed(args.seed)
     x = args.x if args.x else "0" * args.n
-    d = 1 << args.n
-    gamma = args.gamma if args.gamma is not None else 2.0 * d / (d + 1.0)
-    payloads = [(args.n, args.K, x, args.trials, seed, args.tau, gamma, lo, hi)
-                for lo, hi in _chunks(args.trials, args.jobs)]
-    means = [m for chunk in _run_chunked(_maurer_chunk, payloads, args.jobs)
-             for m in chunk]
-    cut = (1.0 - args.tau) * 2.0 ** (-args.n) if args.tau > 0 else float("-inf")
-    tail = sum(m < cut for m in means) / len(means)
-    import math
-    bound = math.exp(-args.K * args.tau ** 2 / (2.0 * gamma))
+    report = security.empirical_maurer(args.n, args.K, x, "0" * args.n,
+                                       args.trials, seed, args.tau,
+                                       gamma=args.gamma, jobs=args.jobs)
     summary = [f"K={args.K}", f"tau={_fmt(args.tau)}",
-               f"gamma={_fmt(gamma)}", f"tail_freq={_fmt(tail)}",
-               f"bound={_fmt(bound)}"]
+               f"gamma={_fmt(report.gamma)}",
+               f"tail_freq={_fmt(report.tail_freq)}",
+               f"bound={_fmt(report.bound)}"]
     if args.csv:
-        rows = [[i, m, m < cut] for i, m in enumerate(means)]
+        rows = [[i, m, m < report.cut] for i, m in enumerate(report.means)]
         _emit(_csv(["trial", "mean_overlap", "tail"], rows)
               + [",".join(summary)], args.out)
     else:
@@ -307,7 +265,7 @@ def _cmd_verify_maurer(args) -> None:
 
 def _cmd_lock_probe(args) -> None:
     seed = _parse_seed(args.seed)
-    prior = _uniform_prior(args.n)
+    prior = security.PriorDistribution(n=args.n)
     d = 1 << args.n
     measurements = [security.Measurement.computational_basis(d)]
     rng = sampling.stream_rng(seed, 1)

@@ -35,7 +35,7 @@ GATE_MATRICES = {
 
 
 class NumericalError(RuntimeError):
-    """Raised when an iterative numerical routine fails to converge."""
+    """Raised on non-finite input to a numerical routine or a LAPACK failure."""
 
 
 def dense_cutoff() -> int:
@@ -74,26 +74,22 @@ def _apply_gate_tensor(arr: np.ndarray, kind: str, qubits: tuple[int, ...],
 
 
 def apply_circuit_to_vector(circuit: CliffordCircuit, vec: np.ndarray) -> np.ndarray:
-    """Return U_C |vec> for a dense state vector."""
+    """Return U_C |vec> for a (d,) state vector, or U_C V for a (d, m) stack."""
     n = circuit.n
     _check_cutoff(n)
-    if vec.shape != (1 << n,):
+    shape = vec.shape
+    if shape[:1] != (1 << n,) or len(shape) > 2:
         raise ValueError("state vector dimension mismatch")
-    arr = vec.reshape((2,) * n).astype(complex)
+    arr = vec.reshape((2,) * n + shape[1:]).astype(complex)
     for g in circuit.gates:
         arr = _apply_gate_tensor(arr, g.kind, g.qubits, n)
-    return arr.reshape(1 << n)
+    return arr.reshape(shape)
 
 
 def circuit_unitary(circuit: CliffordCircuit) -> np.ndarray:
     """Dense unitary of the circuit, gates multiplied in circuit order."""
-    n = circuit.n
-    _check_cutoff(n)
-    d = 1 << n
-    arr = np.eye(d, dtype=complex).reshape((2,) * n + (d,))
-    for g in circuit.gates:
-        arr = _apply_gate_tensor(arr, g.kind, g.qubits, n)
-    return arr.reshape(d, d)
+    _check_cutoff(circuit.n)
+    return apply_circuit_to_vector(circuit, np.eye(1 << circuit.n, dtype=complex))
 
 
 def random_state_vector(n: int, rng) -> np.ndarray:
@@ -129,76 +125,26 @@ def check_density_matrix(rho: np.ndarray, tol: float = 1e-9,
         raise ValueError("density matrix has a negative eigenvalue")
 
 
-def eigvalsh(a: np.ndarray, tol: float = 1e-12, max_sweeps: int = 100,
-             hermiticity_tol: float = 1e-9) -> np.ndarray:
-    """Eigenvalues of a Hermitian matrix by cyclic Jacobi rotations.
-
-    Returns real eigenvalues in descending order.  Each rotation zeroes one
-    off-diagonal entry with a phased Givens rotation; sweeps repeat until
-    the off-diagonal Frobenius norm drops below tol relative to the matrix
-    scale.
+def eigvalsh(a: np.ndarray, hermiticity_tol: float = 1e-9) -> np.ndarray:
+    """Eigenvalues of a Hermitian matrix (LAPACK), in descending order.
 
     Raises:
-        ValueError: input not Hermitian within hermiticity_tol.
-        NumericalError: no convergence within max_sweeps sweeps.
+        ValueError: input not square, or not Hermitian within hermiticity_tol.
+        NumericalError: non-finite input, or LAPACK failed to converge.
     """
     a = np.asarray(a, dtype=complex)
     d = a.shape[0]
     if a.shape != (d, d):
         raise ValueError("matrix must be square")
+    if not np.all(np.isfinite(a)):
+        raise NumericalError("matrix has non-finite entries")
     if np.max(np.abs(a - a.conj().T)) > hermiticity_tol:
         raise ValueError("matrix is not Hermitian within tolerance")
-    a = (a + a.conj().T) / 2.0
-    if d == 1:
-        return np.array([a[0, 0].real])
-    scale = max(1.0, float(np.linalg.norm(a)))
-
-    def _off_norm():
-        # summed directly over off-diagonal entries; a subtraction-based
-        # norm has a cancellation floor far above the target tolerance
-        mags = np.abs(a) ** 2
-        np.fill_diagonal(mags, 0.0)
-        return math.sqrt(float(np.sum(mags)))
-
-    for _ in range(max_sweeps):
-        off = _off_norm()
-        if off <= tol * scale:
-            break
-        thresh = off / (d * d)
-        for p in range(d - 1):
-            for q in range(p + 1, d):
-                apq = a[p, q]
-                mag = abs(apq)
-                if mag <= thresh * 0.01 or mag == 0.0:
-                    continue
-                phase = apq / mag
-                app = a[p, p].real
-                aqq = a[q, q].real
-                tau = (aqq - app) / (2.0 * mag)
-                if abs(tau) < 1e150:
-                    t = (1.0 if tau >= 0 else -1.0) / (abs(tau)
-                                                       + math.sqrt(1.0 + tau * tau))
-                else:
-                    t = 0.5 / tau
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                # plane rotation [[c, s*phase], [-s*conj(phase), c]]; the
-                # phase twist makes the pivot real before the real rotation
-                col_p = a[:, p].copy()
-                col_q = a[:, q].copy()
-                a[:, p] = c * col_p - s * np.conj(phase) * col_q
-                a[:, q] = s * phase * col_p + c * col_q
-                row_p = a[p, :].copy()
-                row_q = a[q, :].copy()
-                a[p, :] = c * row_p - s * phase * row_q
-                a[q, :] = s * np.conj(phase) * row_p + c * row_q
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-    else:
-        if _off_norm() > tol * scale:
-            raise NumericalError("Jacobi eigensolver did not converge")
-    vals = np.sort(np.diag(a).real)[::-1]
-    return vals
+    try:
+        vals = np.linalg.eigvalsh((a + a.conj().T) / 2.0)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"eigensolver failed: {exc}") from exc
+    return vals[::-1]
 
 
 def von_neumann_entropy(rho: np.ndarray, tol: float = 1e-9) -> float:

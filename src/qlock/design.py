@@ -68,30 +68,23 @@ def estimate_moments(sampler: Callable, vector_mode: str, alpha, beta,
         raise ValueError("samples must be positive")
     if vector_mode not in VECTOR_MODES:
         raise ValueError(f"vector_mode must be one of {VECTOR_MODES}")
-    s1 = s2 = s4 = 0.0
-    d = None
     if vector_mode == "BASIS":
-        for _ in range(samples):
-            circuit = sampler(rng)
-            if d is None:
-                d = 1 << circuit.n
-            v = basis_overlap_prob(circuit, beta, alpha)
-            s1 += v
-            v2 = v * v
-            s2 += v2
-            s4 += v2 * v2
+        def overlap(circuit):
+            return basis_overlap_prob(circuit, beta, alpha)
     else:
-        for _ in range(samples):
-            circuit = sampler(rng)
-            if d is None:
-                d = 1 << circuit.n
+        def overlap(circuit):
             a = dense.random_state_vector(circuit.n, rng) if alpha is None else alpha
             b = dense.random_state_vector(circuit.n, rng) if beta is None else beta
-            v = dense.overlap_prob(a, circuit, b)
-            s1 += v
-            v2 = v * v
-            s2 += v2
-            s4 += v2 * v2
+            return dense.overlap_prob(a, circuit, b)
+    s1 = s2 = s4 = 0.0
+    for _ in range(samples):
+        circuit = sampler(rng)
+        v = overlap(circuit)
+        s1 += v
+        v2 = v * v
+        s2 += v2
+        s4 += v2 * v2
+    d = 1 << circuit.n
     mean2 = s1 / samples
     mean4 = s2 / samples
     var2 = max(0.0, s2 / samples - mean2 * mean2)

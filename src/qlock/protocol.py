@@ -64,9 +64,6 @@ class Codebook:
             if c.n != self.n:
                 raise ValueError("circuit qubit count mismatch")
 
-    def circuit(self, k: int) -> CliffordCircuit:
-        return self.circuits[k]
-
     def map(self, k: int) -> CliffordMap:
         if k not in self._maps:
             self._maps[k] = CliffordMap(self.circuits[k])

@@ -11,6 +11,7 @@ quantities are reported in bits.
 from __future__ import annotations
 
 import math
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
@@ -20,7 +21,9 @@ import numpy as np
 from . import dense
 from .design import gamma_bound
 from .protocol import Codebook
-from .sampling import SamplerConfig, sample_design_circuit, sample_uniform_clifford, stream_rng
+from .sampling import (SamplerConfig, all_single_qubit_circuits,
+                       sample_design_circuit, sample_uniform_clifford,
+                       stream_rng)
 from .stabilizer import CliffordCircuit
 
 Real = Union[int, float, Fraction]
@@ -37,13 +40,6 @@ def _frac_log2(x: Fraction) -> float:
     if x <= 0:
         raise ValueError("log2 of a nonpositive value")
     return math.log2(x.numerator) - math.log2(x.denominator)
-
-
-def _clip_float(x: Fraction) -> float:
-    try:
-        return float(x)
-    except OverflowError:
-        return math.inf if x > 0 else -math.inf
 
 
 # -- priors and parameters ----------------------------------------------------
@@ -166,19 +162,30 @@ class SecurityParams:
 # -- adversary states ---------------------------------------------------------
 
 
-def conditional_state(cb: Codebook, x: str) -> np.ndarray:
-    """rho_E^x = (1/K) sum_k C_k |x><x| C_k^dagger, dense."""
-    if len(x) != cb.n:
-        raise ValueError("code word length mismatch")
-    d = 1 << cb.n
-    if cb.n > dense.dense_cutoff():
-        raise ValueError("codebook exceeds the dense cutoff")
+def _adversary_state(circuits: Iterable[CliffordCircuit],
+                     p: np.ndarray) -> np.ndarray:
+    """rho = (1/K) sum_k C_k diag(p) C_k^dagger over the K given circuits.
+
+    Only the support columns of p are pushed through each circuit, and the
+    circuits are consumed one at a time, so a generator of circuits is
+    never held in memory as a whole.
+    """
+    d = p.shape[0]
+    support = np.flatnonzero(p)
+    # built C-ordered like np.eye (a fancy-indexed slice of it is
+    # F-ordered), so a full-support p repeats circuit_unitary bit for bit
+    cols = np.zeros((d, support.size), dtype=complex)
+    cols[support, np.arange(support.size)] = 1.0
+    weights = p[support]
     rho = np.zeros((d, d), dtype=complex)
-    base = dense.basis_vector(x)
-    for circuit in cb.circuits:
-        v = dense.apply_circuit_to_vector(circuit, base)
-        rho += np.outer(v, v.conj())
-    return rho / cb.K
+    count = 0
+    for circuit in circuits:
+        v = dense.apply_circuit_to_vector(circuit, cols)
+        rho += (v * weights) @ v.conj().T
+        count += 1
+    if count == 0:
+        raise ValueError("K must be >= 1")
+    return rho / count
 
 
 def eve_state(cb: Codebook, prior: PriorDistribution) -> np.ndarray:
@@ -187,22 +194,12 @@ def eve_state(cb: Codebook, prior: PriorDistribution) -> np.ndarray:
         raise ValueError("prior size mismatch")
     if cb.n > dense.dense_cutoff():
         raise ValueError("codebook exceeds the dense cutoff")
-    d = 1 << cb.n
-    p = prior.probability_vector()
-    rho = np.zeros((d, d), dtype=complex)
-    for circuit in cb.circuits:
-        u = dense.circuit_unitary(circuit)
-        rho += (u * p) @ u.conj().T
-    return rho / cb.K
+    return _adversary_state(cb.circuits, prior.probability_vector())
 
 
-def _eve_state_from_unitaries(unitaries: Sequence[np.ndarray],
-                              p: np.ndarray) -> np.ndarray:
-    d = p.shape[0]
-    rho = np.zeros((d, d), dtype=complex)
-    for u in unitaries:
-        rho += (u * p) @ u.conj().T
-    return rho / len(unitaries)
+def conditional_state(cb: Codebook, x: str) -> np.ndarray:
+    """rho_E^x = (1/K) sum_k C_k |x><x| C_k^dagger, dense."""
+    return eve_state(cb, PriorDistribution(cb.n, [(x, 1.0)]))
 
 
 # -- information measures -----------------------------------------------------
@@ -313,10 +310,6 @@ class BoundResult:
             return 0.0
         return math.exp(float(self.exponent))
 
-    @property
-    def exponent_float(self) -> float:
-        return _clip_float(self.exponent)
-
 
 def chernoff_p1(params: SecurityParams, K: Real) -> BoundResult:
     """Matrix-Chernoff failure bound exp{n ln2 - K (eps^2/4) 2^-n / p_max}."""
@@ -406,6 +399,29 @@ def comparison_rows(epsilon: float, n: int) -> tuple[float, float]:
 # -- empirical verification ---------------------------------------------------
 
 
+def _run_trials(worker, payload: tuple, trials: int, jobs: int) -> list:
+    """Concatenated worker(payload + (lo, hi)) results over trials [0, trials).
+
+    The trials are cut into at most jobs contiguous chunks; two or more
+    chunks run in that many worker processes.  Every trial draws from its
+    own seed stream (stream index = trial number), so the results do not
+    depend on jobs.
+    """
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    if jobs < 1:
+        raise ValueError("jobs must be >= 1")
+    size = -(-trials // jobs)
+    payloads = [payload + (lo, min(lo + size, trials))
+                for lo in range(0, trials, size)]
+    if len(payloads) == 1:
+        chunks = [worker(payloads[0])]
+    else:
+        with ProcessPoolExecutor(max_workers=len(payloads)) as pool:
+            chunks = list(pool.map(worker, payloads))
+    return [row for chunk in chunks for row in chunk]
+
+
 @dataclass
 class ChernoffTrial:
     lambda_max: float
@@ -423,34 +439,39 @@ class ChernoffReport:
     p1_bound: float
 
 
+def _chernoff_chunk(payload) -> list[ChernoffTrial]:
+    cfg, K, p, seed, threshold, lo, hi = payload
+    rows = []
+    for t in range(lo, hi):
+        rng = stream_rng(seed, t)
+        circuits = (sample_design_circuit(cfg, rng) for _ in range(K))
+        lam = float(dense.eigvalsh(_adversary_state(circuits, p))[0])
+        rows.append(ChernoffTrial(lambda_max=lam,
+                                  epsilon_hat=lam * 2.0 ** cfg.n - 1.0,
+                                  violated=lam > threshold))
+    return rows
+
+
 def empirical_chernoff(n: int, K: int, prior: PriorDistribution, trials: int,
                        seed: int, epsilon: float, delta: float = 0.25,
                        depth_factor: float = 1.0,
-                       trial_indices: Optional[range] = None) -> ChernoffReport:
+                       jobs: int = 1) -> ChernoffReport:
     """Sample codebooks and test lambda_max(rho_E) against (1+eps) 2^-n.
 
     Each trial draws K fresh design circuits from its own seed stream
-    (stream index = trial number), so results are independent of worker
-    count and chunking.
+    (stream index = trial number), so results are independent of jobs.
     """
     if n > dense.dense_cutoff():
         raise ValueError("n exceeds the dense cutoff")
-    cfg = SamplerConfig(n=n, delta=delta, depth_factor=depth_factor)
-    p = prior.probability_vector()
-    threshold = (1.0 + epsilon) * 2.0 ** (-n)
-    rows = []
-    indices = trial_indices if trial_indices is not None else range(trials)
-    for t in indices:
-        rng = stream_rng(seed, t)
-        unitaries = [dense.circuit_unitary(sample_design_circuit(cfg, rng))
-                     for _ in range(K)]
-        rho = _eve_state_from_unitaries(unitaries, p)
-        lam = float(dense.eigvalsh(rho)[0])
-        rows.append(ChernoffTrial(lambda_max=lam,
-                                  epsilon_hat=lam * 2.0 ** n - 1.0,
-                                  violated=lam > threshold))
-    freq = sum(r.violated for r in rows) / len(rows)
+    if K < 1:
+        raise ValueError("K must be >= 1")
     params = SecurityParams.from_prior(prior, epsilon)
+    cfg = SamplerConfig(n=n, delta=delta, depth_factor=depth_factor)
+    threshold = (1.0 + epsilon) * 2.0 ** (-n)
+    rows = _run_trials(_chernoff_chunk,
+                       (cfg, K, prior.probability_vector(), seed, threshold),
+                       trials, jobs)
+    freq = sum(r.violated for r in rows) / len(rows)
     return ChernoffReport(n=n, K=K, epsilon=epsilon, trials=rows,
                           violation_freq=freq,
                           p1_bound=chernoff_p1(params, K).bound)
@@ -466,58 +487,60 @@ class MaurerReport:
     tail_freq: float
     bound: float
     means: list[float]
+    cut: float
+
+
+def _maurer_chunk(payload) -> list[float]:
+    n, K, base, phi_vec, table, seed, lo, hi = payload
+    means = []
+    for t in range(lo, hi):
+        rng = stream_rng(seed, t)
+        if table is not None:
+            draws = (table[rng.randrange(24)] for _ in range(K))
+        else:
+            draws = (abs(np.vdot(phi_vec, dense.apply_circuit_to_vector(
+                         sample_uniform_clifford(n, rng), base))) ** 2
+                     for _ in range(K))
+        means.append(sum(draws) / K)
+    return means
 
 
 def empirical_maurer(n: int, K: int, x: str, phi, trials: int, seed: int,
                      tau: float, gamma: Optional[float] = None,
-                     trial_indices: Optional[range] = None) -> MaurerReport:
+                     jobs: int = 1) -> MaurerReport:
     """Tail test of <phi| rho_E^x |phi> under uniform Clifford draws.
 
-    Counts trials whose K-draw average of |<phi|C|x>|^2 falls below
-    (1 - tau) 2^-n and compares against exp(-K tau^2 / (2 gamma)).
-    gamma defaults to the exact 2-design value 2d/(d+1).
+    Counts trials whose K-draw average of |<phi|C|x>|^2 falls below the
+    cut (1 - tau) 2^-n and compares against exp(-K tau^2 / (2 gamma)).
+    gamma defaults to the exact 2-design value 2d/(d+1).  At n = 1 the
+    draws index a table of the 24 single-qubit Clifford overlaps.
     """
     if n > dense.dense_cutoff():
         raise ValueError("n exceeds the dense cutoff")
     if not 0 <= tau <= 1:
         raise ValueError("tau must lie in [0, 1]")
+    if K < 1:
+        raise ValueError("K must be >= 1")
     d = 1 << n
     if gamma is None:
         gamma = 2.0 * d / (d + 1.0)
     phi_vec = dense.basis_vector(phi) if isinstance(phi, str) else np.asarray(phi)
-    # tau = 0 is a degenerate threshold: the bound is vacuous and no trial
-    # counts as a tail event; raw means are still reported.
-    cut = (1.0 - tau) * 2.0 ** (-n) if tau > 0 else -math.inf
-    means = []
-    tail = 0
     base = dense.basis_vector(x)
-    indices = trial_indices if trial_indices is not None else range(trials)
+    table = None
     if n == 1:
-        from .sampling import all_single_qubit_circuits
         table = [abs(np.vdot(phi_vec,
                              dense.apply_circuit_to_vector(c, base))) ** 2
                  for c in all_single_qubit_circuits()]
-        for t in indices:
-            rng = stream_rng(seed, t)
-            total = sum(table[rng.randrange(24)] for _ in range(K))
-            m = total / K
-            means.append(m)
-            tail += m < cut
-    else:
-        for t in indices:
-            rng = stream_rng(seed, t)
-            total = 0.0
-            for _ in range(K):
-                circ = sample_uniform_clifford(n, rng)
-                v = dense.apply_circuit_to_vector(circ, base)
-                total += abs(np.vdot(phi_vec, v)) ** 2
-            m = total / K
-            means.append(m)
-            tail += m < cut
-    count = len(means)
-    bound = math.exp(-K * tau * tau / (2.0 * gamma)) if tau > 0 else 1.0
-    return MaurerReport(n=n, K=K, tau=tau, gamma=gamma, trials=count,
-                        tail_freq=tail / count, bound=bound, means=means)
+    means = _run_trials(_maurer_chunk, (n, K, base, phi_vec, table, seed),
+                        trials, jobs)
+    # tau = 0 is a degenerate threshold: the bound is vacuous and no trial
+    # counts as a tail event; raw means are still reported.
+    cut = (1.0 - tau) * 2.0 ** (-n) if tau > 0 else -math.inf
+    tail = sum(m < cut for m in means)
+    bound = math.exp(-K * tau ** 2 / (2.0 * gamma)) if tau > 0 else 1.0
+    return MaurerReport(n=n, K=K, tau=tau, gamma=gamma, trials=len(means),
+                        tail_freq=tail / len(means), bound=bound, means=means,
+                        cut=cut)
 
 
 @dataclass
@@ -546,21 +569,15 @@ def locking_probe(n: int, K: int, prior: PriorDistribution,
     if n > dense.dense_cutoff():
         raise ValueError("n exceeds the dense cutoff")
     if circuits is None:
+        if K < 1:
+            raise ValueError("K must be >= 1")
         rng = stream_rng(seed, 0)
         cfg = SamplerConfig(n=n, delta=delta, depth_factor=depth_factor)
         circuits = [sample_design_circuit(cfg, rng) for _ in range(K)]
     else:
         K = len(circuits)
-    words = [x for x, _ in prior.items()]
-    conditionals = []
-    for x in words:
-        base = dense.basis_vector(x)
-        d = 1 << n
-        rho = np.zeros((d, d), dtype=complex)
-        for circ in circuits:
-            v = dense.apply_circuit_to_vector(circ, base)
-            rho += np.outer(v, v.conj())
-        conditionals.append(rho / len(circuits))
+    conditionals = [_adversary_state(circuits, dense.basis_vector(x).real)
+                    for x, _ in prior.items()]
     chi = holevo(prior, conditionals)
     mi_rows = [(m.label, measured_mi(m, prior, conditionals))
                for m in measurements]

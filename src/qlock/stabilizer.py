@@ -425,22 +425,6 @@ def new_basis_state(n: int, x: str) -> Tableau:
     return t
 
 
-def apply_gate(state: Tableau, g: CliffordGate) -> Tableau:
-    """Conjugate the tableau rows by g, in place.  Returns the same object."""
-    state.apply(g.kind, g.qubits)
-    return state
-
-
-def apply_circuit(state: Tableau, circuit: CliffordCircuit) -> Tableau:
-    state.apply_circuit(circuit)
-    return state
-
-
-def measure_postselect(state: Tableau, qubit: int, bit: int) -> tuple[float, Tableau]:
-    prob = state.measure_postselect(qubit, bit)
-    return prob, state
-
-
 def basis_overlap_halvings(circuit: CliffordCircuit, x: str, y: str) -> Optional[int]:
     """Number s with |<y|C|x>|^2 = 2^-s, or None when the overlap is zero."""
     n = circuit.n

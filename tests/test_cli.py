@@ -3,6 +3,8 @@ import io
 import subprocess
 import sys
 
+import pytest
+
 SEED = "00000000000000000000000000000abc"
 
 
@@ -46,6 +48,29 @@ class TestBasics:
 
         monkeypatch.setitem(cli.build_parser.__globals__, "_cmd_keygen", boom)
         assert cli.main(["keygen", "--K", "4", "--seed", SEED]) == 2
+
+
+class TestInputValidation:
+    @pytest.mark.parametrize("args", [
+        ("verify-chernoff", "--n", "2", "--eps", "0.1", "--K", "4",
+         "--trials", "2", "--jobs", "0"),
+        ("verify-maurer", "--n", "1", "--tau", "0.5", "--K", "4",
+         "--trials", "2", "--jobs", "-2"),
+        ("verify-maurer", "--n", "1", "--tau", "0.5", "--K", "4",
+         "--trials", "0"),
+        ("verify-chernoff", "--n", "2", "--eps", "0.1", "--K", "0",
+         "--trials", "2"),
+        ("verify-maurer", "--n", "1", "--tau", "0.5", "--K", "0",
+         "--trials", "2"),
+        ("lock-probe", "--n", "2", "--K", "0", "--bases", "1"),
+    ], ids=["jobs-0", "jobs-negative", "trials-0", "chernoff-K-0",
+            "maurer-K-0", "lock-probe-K-0"])
+    def test_bad_count_exits_1_with_one_line(self, args):
+        res = run_cli(*args, "--seed", SEED)
+        assert res.returncode == 1
+        assert res.stdout == ""
+        assert res.stderr.startswith("error: ")
+        assert res.stderr.count("\n") == 1
 
 
 class TestProtocolPipeline:

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from qlock import dense
-from qlock.dense import (circuit_unitary, eigvalsh, overlap_prob,
+from qlock.dense import (NumericalError, apply_circuit_to_vector,
+                         circuit_unitary, eigvalsh, overlap_prob,
                          von_neumann_entropy)
 from qlock.stabilizer import CliffordCircuit, gate, invert_circuit
 
@@ -40,6 +41,20 @@ class TestCircuitUnitary:
         monkeypatch.setenv("QLOCK_DENSE_CUTOFF", "3")
         with pytest.raises(ValueError):
             circuit_unitary(CliffordCircuit(4, []))
+
+    def test_column_stack_matches_unitary_columns(self):
+        rng = random.Random(5)
+        c = random_circuit(4, 40, rng)
+        u = circuit_unitary(c)
+        cols = np.eye(16, dtype=complex)[:, [0, 3, 9]]
+        assert np.max(np.abs(apply_circuit_to_vector(c, cols)
+                             - u[:, [0, 3, 9]])) < 1e-12
+        vec = apply_circuit_to_vector(c, dense.basis_vector("0011"))
+        assert np.max(np.abs(vec - u[:, 3])) < 1e-12
+
+    def test_stack_dimension_mismatch(self):
+        with pytest.raises(ValueError):
+            apply_circuit_to_vector(CliffordCircuit(2, []), np.eye(2))
 
 
 class TestOverlapProb:
@@ -108,6 +123,17 @@ class TestEigvalsh:
         vals = eigvalsh(np.diag([0.1, 0.9, 0.5]).astype(complex))
         assert list(vals) == sorted(vals, reverse=True)
 
+    def test_rejects_non_square(self):
+        with pytest.raises(ValueError):
+            eigvalsh(np.zeros((2, 3)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_is_numerical_error(self, bad):
+        m = np.eye(3, dtype=complex) / 3
+        m[1, 1] = bad
+        with pytest.raises(NumericalError):
+            eigvalsh(m)
+
 
 class TestEntropy:
     def test_pure_state(self):
@@ -131,6 +157,17 @@ class TestEntropy:
             rho /= np.trace(rho).real
             s = von_neumann_entropy(rho)
             assert -1e-9 <= s <= n + 1e-9
+
+    def test_full_rank_n8_matches_lapack(self):
+        rng = np.random.default_rng(8)
+        d = 256
+        g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        rho = g @ g.conj().T
+        rho /= np.trace(rho).real
+        lam = np.linalg.eigvalsh(rho)
+        assert lam.min() > 1e-12
+        want = float(-(lam * np.log2(lam)).sum())
+        assert von_neumann_entropy(rho) == pytest.approx(want, abs=1e-9)
 
     def test_rejects_bad_trace(self):
         with pytest.raises(ValueError):

@@ -94,9 +94,21 @@ class TestEveState:
         cb = build_codebook(3, 4, 0.25, master_seed=15)
         prior = PriorDistribution(n=3, entries=[("000", 0.5), ("101", 0.3),
                                                 ("111", 0.2)])
-        mix = sum(p * conditional_state(cb, x) for x, p in prior.items())
-        rho = eve_state(cb, prior)
-        assert np.max(np.abs(rho - mix)) < 1e-10
+        p = np.zeros(8)
+        for x, px in prior.items():
+            p[int(x, 2)] = px
+        want = np.zeros((8, 8), dtype=complex)
+        for circuit in cb.circuits:
+            u = dense.circuit_unitary(circuit)
+            want += u @ np.diag(p) @ u.conj().T / cb.K
+        assert np.max(np.abs(eve_state(cb, prior) - want)) < 1e-12
+        mix = sum(px * conditional_state(cb, x) for x, px in prior.items())
+        assert np.max(np.abs(mix - want)) < 1e-12
+
+    def test_empty_codebook_circuits_rejected(self):
+        prior = PriorDistribution(n=1)
+        with pytest.raises(ValueError):
+            locking_probe(1, 0, prior, [], circuits=[])
 
 
 class TestConditionalState:
@@ -330,6 +342,15 @@ class TestEmpiricalChernoff:
         for t in rep.trials:
             assert t.lambda_max == pytest.approx(0.7, abs=1e-9)
 
+    def test_jobs_do_not_change_trials(self):
+        prior = PriorDistribution(n=2, entries=[("00", 0.6), ("11", 0.4)])
+        one = empirical_chernoff(2, 6, prior, trials=5, seed=9, epsilon=0.1,
+                                 jobs=1)
+        two = empirical_chernoff(2, 6, prior, trials=5, seed=9, epsilon=0.1,
+                                 jobs=2)
+        assert two.trials == one.trials
+        assert two.violation_freq == one.violation_freq
+
     def test_all24_exhaustive_lambda_max(self):
         rho = conditional_state(all24_codebook(), "0")
         assert dense.eigvalsh(rho)[0] == pytest.approx(0.5, abs=1e-12)
@@ -357,6 +378,12 @@ class TestEmpiricalMaurer:
         rep = empirical_maurer(2, 10, "00", "00", trials=50, seed=4, tau=0.5)
         assert 0.0 <= rep.tail_freq <= 1.0
         assert rep.gamma == pytest.approx(8 / 5)
+
+    def test_tail_freq_counts_means_below_cut(self):
+        rep = empirical_maurer(2, 3, "00", "00", trials=40, seed=6, tau=0.5,
+                               jobs=2)
+        assert rep.cut == 0.125
+        assert rep.tail_freq == sum(m < rep.cut for m in rep.means) / 40
 
 
 class TestLockingProbe:

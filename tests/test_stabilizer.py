@@ -7,9 +7,8 @@ from hypothesis import strategies as st
 
 from qlock import dense, sampling
 from qlock.stabilizer import (CliffordCircuit, CliffordMap,
-                              PauliRow, Tableau, apply_circuit, apply_gate,
-                              basis_overlap_prob, basis_overlap_prob_exact,
-                              gate, invert_circuit, measure_postselect,
+                              PauliRow, Tableau, basis_overlap_prob,
+                              basis_overlap_prob_exact, gate, invert_circuit,
                               new_basis_state, tableau_from_text)
 
 GATE_POOL = [("H", 1), ("S", 1), ("SDG", 1), ("X", 1), ("Y", 1), ("Z", 1),
@@ -63,24 +62,24 @@ class TestBasisState:
 class TestGates:
     def test_h_on_z(self):
         t = new_basis_state(1, "0")
-        apply_gate(t, gate("H", 0))
+        t.apply("H", (0,))
         assert t.row(1) == PauliRow(1, 1, 0, 1)    # +X
 
     def test_s_on_x(self):
         t = new_basis_state(1, "0")
-        apply_gate(t, gate("H", 0))
-        apply_gate(t, gate("S", 0))
+        t.apply("H", (0,))
+        t.apply("S", (0,))
         assert t.row(1) == PauliRow(1, 1, 1, 1)    # +Y
 
     def test_cnot_propagates_x(self):
         t = Tableau(2)
-        apply_gate(t, gate("CNOT", 0, 1))
+        t.apply("CNOT", (0, 1))
         assert t.row(0) == PauliRow(2, 0b11, 0, 1)  # X0 -> X0 X1
 
     def test_out_of_range(self):
         t = Tableau(2)
         with pytest.raises(ValueError):
-            apply_gate(t, gate("H", 5))
+            t.apply("H", (5,))
 
     @pytest.mark.parametrize("seed", range(8))
     def test_gate_algebra(self, seed):
@@ -116,21 +115,21 @@ class TestGates:
 class TestMeasurement:
     def test_deterministic_match(self):
         t = new_basis_state(1, "0")
-        prob, out = measure_postselect(t, 0, 0)
-        assert prob == 1.0 and out.row(1) == PauliRow(1, 0, 1, 1)
+        prob = t.measure_postselect(0, 0)
+        assert prob == 1.0 and t.row(1) == PauliRow(1, 0, 1, 1)
 
     def test_deterministic_mismatch(self):
         t = new_basis_state(1, "0")
         before = t.copy()
-        prob, out = measure_postselect(t, 0, 1)
-        assert prob == 0.0 and out == before
+        prob = t.measure_postselect(0, 1)
+        assert prob == 0.0 and t == before
 
     def test_random_projects(self):
         t = new_basis_state(1, "0")
         t.apply("H", (0,))
-        prob, out = measure_postselect(t, 0, 0)
+        prob = t.measure_postselect(0, 0)
         assert prob == 0.5
-        assert out == new_basis_state(1, "0")
+        assert t == new_basis_state(1, "0")
 
     @pytest.mark.parametrize("seed", range(5))
     def test_projection_is_idempotent(self, seed):
