@@ -4,12 +4,19 @@ This is the verification oracle for the tableau simulator and the engine
 for the density-matrix security analysis.  Everything here is dense and
 limited to n <= dense_cutoff() qubits (default 12, override with the
 QLOCK_DENSE_CUTOFF environment variable).
+
+A circuit acts on a (d,) vector or a (d, m) column stack in maximal runs
+of gates that touch at most two qubits.  Each run is multiplied into one
+2x2 or 4x4 matrix from a small table of local gate matrices and applied
+with one gather, matmul and scatter over the rows grouped by the run's
+qubits, so the cost follows the number of runs, not the number of gates.
 """
 
 from __future__ import annotations
 
 import math
 import os
+from functools import lru_cache
 
 import numpy as np
 
@@ -60,30 +67,100 @@ def basis_vector(bits: str) -> np.ndarray:
     return v
 
 
-def _apply_gate_tensor(arr: np.ndarray, kind: str, qubits: tuple[int, ...],
-                       n: int) -> np.ndarray:
-    """Apply a gate matrix along the row axes of arr (shape (2,)*n + rest)."""
-    m = GATE_MATRICES[kind]
-    k = len(qubits)
-    if k == 1:
-        m_t = m
+def _pair_matrices() -> dict:
+    """4x4 matrix of each gate on a two-qubit run, keyed (kind, slots).
+
+    A run on qubits lo < hi orders its local basis |b_lo b_hi> with lo as
+    the more significant bit, matching the global order (qubit 0 is the
+    MSB).  slots places each gate qubit in the run: (0,) is G (x) I,
+    (1,) is I (x) G, (0, 1) is G itself and (1, 0) is SWAP G SWAP.
+    """
+    eye = np.eye(2, dtype=complex)
+    # a row and column permutation, not a matmul: importing the module
+    # must not start BLAS in processes that never simulate densely
+    swapped = np.ix_([0, 2, 1, 3], [0, 2, 1, 3])
+    table = {}
+    for kind, m in GATE_MATRICES.items():
+        if m.shape == (2, 2):
+            table[kind, (0,)] = np.kron(m, eye)
+            table[kind, (1,)] = np.kron(eye, m)
+        else:
+            table[kind, (0, 1)] = m
+            table[kind, (1, 0)] = m[swapped]
+    return table
+
+
+_PAIR_MATRICES = _pair_matrices()
+
+
+def _fuse(run: list, touched: frozenset) -> tuple[tuple[int, ...], np.ndarray]:
+    """Sorted qubits and the run's matrix product, last gate leftmost."""
+    qubits = tuple(sorted(touched))
+    if len(qubits) == 1:
+        mats = [GATE_MATRICES[g.kind] for g in run]
     else:
-        m_t = m.reshape(2, 2, 2, 2)
-    out = np.tensordot(m_t, arr, axes=(list(range(k, 2 * k)), list(qubits)))
-    return np.moveaxis(out, list(range(k)), list(qubits))
+        lo, hi = qubits
+        slots = {(lo,): (0,), (hi,): (1,), (lo, hi): (0, 1), (hi, lo): (1, 0)}
+        mats = [_PAIR_MATRICES[g.kind, slots[g.qubits]] for g in run]
+    product = mats[0]
+    for mat in mats[1:]:
+        product = mat @ product
+    return qubits, product
+
+
+def _runs(gates):
+    """Yield (qubits, matrix) per maximal run of gates on <= 2 qubits."""
+    run: list = []
+    touched: frozenset = frozenset()
+    for g in gates:
+        merged = touched.union(g.qubits)
+        if len(merged) > 2:
+            yield _fuse(run, touched)
+            run = []
+            merged = frozenset(g.qubits)
+        run.append(g)
+        touched = merged
+    if run:
+        yield _fuse(run, touched)
+
+
+@lru_cache(maxsize=256)
+def _block_rows(n: int, qubits: tuple[int, ...]) -> np.ndarray:
+    """(2^k, d / 2^k) row indices: row j lists, in ascending order, the
+    basis states whose bits on the k sorted qubits read j (first qubit
+    most significant)."""
+    k = len(qubits)
+    shifts = [n - 1 - q for q in qubits]
+    states = np.arange(1 << n)
+    base = states[(states & sum(1 << s for s in shifts)) == 0]
+    rows = np.empty((1 << k, base.size), dtype=np.intp)
+    for j in range(1 << k):
+        rows[j] = base | sum(((j >> (k - 1 - i)) & 1) << s
+                             for i, s in enumerate(shifts))
+    rows.flags.writeable = False
+    return rows
 
 
 def apply_circuit_to_vector(circuit: CliffordCircuit, vec: np.ndarray) -> np.ndarray:
-    """Return U_C |vec> for a (d,) state vector, or U_C V for a (d, m) stack."""
+    """Return U_C |vec> for a (d,) state vector, or U_C V for a (d, m) stack.
+
+    The gates are taken in maximal runs that touch at most two qubits.
+    Each run is multiplied into one 2x2 or 4x4 matrix and applied with one
+    gather, matmul and scatter over the rows grouped by the run's qubits.
+    The input is not modified.
+    """
     n = circuit.n
     _check_cutoff(n)
     shape = vec.shape
     if shape[:1] != (1 << n,) or len(shape) > 2:
         raise ValueError("state vector dimension mismatch")
-    arr = vec.reshape((2,) * n + shape[1:]).astype(complex)
-    for g in circuit.gates:
-        arr = _apply_gate_tensor(arr, g.kind, g.qubits, n)
-    return arr.reshape(shape)
+    arr = np.array(vec, dtype=complex, order="C")
+    cols = arr if arr.ndim == 2 else arr[:, None]
+    for qubits, mat in _runs(circuit.gates):
+        rows = _block_rows(n, qubits)
+        block = cols[rows]
+        cols[rows] = (mat @ block.reshape(len(mat), -1)).reshape(block.shape)
+    return arr
 
 
 def circuit_unitary(circuit: CliffordCircuit) -> np.ndarray:

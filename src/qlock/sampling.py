@@ -186,11 +186,8 @@ def sample_two_qubit_clifford(rng) -> CliffordCircuit:
 
 
 def _fragment_gates(word, a: int, b: int) -> list[CliffordGate]:
-    out = []
-    pair = (a, b)
-    for g in word:
-        out.append(_cached_gate(g.kind, tuple(pair[q] for q in g.qubits)))
-    return out
+    relabel = {(0,): (a,), (1,): (b,), (0, 1): (a, b), (1, 0): (b, a)}
+    return [_cached_gate(g.kind, relabel[g.qubits]) for g in word]
 
 
 def sample_design_fragments(cfg: SamplerConfig, rng) -> list[list[CliffordGate]]:

@@ -163,29 +163,32 @@ class SecurityParams:
 
 
 def _adversary_state(circuits: Iterable[CliffordCircuit],
-                     p: np.ndarray) -> np.ndarray:
-    """rho = (1/K) sum_k C_k diag(p) C_k^dagger over the K given circuits.
+                     priors: Sequence[np.ndarray]) -> list[np.ndarray]:
+    """rho_j = (1/K) sum_k C_k diag(p_j) C_k^dagger for each prior p_j.
 
-    Only the support columns of p are pushed through each circuit, and the
-    circuits are consumed one at a time, so a generator of circuits is
+    Each circuit pushes the union of the priors' support columns once,
+    and every rho_j is summed from its own support columns of the result.
+    The circuits are consumed one at a time, so a generator of circuits is
     never held in memory as a whole.
     """
-    d = p.shape[0]
-    support = np.flatnonzero(p)
-    # built C-ordered like np.eye (a fancy-indexed slice of it is
-    # F-ordered), so a full-support p repeats circuit_unitary bit for bit
-    cols = np.zeros((d, support.size), dtype=complex)
-    cols[support, np.arange(support.size)] = 1.0
-    weights = p[support]
-    rho = np.zeros((d, d), dtype=complex)
+    d = priors[0].shape[0]
+    support = np.flatnonzero(np.any(np.stack(priors) != 0, axis=0))
+    cols = np.eye(d, dtype=complex)[:, support]
+    picks = []
+    for p in priors:
+        own = np.flatnonzero(p)
+        picks.append((np.searchsorted(support, own), p[own]))
+    rhos = [np.zeros((d, d), dtype=complex) for _ in priors]
     count = 0
     for circuit in circuits:
         v = dense.apply_circuit_to_vector(circuit, cols)
-        rho += (v * weights) @ v.conj().T
+        for rho, (pos, weights) in zip(rhos, picks):
+            u = v[:, pos]
+            rho += (u * weights) @ u.conj().T
         count += 1
     if count == 0:
         raise ValueError("K must be >= 1")
-    return rho / count
+    return [rho / count for rho in rhos]
 
 
 def eve_state(cb: Codebook, prior: PriorDistribution) -> np.ndarray:
@@ -194,7 +197,7 @@ def eve_state(cb: Codebook, prior: PriorDistribution) -> np.ndarray:
         raise ValueError("prior size mismatch")
     if cb.n > dense.dense_cutoff():
         raise ValueError("codebook exceeds the dense cutoff")
-    return _adversary_state(cb.circuits, prior.probability_vector())
+    return _adversary_state(cb.circuits, [prior.probability_vector()])[0]
 
 
 def conditional_state(cb: Codebook, x: str) -> np.ndarray:
@@ -445,7 +448,8 @@ def _chernoff_chunk(payload) -> list[ChernoffTrial]:
     for t in range(lo, hi):
         rng = stream_rng(seed, t)
         circuits = (sample_design_circuit(cfg, rng) for _ in range(K))
-        lam = float(dense.eigvalsh(_adversary_state(circuits, p))[0])
+        rho = _adversary_state(circuits, [p])[0]
+        lam = float(dense.eigvalsh(rho)[0])
         rows.append(ChernoffTrial(lambda_max=lam,
                                   epsilon_hat=lam * 2.0 ** cfg.n - 1.0,
                                   violated=lam > threshold))
@@ -515,6 +519,8 @@ def empirical_maurer(n: int, K: int, x: str, phi, trials: int, seed: int,
     gamma defaults to the exact 2-design value 2d/(d+1).  At n = 1 the
     draws index a table of the 24 single-qubit Clifford overlaps.
     """
+    if n < 1:
+        raise ValueError(f"need at least one qubit, got n={n}")
     if n > dense.dense_cutoff():
         raise ValueError("n exceeds the dense cutoff")
     if not 0 <= tau <= 1:
@@ -576,8 +582,8 @@ def locking_probe(n: int, K: int, prior: PriorDistribution,
         circuits = [sample_design_circuit(cfg, rng) for _ in range(K)]
     else:
         K = len(circuits)
-    conditionals = [_adversary_state(circuits, dense.basis_vector(x).real)
-                    for x, _ in prior.items()]
+    conditionals = _adversary_state(
+        circuits, [dense.basis_vector(x).real for x, _ in prior.items()])
     chi = holevo(prior, conditionals)
     mi_rows = [(m.label, measured_mi(m, prior, conditionals))
                for m in measurements]

@@ -63,8 +63,12 @@ class TestInputValidation:
         ("verify-maurer", "--n", "1", "--tau", "0.5", "--K", "0",
          "--trials", "2"),
         ("lock-probe", "--n", "2", "--K", "0", "--bases", "1"),
+        ("verify-maurer", "--n", "0", "--tau", "0.5", "--K", "2",
+         "--trials", "2"),
+        ("verify-maurer", "--n", "-1", "--tau", "0.5", "--K", "2",
+         "--trials", "2"),
     ], ids=["jobs-0", "jobs-negative", "trials-0", "chernoff-K-0",
-            "maurer-K-0", "lock-probe-K-0"])
+            "maurer-K-0", "lock-probe-K-0", "maurer-n-0", "maurer-n-negative"])
     def test_bad_count_exits_1_with_one_line(self, args):
         res = run_cli(*args, "--seed", SEED)
         assert res.returncode == 1
@@ -164,3 +168,16 @@ class TestDeterminism:
         a = run_cli(*args)
         b = run_cli(*args)
         assert a.stdout == b.stdout and a.returncode == 0
+
+    def test_lock_probe_output_is_pinned(self):
+        # the dense kernel and the adversary-state builder may change
+        # their arithmetic, but not what this seeded run prints
+        res = run_cli("lock-probe", "--seed", "2a")
+        assert res.returncode == 0
+        lines = res.stdout.splitlines()
+        assert len(lines) == 23
+        assert lines[:3] == ["holevo = 1.32073014449",
+                             "computational = 1.07432311883",
+                             "clifford-0 = 0.268341494732"]
+        assert lines[-2:] == ["haar-19 = 0.0927309066746",
+                              "gap = 0.24640702566"]

@@ -8,9 +8,37 @@ from qlock import dense
 from qlock.dense import (NumericalError, apply_circuit_to_vector,
                          circuit_unitary, eigvalsh, overlap_prob,
                          von_neumann_entropy)
+from qlock.sampling import (SamplerConfig, all_single_qubit_circuits,
+                            sample_design_circuit, sample_uniform_clifford)
 from qlock.stabilizer import CliffordCircuit, gate, invert_circuit
 
 from test_stabilizer import random_circuit
+
+
+def reference_apply(circuit, vec):
+    """Per-gate oracle: one tensordot per gate along the gate's qubit axes."""
+    n = circuit.n
+    shape = vec.shape
+    arr = vec.reshape((2,) * n + shape[1:]).astype(complex)
+    for g in circuit.gates:
+        k = len(g.qubits)
+        m = dense.GATE_MATRICES[g.kind].reshape((2,) * (2 * k))
+        out = np.tensordot(m, arr,
+                           axes=(list(range(k, 2 * k)), list(g.qubits)))
+        arr = np.moveaxis(out, list(range(k)), list(g.qubits))
+    return arr.reshape(shape)
+
+
+def assert_matches_reference(circuit, vec):
+    got = apply_circuit_to_vector(circuit, vec)
+    assert got.shape == vec.shape
+    diff = np.abs(got - reference_apply(circuit, vec))
+    assert np.max(diff, initial=0.0) < 1e-12
+
+
+def random_stack(n, m, seed):
+    g = np.random.default_rng(seed)
+    return g.normal(size=(1 << n, m)) + 1j * g.normal(size=(1 << n, m))
 
 
 class TestCircuitUnitary:
@@ -55,6 +83,55 @@ class TestCircuitUnitary:
     def test_stack_dimension_mismatch(self):
         with pytest.raises(ValueError):
             apply_circuit_to_vector(CliffordCircuit(2, []), np.eye(2))
+
+
+class TestFusedRuns:
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_random_design_and_uniform_circuits(self, n):
+        rng = random.Random(100 + n)
+        circuits = [random_circuit(n, 60, rng),
+                    sample_uniform_clifford(n, rng)]
+        if n > 1:
+            circuits.append(sample_design_circuit(SamplerConfig(n, 0.25), rng))
+        for i, c in enumerate(circuits):
+            stack = random_stack(n, 3, 10 * n + i)
+            assert_matches_reference(c, stack)
+            assert_matches_reference(c, stack[:, 0])
+            assert_matches_reference(c, np.eye(1 << n, dtype=complex))
+
+    def test_all_single_qubit_cliffords(self):
+        for c in all_single_qubit_circuits():
+            assert_matches_reference(c, np.eye(2, dtype=complex))
+            assert_matches_reference(c, random_stack(1, 2, 1)[:, 1])
+
+    @pytest.mark.parametrize("n, words, runs", [
+        (3, ["H 1", "S 1", "H 1", "SDG 1"], [(1,)]),
+        (2, ["H 0", "CNOT 1 0"], [(0, 1)]),
+        (3, ["H 2", "SWAP 2 0", "S 0", "CZ 0 2", "Y 2"], [(0, 2)]),
+        (4, ["H 0", "CNOT 0 1", "CNOT 2 3", "X 3"], [(0, 1), (2, 3)]),
+        (4, ["S 3", "H 1", "Z 0", "CNOT 0 1"], [(1, 3), (0, 1)]),
+        (3, [], []),
+    ], ids=["one-qubit-only", "cnot-after-h", "swap-inside",
+            "new-pair-closes", "one-qubit-gates-pair-up", "empty"])
+    def test_run_boundaries(self, n, words, runs):
+        gates = [gate(w.split()[0], *map(int, w.split()[1:])) for w in words]
+        c = CliffordCircuit(n, gates)
+        assert [q for q, _ in dense._runs(c.gates)] == runs
+        assert_matches_reference(c, random_stack(n, 4, 7))
+        assert_matches_reference(c, np.eye(1 << n, dtype=complex))
+
+    def test_input_is_not_mutated(self):
+        c = random_circuit(3, 40, random.Random(9))
+        for vec in (random_stack(3, 5, 2), random_stack(3, 1, 3)[:, 0],
+                    np.eye(8)):
+            before = vec.copy()
+            out = apply_circuit_to_vector(c, vec)
+            assert np.array_equal(vec, before)
+            assert not np.shares_memory(out, vec)
+        empty = np.eye(4, dtype=complex)
+        out = apply_circuit_to_vector(CliffordCircuit(2, []), empty)
+        out[0, 0] = 5.0
+        assert empty[0, 0] == 1.0
 
 
 class TestOverlapProb:

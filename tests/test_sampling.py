@@ -11,9 +11,10 @@ from qlock.sampling import (Mode, SamplerConfig, SeedContext,
                             derive_circuit, design_circuit_length,
                             sample_design_circuit, sample_design_fragments,
                             sample_two_qubit_clifford, sample_uniform_clifford,
-                            single_qubit_table, two_qubit_table)
-from qlock.stabilizer import (CliffordCircuit, Tableau, basis_overlap_prob,
-                              basis_overlap_prob_exact, invert_circuit)
+                            single_qubit_table, stream_rng, two_qubit_table)
+from qlock.stabilizer import (CliffordCircuit, CliffordGate, Tableau,
+                              basis_overlap_prob, basis_overlap_prob_exact,
+                              invert_circuit)
 
 from test_stabilizer import random_circuit
 
@@ -85,6 +86,24 @@ class TestDesignSampler:
         cfg = SamplerConfig(n=4, delta=2 ** -4)
         frags = sample_design_fragments(cfg, rng)
         assert len(frags) == 32
+
+    @pytest.mark.parametrize("n", [2, 3, 64])
+    def test_fragments_expand_the_table_words(self, n):
+        # the word-by-word expansion fixes the gate lists, and with them
+        # the codebook bytes, for every seed
+        table = two_qubit_table()
+        cfg = SamplerConfig(n=n, delta=0.25)
+        for k in range(20 if n < 64 else 2):
+            frags = sample_design_fragments(cfg, stream_rng(0x1234, k))
+            rng = stream_rng(0x1234, k)
+            want = []
+            for _ in frags:
+                a, b = rng.sample(range(n), 2)
+                word = table.words[rng.randrange(720)][rng.randrange(16)]
+                want.append([CliffordGate(g.kind,
+                                          tuple((a, b)[q] for q in g.qubits))
+                             for g in word])
+            assert frags == want
 
     def test_n1_fallback(self, rng):
         cfg = SamplerConfig(n=1, delta=0.25)

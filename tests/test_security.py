@@ -9,7 +9,8 @@ from qlock import dense
 from qlock.protocol import Codebook, build_codebook
 from qlock.sampling import all_single_qubit_circuits
 from qlock.security import (Measurement,
-                            PriorDistribution, SecurityParams, chernoff_p1,
+                            PriorDistribution, SecurityParams,
+                            _adversary_state, chernoff_p1,
                             chernoff_threshold, comparison_rows,
                             conditional_state, empirical_chernoff,
                             empirical_maurer, eve_state, holevo,
@@ -104,6 +105,27 @@ class TestEveState:
         assert np.max(np.abs(eve_state(cb, prior) - want)) < 1e-12
         mix = sum(px * conditional_state(cb, x) for x, px in prior.items())
         assert np.max(np.abs(mix - want)) < 1e-12
+
+    def test_several_priors_push_each_circuit_once(self, monkeypatch):
+        cb = build_codebook(3, 5, 0.25, master_seed=21)
+        xs = ["000", "011", "101", "110"]
+        uniform = PriorDistribution(n=3)
+        pushes = []
+        push = dense.apply_circuit_to_vector
+
+        def counting_push(circuit, vec):
+            pushes.append(vec.shape)
+            return push(circuit, vec)
+
+        monkeypatch.setattr(dense, "apply_circuit_to_vector", counting_push)
+        states = _adversary_state(
+            cb.circuits, [dense.basis_vector(x).real for x in xs]
+            + [uniform.probability_vector()])
+        assert pushes == [(8, 8)] * cb.K
+        monkeypatch.undo()
+        for x, rho in zip(xs, states):
+            assert np.max(np.abs(rho - conditional_state(cb, x))) < 1e-12
+        assert np.max(np.abs(states[-1] - eve_state(cb, uniform))) < 1e-12
 
     def test_empty_codebook_circuits_rejected(self):
         prior = PriorDistribution(n=1)
@@ -378,6 +400,11 @@ class TestEmpiricalMaurer:
         rep = empirical_maurer(2, 10, "00", "00", trials=50, seed=4, tau=0.5)
         assert 0.0 <= rep.tail_freq <= 1.0
         assert rep.gamma == pytest.approx(8 / 5)
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_rejects_fewer_than_one_qubit(self, n):
+        with pytest.raises(ValueError, match=f"qubit, got n={n}"):
+            empirical_maurer(n, 2, "", "", trials=2, seed=0, tau=0.5)
 
     def test_tail_freq_counts_means_below_cut(self):
         rep = empirical_maurer(2, 3, "00", "00", trials=40, seed=6, tau=0.5,
