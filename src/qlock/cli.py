@@ -75,7 +75,10 @@ def _parse_range(text: str) -> list[int]:
     start, stop, step = (int(p) for p in parts)
     if step <= 0:
         raise ValueError("range step must be positive")
-    return list(range(start, stop, step))
+    values = list(range(start, stop, step))
+    if not values:
+        raise ValueError(f"n range {text!r} is empty")
+    return values
 
 
 def _params_for(args, n: int) -> security.SecurityParams:
@@ -143,7 +146,13 @@ def _make_sampler(args):
     raise ValueError(f"unknown ensemble {args.ensemble!r}")
 
 
+def _check_z(z: float) -> None:
+    if not 0 <= z < math.inf:
+        raise ValueError(f"z must be a finite number >= 0, got {z}")
+
+
 def _cmd_moments(args) -> None:
+    _check_z(args.z)
     rng = sampling.stream_rng(_parse_seed(args.seed), 0)
     if args.ensemble == "single-qubit":
         est = design.exhaustive_single_qubit_moments()
@@ -165,6 +174,7 @@ def _cmd_moments(args) -> None:
 
 
 def _cmd_gamma(args) -> None:
+    _check_z(args.z)
     rng = sampling.stream_rng(_parse_seed(args.seed), 0)
     if args.ensemble == "single-qubit":
         est = design.exhaustive_single_qubit_moments()
@@ -264,6 +274,8 @@ def _cmd_verify_maurer(args) -> None:
 
 
 def _cmd_lock_probe(args) -> None:
+    if args.bases < 0:
+        raise ValueError(f"bases must be >= 0, got {args.bases}")
     seed = _parse_seed(args.seed)
     prior = security.PriorDistribution(n=args.n)
     d = 1 << args.n

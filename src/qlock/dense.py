@@ -5,11 +5,21 @@ for the density-matrix security analysis.  Everything here is dense and
 limited to n <= dense_cutoff() qubits (default 12, override with the
 QLOCK_DENSE_CUTOFF environment variable).
 
-A circuit acts on a (d,) vector or a (d, m) column stack in maximal runs
-of gates that touch at most two qubits.  Each run is multiplied into one
-2x2 or 4x4 matrix from a small table of local gate matrices and applied
-with one gather, matmul and scatter over the rows grouped by the run's
-qubits, so the cost follows the number of runs, not the number of gates.
+A gate circuit acts on a (d,) vector or a (d, m) column stack in maximal
+runs of gates that touch at most two qubits.  Each run is multiplied into
+one 2x2 or 4x4 matrix from a small table of local gate matrices and
+applied with one gather, matmul and scatter over the rows grouped by the
+run's qubits, so the cost follows the number of runs, not the number of
+gates.
+
+A design circuit can also be given in its sampled form, a list of
+fragment records (word, a, b): word = 16 i + j indexes the 720 x 16
+two-qubit Clifford table, applied with its local qubit 0 on a and 1 on b.
+Each record is one 4x4 unitary, phi U_{i,0} P, taken from a table built
+on first use.  push() applies batches of such circuits to copies of one
+column stack, one step per fragment position, with one gather, matmul and
+scatter over the whole batch per step: the same step that applies a run
+of gates.
 """
 
 from __future__ import annotations
@@ -17,9 +27,11 @@ from __future__ import annotations
 import math
 import os
 from functools import lru_cache
+from typing import Iterable, Iterator
 
 import numpy as np
 
+from .sampling import two_qubit_table
 from .stabilizer import CliffordCircuit
 
 DEFAULT_DENSE_CUTOFF = 12
@@ -127,8 +139,8 @@ def _runs(gates):
 @lru_cache(maxsize=256)
 def _block_rows(n: int, qubits: tuple[int, ...]) -> np.ndarray:
     """(2^k, d / 2^k) row indices: row j lists, in ascending order, the
-    basis states whose bits on the k sorted qubits read j (first qubit
-    most significant)."""
+    basis states whose bits on the k given qubits read j (first qubit most
+    significant)."""
     k = len(qubits)
     shifts = [n - 1 - q for q in qubits]
     states = np.arange(1 << n)
@@ -139,6 +151,18 @@ def _block_rows(n: int, qubits: tuple[int, ...]) -> np.ndarray:
                              for i, s in enumerate(shifts))
     rows.flags.writeable = False
     return rows
+
+
+def _step(flat: np.ndarray, rows: np.ndarray, mats: np.ndarray) -> None:
+    """flat[rows[b]] = mats[b] @ flat[rows[b]] for every b, in place.
+
+    flat is a C-ordered (rows, m) array, rows a (B, k, r) array of row
+    indices, disjoint across b, and mats a (B, k, k) stack: one gather, one
+    batched matmul and one scatter, whatever B is.
+    """
+    block = flat[rows]
+    flat[rows] = (mats @ block.reshape(rows.shape[0], rows.shape[1], -1)
+                  ).reshape(block.shape)
 
 
 def apply_circuit_to_vector(circuit: CliffordCircuit, vec: np.ndarray) -> np.ndarray:
@@ -157,10 +181,160 @@ def apply_circuit_to_vector(circuit: CliffordCircuit, vec: np.ndarray) -> np.nda
     arr = np.array(vec, dtype=complex, order="C")
     cols = arr if arr.ndim == 2 else arr[:, None]
     for qubits, mat in _runs(circuit.gates):
-        rows = _block_rows(n, qubits)
-        block = cols[rows]
-        cols[rows] = (mat @ block.reshape(len(mat), -1)).reshape(block.shape)
+        _step(cols, _block_rows(n, qubits)[None], mat[None])
     return arr
+
+
+# -- design circuits as fragment records -------------------------------------
+
+# e^{i pi k / 4} for k = 0..7
+_EIGHTH = np.array([1, _SQ2 + _SQ2 * 1j, 1j, -_SQ2 + _SQ2 * 1j,
+                    -1, -_SQ2 - _SQ2 * 1j, -1j, _SQ2 - _SQ2 * 1j])
+
+# two-qubit Paulis P_p = s_{p // 4} (x) s_{p % 4} with s = I, X, Y, Z
+_SIGMAS = (np.eye(2),) + tuple(GATE_MATRICES[k] for k in "XYZ")
+_PAULIS = np.array([np.kron(a, b) for a in _SIGMAS for b in _SIGMAS])
+
+# complex entries of a column stack per batch; bounds a batch's memory
+_BATCH_ENTRIES = 1 << 13
+
+# classes per step of the fragment table build
+_TABLE_CHUNK = 240
+
+
+def _word_products(words) -> np.ndarray:
+    """(len(words), 4, 4) unitaries of two-qubit table words, all words
+    multiplied together one gate position at a time."""
+    keys = list(_PAIR_MATRICES)
+    index = {key: i + 1 for i, key in enumerate(keys)}
+    mats = np.stack([np.eye(4, dtype=complex)]
+                    + [_PAIR_MATRICES[key] for key in keys])
+    lengths = np.array([len(word) for word in words])
+    steps = np.zeros((len(words), lengths.max()), dtype=np.intp)
+    steps[np.arange(steps.shape[1]) < lengths[:, None]] = [
+        index[g.kind, g.qubits] for word in words for g in word]
+    out = np.broadcast_to(mats[0], (len(words), 4, 4))
+    for step in steps.T:
+        out = mats[step] @ out
+    return out
+
+
+class _FragmentTable:
+    """The unitary of every table word w = 16 i + j, as phi_w U_{i,0} P_w.
+
+    classes holds the 720 unitaries U_{i,0}.  code[w] = 8 p + k names the
+    Pauli P_p and the phase phi_w = e^{i pi k / 4}.  A Pauli has one
+    nonzero entry per column, so U_w[:, c] = U_{i,0}[:, cols[code, c]] *
+    scale[code, c], and no 4x4 matrix is stored per word.
+    """
+
+    def __init__(self):
+        words = two_qubit_table().words
+        self.classes = np.empty((720, 4, 4), dtype=complex)
+        self.code = np.empty(720 * 16, dtype=np.uint8)
+        # a few classes at a time keeps every temporary array small
+        for lo in range(0, 720, _TABLE_CHUNK):
+            hi = lo + _TABLE_CHUNK
+            chunk = words[lo:hi]
+            self.classes[lo:hi] = _word_products([w[0] for w in chunk])
+            adjoints = self.classes[lo:hi].conj().transpose(0, 2, 1)
+            for j in range(16):
+                # U_{i,0}^dagger U_{i,j} = phi P for one Pauli P per class
+                rel = adjoints @ _word_products([w[j] for w in chunk])
+                coef = np.einsum("pab,iab->ip", _PAULIS.conj(), rel) / 4
+                p = np.argmax(np.abs(coef), axis=1)
+                phase = coef[np.arange(len(chunk)), p]
+                k = np.rint(np.angle(phase) * 4 / math.pi).astype(np.intp) % 8
+                if np.max(np.abs(rel - _EIGHTH[k, None, None] * _PAULIS[p])) > 1e-12:
+                    raise AssertionError("a table word is not phi U_{i,0} P")
+                self.code[16 * lo + j:16 * hi:16] = 8 * p + k
+        # per code 8 p + k: the row of each column's nonzero entry of P_p,
+        # and that entry times the phase
+        rows = np.argmax(np.abs(_PAULIS), axis=1)
+        entries = np.take_along_axis(_PAULIS, rows[:, None, :], axis=1)[:, 0]
+        self.cols = rows.repeat(8, axis=0)
+        self.scale = entries.repeat(8, axis=0) * np.tile(_EIGHTH, 16)[:, None]
+
+    def matrices(self, words: np.ndarray) -> np.ndarray:
+        """(B, 4, 4) unitaries of the table words."""
+        code = self.code[words]
+        return (np.take_along_axis(self.classes[words >> 4],
+                                   self.cols[code][:, None, :], axis=2)
+                * self.scale[code][:, None, :])
+
+
+@lru_cache(maxsize=1)
+def _fragment_table() -> _FragmentTable:
+    return _FragmentTable()
+
+
+@lru_cache(maxsize=16)
+def _pair_rows(n: int) -> np.ndarray:
+    """(n, n, 4, d / 4) array: [a, b] holds the block rows of the ordered
+    qubit pair (a, b), a as the more significant bit (zeros for a == b)."""
+    rows = np.zeros((n, n, 4, 1 << (n - 2)), dtype=np.intp)
+    for a in range(n):
+        for b in range(n):
+            if a != b:
+                # uncached: this stacked copy is the one that is kept
+                rows[a, b] = _block_rows.__wrapped__(n, (a, b))
+    rows.flags.writeable = False
+    return rows
+
+
+def _push_fragments(batch: list, cols: np.ndarray) -> np.ndarray:
+    """(B, d, m) stack of U_b cols for B circuits given as equally long
+    fragment record lists; one step per fragment position."""
+    d, m = cols.shape
+    n = d.bit_length() - 1
+    if n < 2:
+        raise ValueError("fragment circuits need at least two qubits")
+    recs = np.array(batch, dtype=np.intp).reshape(len(batch), -1, 3)
+    words, a, b = recs[..., 0], recs[..., 1], recs[..., 2]
+    if recs.size and (words.min() < 0 or words.max() >= 720 * 16
+                      or min(a.min(), b.min()) < 0
+                      or max(a.max(), b.max()) >= n or np.any(a == b)):
+        raise ValueError(f"fragment record out of range for n={n}")
+    stack = np.empty((len(batch), d, m), dtype=complex)
+    stack[:] = cols
+    flat = stack.reshape(-1, m)
+    offsets = (np.arange(len(batch)) * d)[:, None, None]
+    pair_rows = _pair_rows(n)
+    table = _fragment_table()
+    for t in range(recs.shape[1]):
+        _step(flat, pair_rows[a[:, t], b[:, t]] + offsets,
+              table.matrices(words[:, t]))
+    return stack
+
+
+def push(circuits: Iterable, cols: np.ndarray) -> Iterator[np.ndarray]:
+    """Yield U_k cols as (B, d, m) stacks for the circuits, in order.
+
+    A CliffordCircuit is applied on its own by apply_circuit_to_vector.
+    Consecutive fragment record lists, as drawn by
+    sampling.sample_design_fragments, are applied together in batches
+    whose stacks hold at most _BATCH_ENTRIES entries.  The circuits are
+    consumed lazily, so a generator is never held in memory as a whole.
+    """
+    d, m = cols.shape
+    if d < 2 or d & (d - 1):
+        raise ValueError("state vector dimension mismatch")
+    _check_cutoff(d.bit_length() - 1)
+    size = max(1, _BATCH_ENTRIES // (d * m))
+    batch: list = []
+    for circuit in circuits:
+        if isinstance(circuit, CliffordCircuit):
+            if batch:
+                yield _push_fragments(batch, cols)
+                batch = []
+            yield apply_circuit_to_vector(circuit, cols)[None]
+            continue
+        batch.append(circuit)
+        if len(batch) == size:
+            yield _push_fragments(batch, cols)
+            batch = []
+    if batch:
+        yield _push_fragments(batch, cols)
 
 
 def circuit_unitary(circuit: CliffordCircuit) -> np.ndarray:

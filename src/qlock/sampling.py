@@ -14,6 +14,12 @@ The two-qubit group is enumerated once by closing the generator set
 {H0, H1, S0, S1, CNOT01, CNOT10} over conjugation-action tableaus and is
 indexed as 720 symplectic classes x 16 sign classes, sorted by canonical
 tableau key, so an index pair maps deterministically to a gate word.
+
+A design circuit is drawn either as a gate list (sample_design_circuit)
+or as fragment records (word, a, b) with word = 16 i + j
+(sample_design_fragments), which dense.push applies without expanding
+them into gates.  Both forms take the same draws from the generator, so
+one seed gives the same circuit in either form.
 """
 
 from __future__ import annotations
@@ -48,8 +54,9 @@ class SamplerConfig:
             raise ValueError("need at least one qubit")
         if not 0.0 < self.delta < 1.0:
             raise ValueError("delta must lie in (0, 1)")
-        if self.depth_factor <= 0:
-            raise ValueError("depth_factor must be positive")
+        if not 0 < self.depth_factor < math.inf:
+            raise ValueError("depth_factor must be a positive finite number, "
+                             f"got {self.depth_factor}")
 
 
 @dataclass(frozen=True)
@@ -185,37 +192,45 @@ def sample_two_qubit_clifford(rng) -> CliffordCircuit:
     return CliffordCircuit(2, list(table.words[i][j]))
 
 
-def _fragment_gates(word, a: int, b: int) -> list[CliffordGate]:
-    relabel = {(0,): (a,), (1,): (b,), (0, 1): (a, b), (1, 0): (b, a)}
-    return [_cached_gate(g.kind, relabel[g.qubits]) for g in word]
+def sample_design_fragments(cfg: SamplerConfig, rng) -> list[tuple[int, int, int]]:
+    """The sampled form of a design circuit: L records (word, a, b).
 
-
-def sample_design_fragments(cfg: SamplerConfig, rng) -> list[list[CliffordGate]]:
-    """The fragment-structured form of a design circuit: L gate groups,
-    each one uniformly random two-qubit Clifford on a random qubit pair."""
+    Each record is one uniformly random two-qubit Clifford, table entry
+    words[i][j] with word = 16 i + j, acting with its local qubit 0 on
+    qubit a and local qubit 1 on qubit b.  The draws are those of
+    sample_design_circuit: the pair, then i, then j.
+    """
     n = cfg.n
-    if n == 1:
-        return [list(single_qubit_circuit(rng.randrange(24)).gates)]
-    table = two_qubit_table()
+    if n < 2:
+        raise ValueError("fragments need at least two qubits")
     length = design_circuit_length(n, cfg.delta, cfg.depth_factor)
-    fragments = []
+    records = []
     for _ in range(length):
         a, b = rng.sample(range(n), 2)
-        word = table.words[rng.randrange(720)][rng.randrange(16)]
-        fragments.append(_fragment_gates(word, a, b))
-    return fragments
+        i = rng.randrange(720)
+        records.append((16 * i + rng.randrange(16), a, b))
+    return records
 
 
 def sample_design_circuit(cfg: SamplerConfig, rng) -> CliffordCircuit:
     """Approximate-2-design circuit of L two-qubit fragments.
 
-    At n = 1 there are no qubit pairs; the draw falls back to a uniform
-    single-qubit Clifford.
+    Draws as sample_design_fragments does and expands each table word
+    into its gates on the drawn pair.  At n = 1 there are no qubit pairs;
+    the draw falls back to a uniform single-qubit Clifford.
     """
+    n = cfg.n
+    if n == 1:
+        return single_qubit_circuit(rng.randrange(24))
+    words = two_qubit_table().words
+    length = design_circuit_length(n, cfg.delta, cfg.depth_factor)
     gates: list[CliffordGate] = []
-    for fragment in sample_design_fragments(cfg, rng):
-        gates.extend(fragment)
-    return CliffordCircuit(cfg.n, gates)
+    for _ in range(length):
+        a, b = rng.sample(range(n), 2)
+        word = words[rng.randrange(720)][rng.randrange(16)]
+        relabel = {(0,): (a,), (1,): (b,), (0, 1): (a, b), (1, 0): (b, a)}
+        gates.extend([_cached_gate(g.kind, relabel[g.qubits]) for g in word])
+    return CliffordCircuit(n, gates)
 
 
 def sample_uniform_clifford(n: int, rng) -> CliffordCircuit:

@@ -22,9 +22,9 @@ from . import dense
 from .design import gamma_bound
 from .protocol import Codebook
 from .sampling import (SamplerConfig, all_single_qubit_circuits,
-                       sample_design_circuit, sample_uniform_clifford,
-                       stream_rng)
-from .stabilizer import CliffordCircuit
+                       sample_design_circuit, sample_design_fragments,
+                       sample_uniform_clifford, stream_rng)
+from .stabilizer import CliffordCircuit, basis_overlap_prob
 
 Real = Union[int, float, Fraction]
 
@@ -139,8 +139,9 @@ class SecurityParams:
             raise ValueError("p_max must lie in (0, 1]")
         if self.M < 1:
             raise ValueError("M must be >= 1")
-        if self.gamma < 1:
-            raise ValueError("gamma must be >= 1")
+        if not 1 <= self.gamma < math.inf:
+            raise ValueError(f"gamma must be a finite number >= 1, "
+                             f"got {self.gamma}")
 
     @classmethod
     def from_prior(cls, prior: PriorDistribution, epsilon: Real,
@@ -162,14 +163,16 @@ class SecurityParams:
 # -- adversary states ---------------------------------------------------------
 
 
-def _adversary_state(circuits: Iterable[CliffordCircuit],
-                     priors: Sequence[np.ndarray]) -> list[np.ndarray]:
+def _adversary_state(circuits: Iterable, priors: Sequence[np.ndarray]
+                     ) -> list[np.ndarray]:
     """rho_j = (1/K) sum_k C_k diag(p_j) C_k^dagger for each prior p_j.
 
-    Each circuit pushes the union of the priors' support columns once,
-    and every rho_j is summed from its own support columns of the result.
-    The circuits are consumed one at a time, so a generator of circuits is
-    never held in memory as a whole.
+    The circuits are CliffordCircuits or fragment record lists; dense.push
+    applies each one, or each batch, to the union of the priors' support
+    columns once, and every rho_j is summed circuit by circuit from its own
+    support columns of the pushed (B, d, m) stacks.  The circuits are
+    consumed lazily, so a generator of circuits is never held in memory as
+    a whole.
     """
     d = priors[0].shape[0]
     support = np.flatnonzero(np.any(np.stack(priors) != 0, axis=0))
@@ -180,12 +183,12 @@ def _adversary_state(circuits: Iterable[CliffordCircuit],
         picks.append((np.searchsorted(support, own), p[own]))
     rhos = [np.zeros((d, d), dtype=complex) for _ in priors]
     count = 0
-    for circuit in circuits:
-        v = dense.apply_circuit_to_vector(circuit, cols)
+    for stack in dense.push(circuits, cols):
         for rho, (pos, weights) in zip(rhos, picks):
-            u = v[:, pos]
-            rho += (u * weights) @ u.conj().T
-        count += 1
+            # one circuit at a time: a d x d sum per circuit, never B of them
+            for u in stack[:, :, pos]:
+                rho += (u * weights) @ u.conj().T
+        count += len(stack)
     if count == 0:
         raise ValueError("K must be >= 1")
     return [rho / count for rho in rhos]
@@ -445,10 +448,11 @@ class ChernoffReport:
 def _chernoff_chunk(payload) -> list[ChernoffTrial]:
     cfg, K, p, seed, threshold, lo, hi = payload
     rows = []
+    # n = 1 has no qubit pairs and draws single-qubit circuits
+    draw = sample_design_circuit if cfg.n == 1 else sample_design_fragments
     for t in range(lo, hi):
         rng = stream_rng(seed, t)
-        circuits = (sample_design_circuit(cfg, rng) for _ in range(K))
-        rho = _adversary_state(circuits, [p])[0]
+        rho = _adversary_state((draw(cfg, rng) for _ in range(K)), [p])[0]
         lam = float(dense.eigvalsh(rho)[0])
         rows.append(ChernoffTrial(lambda_max=lam,
                                   epsilon_hat=lam * 2.0 ** cfg.n - 1.0,
@@ -494,19 +498,32 @@ class MaurerReport:
     cut: float
 
 
+def _overlap(circuit: CliffordCircuit, x: str, phi) -> float:
+    """|<phi| C |x>|^2: exactly 0 or 2^-s from the tableau for a basis
+    string phi, from dense vectors for a vector phi."""
+    if isinstance(phi, str):
+        return basis_overlap_prob(circuit, x, phi)
+    return dense.overlap_prob(phi, circuit, dense.basis_vector(x))
+
+
 def _maurer_chunk(payload) -> list[float]:
-    n, K, base, phi_vec, table, seed, lo, hi = payload
+    n, K, x, phi, table, seed, lo, hi = payload
     means = []
     for t in range(lo, hi):
         rng = stream_rng(seed, t)
         if table is not None:
             draws = (table[rng.randrange(24)] for _ in range(K))
         else:
-            draws = (abs(np.vdot(phi_vec, dense.apply_circuit_to_vector(
-                         sample_uniform_clifford(n, rng), base))) ** 2
+            draws = (_overlap(sample_uniform_clifford(n, rng), x, phi)
                      for _ in range(K))
         means.append(sum(draws) / K)
     return means
+
+
+def _check_bits(name: str, bits: str, n: int) -> None:
+    if len(bits) != n or set(bits) - set("01"):
+        raise ValueError(f"{name} must be a {n}-bit string of 0s and 1s, "
+                         f"got {bits!r}")
 
 
 def empirical_maurer(n: int, K: int, x: str, phi, trials: int, seed: int,
@@ -516,8 +533,11 @@ def empirical_maurer(n: int, K: int, x: str, phi, trials: int, seed: int,
 
     Counts trials whose K-draw average of |<phi|C|x>|^2 falls below the
     cut (1 - tau) 2^-n and compares against exp(-K tau^2 / (2 gamma)).
-    gamma defaults to the exact 2-design value 2d/(d+1).  At n = 1 the
-    draws index a table of the 24 single-qubit Clifford overlaps.
+    gamma defaults to the exact 2-design value 2d/(d+1).  A basis-string
+    phi gives exact overlaps (0 or 2^-s) from the tableau, so a mean on
+    the cut is never pushed across it by round-off; a vector phi is
+    evaluated densely.  At n = 1 the draws index a table of the 24
+    single-qubit Clifford overlaps.
     """
     if n < 1:
         raise ValueError(f"need at least one qubit, got n={n}")
@@ -527,17 +547,20 @@ def empirical_maurer(n: int, K: int, x: str, phi, trials: int, seed: int,
         raise ValueError("tau must lie in [0, 1]")
     if K < 1:
         raise ValueError("K must be >= 1")
+    _check_bits("x", x, n)
+    if isinstance(phi, str):
+        _check_bits("phi", phi, n)
+    else:
+        phi = np.asarray(phi, dtype=complex)
     d = 1 << n
     if gamma is None:
         gamma = 2.0 * d / (d + 1.0)
-    phi_vec = dense.basis_vector(phi) if isinstance(phi, str) else np.asarray(phi)
-    base = dense.basis_vector(x)
+    if not 0 < gamma < math.inf:
+        raise ValueError(f"gamma must be a positive finite number, got {gamma}")
     table = None
     if n == 1:
-        table = [abs(np.vdot(phi_vec,
-                             dense.apply_circuit_to_vector(c, base))) ** 2
-                 for c in all_single_qubit_circuits()]
-    means = _run_trials(_maurer_chunk, (n, K, base, phi_vec, table, seed),
+        table = [_overlap(c, x, phi) for c in all_single_qubit_circuits()]
+    means = _run_trials(_maurer_chunk, (n, K, x, phi, table, seed),
                         trials, jobs)
     # tau = 0 is a degenerate threshold: the bound is vacuous and no trial
     # counts as a tail event; raw means are still reported.
@@ -574,6 +597,9 @@ def locking_probe(n: int, K: int, prior: PriorDistribution,
     """
     if n > dense.dense_cutoff():
         raise ValueError("n exceeds the dense cutoff")
+    if epsilon_reference is not None and not 0 < epsilon_reference < 1:
+        raise ValueError("epsilon_reference must lie in (0, 1), "
+                         f"got {epsilon_reference}")
     if circuits is None:
         if K < 1:
             raise ValueError("K must be >= 1")

@@ -171,6 +171,26 @@ def test_criterion_07_empirical_chernoff():
           f"{elapsed:.0f}s")
 
 
+def test_criterion_07_sparse_prior_chernoff():
+    # companion to criterion 7 that can fail: under a sparse prior rho_E is
+    # not I/d, so dropped prior weights show as epsilon_hat ~ 0 and a wrong
+    # push as violations of the (1 + eps) 2^-n threshold
+    watch = Stopwatch(60.0)
+    prior = PriorDistribution(n=3, entries=[("000", 0.5), ("011", 0.25),
+                                            ("101", 0.25)])
+    params = SecurityParams.from_prior(prior, epsilon=0.1)
+    K = math.ceil(chernoff_threshold(params))
+    assert K == 3328
+    report = empirical_chernoff(3, K, prior, trials=30, seed=7, epsilon=0.1)
+    elapsed = watch.check()
+    assert report.violation_freq <= 0.05
+    eps_hat = [t.epsilon_hat for t in report.trials]
+    assert min(eps_hat) > 0.01
+    print(f"ACCEPTANCE 7 (sparse prior) PASS: K = {K}, 30 codebooks, "
+          f"violation freq = {report.violation_freq:.3f} <= 5%, epsilon_hat "
+          f"in [{min(eps_hat):.4f}, {max(eps_hat):.4f}], {elapsed:.1f}s")
+
+
 def test_criterion_08_empirical_maurer():
     watch = Stopwatch(60.0)
     report = empirical_maurer(1, 50, "0", "0", trials=10_000, seed=8,

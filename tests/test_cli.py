@@ -51,30 +51,61 @@ class TestBasics:
 
 
 class TestInputValidation:
-    @pytest.mark.parametrize("args", [
-        ("verify-chernoff", "--n", "2", "--eps", "0.1", "--K", "4",
-         "--trials", "2", "--jobs", "0"),
-        ("verify-maurer", "--n", "1", "--tau", "0.5", "--K", "4",
-         "--trials", "2", "--jobs", "-2"),
-        ("verify-maurer", "--n", "1", "--tau", "0.5", "--K", "4",
-         "--trials", "0"),
-        ("verify-chernoff", "--n", "2", "--eps", "0.1", "--K", "0",
-         "--trials", "2"),
-        ("verify-maurer", "--n", "1", "--tau", "0.5", "--K", "0",
-         "--trials", "2"),
-        ("lock-probe", "--n", "2", "--K", "0", "--bases", "1"),
-        ("verify-maurer", "--n", "0", "--tau", "0.5", "--K", "2",
-         "--trials", "2"),
-        ("verify-maurer", "--n", "-1", "--tau", "0.5", "--K", "2",
-         "--trials", "2"),
+    @pytest.mark.parametrize("args, needle", [
+        (("verify-chernoff", "--n", "2", "--eps", "0.1", "--K", "4",
+          "--trials", "2", "--jobs", "0"), "jobs"),
+        (("verify-maurer", "--n", "1", "--tau", "0.5", "--K", "4",
+          "--trials", "2", "--jobs", "-2"), "jobs"),
+        (("verify-maurer", "--n", "1", "--tau", "0.5", "--K", "4",
+          "--trials", "0"), "trials"),
+        (("verify-chernoff", "--n", "2", "--eps", "0.1", "--K", "0",
+          "--trials", "2"), "K"),
+        (("verify-maurer", "--n", "1", "--tau", "0.5", "--K", "0",
+          "--trials", "2"), "K"),
+        (("lock-probe", "--n", "2", "--K", "0", "--bases", "1"), "K"),
+        (("verify-maurer", "--n", "0", "--tau", "0.5", "--K", "2",
+          "--trials", "2"), "n=0"),
+        (("verify-maurer", "--n", "-1", "--tau", "0.5", "--K", "2",
+          "--trials", "2"), "n=-1"),
+        (("codebook", "--n", "3", "--K", "2", "--depth-factor", "inf"),
+         "depth_factor"),
+        (("codebook", "--n", "3", "--K", "2", "--depth-factor", "nan"),
+         "depth_factor"),
+        (("moments", "--n", "2", "--samples", "10", "--depth-factor", "inf"),
+         "depth_factor"),
+        (("verify-chernoff", "--n", "2", "--eps", "0.1", "--K", "4",
+          "--trials", "1", "--depth-factor", "inf"), "depth_factor"),
+        (("lock-probe", "--n", "2", "--K", "2", "--bases", "1",
+          "--depth-factor", "inf"), "depth_factor"),
+        (("keylen", "--n", "8", "--gamma", "inf"), "gamma"),
+        (("keylen", "--n", "8", "--gamma", "nan"), "gamma"),
+        (("lock-probe", "--n", "2", "--K", "2", "--bases", "-1"), "bases"),
+        (("fig2", "--n", "5:1"), "n range"),
+        (("moments", "--n", "2", "--samples", "10", "--z", "-1"), "z"),
+        (("moments", "--n", "2", "--samples", "10", "--z", "nan"), "z"),
+        (("gamma", "--n", "2", "--samples", "10", "--z", "-1"), "z"),
+        (("lock-probe", "--n", "2", "--K", "2", "--bases", "1",
+          "--eps-ref", "-1"), "epsilon_reference"),
+        (("verify-maurer", "--n", "2", "--tau", "0.5", "--K", "2",
+          "--trials", "2", "--x", "012"), "x must be a 2-bit"),
+        (("verify-maurer", "--n", "2", "--tau", "0.5", "--K", "2",
+          "--trials", "2", "--x", "0"), "x must be a 2-bit"),
     ], ids=["jobs-0", "jobs-negative", "trials-0", "chernoff-K-0",
-            "maurer-K-0", "lock-probe-K-0", "maurer-n-0", "maurer-n-negative"])
-    def test_bad_count_exits_1_with_one_line(self, args):
-        res = run_cli(*args, "--seed", SEED)
+            "maurer-K-0", "lock-probe-K-0", "maurer-n-0", "maurer-n-negative",
+            "codebook-depth-inf", "codebook-depth-nan", "moments-depth-inf",
+            "chernoff-depth-inf", "lock-probe-depth-inf", "keylen-gamma-inf",
+            "keylen-gamma-nan", "lock-probe-bases-negative", "fig2-empty-range",
+            "moments-z-negative", "moments-z-nan", "gamma-z-negative",
+            "lock-probe-eps-ref-negative", "maurer-x-not-bits",
+            "maurer-x-short"])
+    def test_bad_count_exits_1_with_one_line(self, args, needle):
+        seed = () if args[0] in ("keylen", "fig2") else ("--seed", SEED)
+        res = run_cli(*args, *seed)
         assert res.returncode == 1
         assert res.stdout == ""
         assert res.stderr.startswith("error: ")
         assert res.stderr.count("\n") == 1
+        assert needle in res.stderr
 
 
 class TestProtocolPipeline:
@@ -130,6 +161,17 @@ class TestCsvContracts:
         assert float(quantities["P2_at_threshold"]) == 1.0
 
 
+    def test_maurer_tail_flags_are_exact(self):
+        # n = 1, K = 2: means are multiples of 1/4 and the cut is 1/4, so a
+        # mean of exactly 0.25 is not a tail event
+        res = run_cli("verify-maurer", "--n", "1", "--tau", "0.5", "--K", "2",
+                      "--trials", "8", "--seed", "05", "--csv")
+        rows = parse_csv(res.stdout)[1:-1]
+        assert {r[2] for r in rows} <= {"true", "false"}
+        assert ["0.25", "false"] in [r[1:] for r in rows]
+        assert all((r[2] == "true") == (float(r[1]) < 0.25) for r in rows)
+
+
 class TestDeterminism:
     def test_codebook_byte_identical(self, tmp_path):
         outs = []
@@ -153,6 +195,15 @@ class TestDeterminism:
                 "--trials", "200", "--seed", SEED, "--csv")
         one = run_cli(*base, "--jobs", "1")
         two = run_cli(*base, "--jobs", "2")
+        assert one.stdout == two.stdout
+
+    def test_chernoff_jobs_do_not_change_output(self):
+        # K = 200 at n = 3 pushes each trial's records in two batches
+        base = ("verify-chernoff", "--n", "3", "--eps", "0.1", "--K", "200",
+                "--trials", "4", "--seed", SEED, "--csv")
+        one = run_cli(*base, "--jobs", "1")
+        two = run_cli(*base, "--jobs", "2")
+        assert one.returncode == two.returncode == 0
         assert one.stdout == two.stdout
 
     def test_verify_chernoff_repeatable(self):

@@ -1,5 +1,7 @@
 import math
 import random
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -9,7 +11,9 @@ from qlock.dense import (NumericalError, apply_circuit_to_vector,
                          circuit_unitary, eigvalsh, overlap_prob,
                          von_neumann_entropy)
 from qlock.sampling import (SamplerConfig, all_single_qubit_circuits,
-                            sample_design_circuit, sample_uniform_clifford)
+                            sample_design_circuit, sample_design_fragments,
+                            sample_uniform_clifford, stream_rng,
+                            two_qubit_table)
 from qlock.stabilizer import CliffordCircuit, gate, invert_circuit
 
 from test_stabilizer import random_circuit
@@ -132,6 +136,94 @@ class TestFusedRuns:
         out = apply_circuit_to_vector(CliffordCircuit(2, []), empty)
         out[0, 0] = 5.0
         assert empty[0, 0] == 1.0
+
+
+def design_draws(n, K, seed):
+    """K fragment record lists and the gate circuits drawn from the same
+    streams."""
+    cfg = SamplerConfig(n, 0.25)
+    records = [sample_design_fragments(cfg, stream_rng(seed, k))
+               for k in range(K)]
+    circuits = [sample_design_circuit(cfg, stream_rng(seed, k))
+                for k in range(K)]
+    return records, circuits
+
+
+class TestFragmentPush:
+    def test_every_table_word(self):
+        # phi U_{i,0} P from the compact table against each word's gates
+        words = two_qubit_table().words
+        got = dense._fragment_table().matrices(np.arange(720 * 16))
+        for w in range(720 * 16):
+            c = CliffordCircuit(2, list(words[w // 16][w % 16]))
+            assert np.max(np.abs(got[w] - circuit_unitary(c))) < 1e-12
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    @pytest.mark.parametrize("K", [1, 3, 7])
+    def test_batches_match_gate_unitaries(self, n, K, monkeypatch):
+        # three circuits per batch: K = 1, K = the batch size and K not a
+        # multiple of it
+        monkeypatch.setattr(dense, "_BATCH_ENTRIES", 3 << (2 * n))
+        records, circuits = design_draws(n, K, 40 + n)
+        eye = np.eye(1 << n, dtype=complex)
+        stacks = list(dense.push(records, eye))
+        assert [len(s) for s in stacks] == [3] * (K // 3) + [K % 3] * (K % 3 > 0)
+        got = np.concatenate(stacks)
+        for u, c in zip(got, circuits):
+            assert np.max(np.abs(u - circuit_unitary(c))) < 1e-12
+
+    @pytest.mark.parametrize("extra", [0, 1])
+    def test_default_batch_size(self, extra):
+        # full stacks at n = 6: two whole batches, then one more circuit
+        size = max(1, dense._BATCH_ENTRIES // (64 * 64))
+        K = 2 * size + extra
+        records, circuits = design_draws(6, K, 7)
+        cols = random_stack(6, 64, 3)
+        stacks = list(dense.push(records, cols))
+        assert [len(s) for s in stacks] == [size, size] + [1] * extra
+        for v, c in zip(np.concatenate(stacks), circuits):
+            assert np.max(np.abs(v - reference_apply(c, cols))) < 1e-12
+
+    def test_gate_circuits_and_records_keep_their_order(self):
+        records, circuits = design_draws(3, 4, 11)
+        stream = [circuits[0], records[1], records[2], circuits[3]]
+        cols = random_stack(3, 2, 4)
+        before = cols.copy()
+        stacks = list(dense.push(stream, cols))
+        assert [len(s) for s in stacks] == [1, 2, 1]
+        assert np.array_equal(cols, before)
+        for v, c in zip(np.concatenate(stacks), circuits):
+            assert np.max(np.abs(v - reference_apply(c, cols))) < 1e-12
+
+    def test_empty_records_are_identity(self):
+        cols = random_stack(2, 3, 5)
+        (stack,) = dense.push([[], []], cols)
+        assert np.array_equal(stack, np.stack([cols, cols]))
+
+    @pytest.mark.parametrize("records", [
+        [(720 * 16, 0, 1)], [(-1, 0, 1)], [(5, 1, 1)], [(5, 0, 3)],
+        [(5, -1, 2)]], ids=["word-high", "word-negative", "same-qubit",
+                            "qubit-high", "qubit-negative"])
+    def test_bad_records(self, records):
+        with pytest.raises(ValueError, match="out of range"):
+            list(dense.push([records], np.eye(8, dtype=complex)))
+
+    def test_one_qubit_has_no_fragments(self):
+        with pytest.raises(ValueError, match="two qubits"):
+            list(dense.push([[(5, 0, 1)]], np.eye(2, dtype=complex)))
+
+    def test_two_qubit_table_leaves_the_fragment_table_unbuilt(self):
+        # set-up builds the gate table; the fragment table waits for the
+        # first fragment push
+        code = ("import qlock.cli\n"
+                "from qlock import dense, sampling\n"
+                "sampling.two_qubit_table()\n"
+                "assert dense._fragment_table.cache_info().currsize == 0\n"
+                "dense._fragment_table()\n"
+                "assert dense._fragment_table.cache_info().currsize == 1\n")
+        res = subprocess.run([sys.executable, "-c", code],
+                             capture_output=True, text=True)
+        assert res.returncode == 0, res.stderr
 
 
 class TestOverlapProb:

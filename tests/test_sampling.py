@@ -89,21 +89,29 @@ class TestDesignSampler:
 
     @pytest.mark.parametrize("n", [2, 3, 64])
     def test_fragments_expand_the_table_words(self, n):
-        # the word-by-word expansion fixes the gate lists, and with them
-        # the codebook bytes, for every seed
+        # the records are the raw draws (pair, then i, then j), and the
+        # circuit drawn from the same stream is their word-by-word
+        # expansion, which fixes the gate lists and the codebook bytes
         table = two_qubit_table()
         cfg = SamplerConfig(n=n, delta=0.25)
         for k in range(20 if n < 64 else 2):
-            frags = sample_design_fragments(cfg, stream_rng(0x1234, k))
+            records = sample_design_fragments(cfg, stream_rng(0x1234, k))
             rng = stream_rng(0x1234, k)
-            want = []
-            for _ in frags:
+            draws = []
+            for _ in records:
                 a, b = rng.sample(range(n), 2)
-                word = table.words[rng.randrange(720)][rng.randrange(16)]
-                want.append([CliffordGate(g.kind,
-                                          tuple((a, b)[q] for q in g.qubits))
-                             for g in word])
-            assert frags == want
+                i = rng.randrange(720)
+                draws.append((16 * i + rng.randrange(16), a, b))
+            assert records == draws
+            want = [CliffordGate(g.kind, tuple((a, b)[q] for q in g.qubits))
+                    for word, a, b in records
+                    for g in table.words[word // 16][word % 16]]
+            circuit = sample_design_circuit(cfg, stream_rng(0x1234, k))
+            assert circuit.gates == want
+
+    def test_fragments_need_two_qubits(self, rng):
+        with pytest.raises(ValueError, match="two qubits"):
+            sample_design_fragments(SamplerConfig(n=1, delta=0.25), rng)
 
     def test_n1_fallback(self, rng):
         cfg = SamplerConfig(n=1, delta=0.25)

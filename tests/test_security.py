@@ -7,7 +7,9 @@ import pytest
 
 from qlock import dense
 from qlock.protocol import Codebook, build_codebook
-from qlock.sampling import all_single_qubit_circuits
+from qlock.sampling import (SamplerConfig, all_single_qubit_circuits,
+                            sample_design_circuit, sample_design_fragments,
+                            stream_rng)
 from qlock.security import (Measurement,
                             PriorDistribution, SecurityParams,
                             _adversary_state, chernoff_p1,
@@ -126,6 +128,27 @@ class TestEveState:
         for x, rho in zip(xs, states):
             assert np.max(np.abs(rho - conditional_state(cb, x))) < 1e-12
         assert np.max(np.abs(states[-1] - eve_state(cb, uniform))) < 1e-12
+
+    @pytest.mark.parametrize("n, K", [(2, 5), (3, 600), (4, 9)])
+    def test_fragments_match_gate_circuits(self, n, K):
+        # K = 600 at n = 3 spans two batches of the 8-column push
+        cfg = SamplerConfig(n=n, delta=0.25)
+        records = [sample_design_fragments(cfg, stream_rng(3, k))
+                   for k in range(K)]
+        circuits = [sample_design_circuit(cfg, stream_rng(3, k))
+                    for k in range(K)]
+        d = 1 << n
+        sparse = np.zeros(d)
+        sparse[[0, 3, d - 3]] = [0.5, 0.25, 0.25]
+        skewed = np.arange(1.0, d + 1) / (d * (d + 1) / 2)
+        priors = [PriorDistribution(n=n).probability_vector(), sparse,
+                  skewed, dense.basis_vector("1" * n).real]
+        got = _adversary_state(records, priors)
+        want = _adversary_state(circuits, priors)
+        for g, w in zip(got, want):
+            assert np.max(np.abs(g - w)) < 1e-12
+        (alone,) = _adversary_state(iter(records), [sparse])
+        assert np.max(np.abs(alone - want[1])) < 1e-12
 
     def test_empty_codebook_circuits_rejected(self):
         prior = PriorDistribution(n=1)
@@ -373,6 +396,16 @@ class TestEmpiricalChernoff:
         assert two.trials == one.trials
         assert two.violation_freq == one.violation_freq
 
+    def test_jobs_do_not_change_batched_trials(self):
+        # two fragment batches per trial with an 8-column prior
+        entries = [(format(i, "03b"), (i + 1) / 36) for i in range(8)]
+        prior = PriorDistribution(n=3, entries=entries)
+        one = empirical_chernoff(3, 600, prior, trials=2, seed=4,
+                                 epsilon=0.1, jobs=1)
+        two = empirical_chernoff(3, 600, prior, trials=2, seed=4,
+                                 epsilon=0.1, jobs=2)
+        assert two.trials == one.trials
+
     def test_all24_exhaustive_lambda_max(self):
         rho = conditional_state(all24_codebook(), "0")
         assert dense.eigvalsh(rho)[0] == pytest.approx(0.5, abs=1e-12)
@@ -405,6 +438,29 @@ class TestEmpiricalMaurer:
     def test_rejects_fewer_than_one_qubit(self, n):
         with pytest.raises(ValueError, match=f"qubit, got n={n}"):
             empirical_maurer(n, 2, "", "", trials=2, seed=0, tau=0.5)
+
+    def test_means_are_exact(self):
+        # basis-string overlaps are 0 or 2^-s, so every mean is a multiple
+        # of 2^-n / K and a mean on the cut is not a tail event
+        rep = empirical_maurer(1, 2, "0", "0", trials=64, seed=5, tau=0.5)
+        assert set(rep.means) <= {0.0, 0.25, 0.5, 0.75, 1.0}
+        assert 0.25 in rep.means
+        assert rep.tail_freq == rep.means.count(0.0) / 64
+        rep = empirical_maurer(3, 6, "010", "000", trials=200, seed=4,
+                               tau=0.25)
+        assert all((m * 6 * 8).is_integer() for m in rep.means)
+        assert 0.0 in rep.means
+
+    def test_vector_phi_is_dense(self):
+        phi = np.array([1, 1j]) / math.sqrt(2)
+        rep = empirical_maurer(1, 4, "1", phi, trials=20, seed=2, tau=0.5)
+        assert all(0.0 <= m <= 1.0 for m in rep.means)
+
+    @pytest.mark.parametrize("x, phi", [("012", "00"), ("0", "00"),
+                                        ("00", "1"), ("00", "0a")])
+    def test_rejects_bad_bit_strings(self, x, phi):
+        with pytest.raises(ValueError, match="2-bit string"):
+            empirical_maurer(2, 2, x, phi, trials=2, seed=0, tau=0.5)
 
     def test_tail_freq_counts_means_below_cut(self):
         rep = empirical_maurer(2, 3, "00", "00", trials=40, seed=6, tau=0.5,
