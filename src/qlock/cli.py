@@ -174,7 +174,6 @@ def _cmd_moments(args) -> None:
 
 
 def _cmd_gamma(args) -> None:
-    _check_z(args.z)
     rng = sampling.stream_rng(_parse_seed(args.seed), 0)
     if args.ensemble == "single-qubit":
         est = design.exhaustive_single_qubit_moments()
@@ -355,11 +354,12 @@ def build_parser() -> _Parser:
         p.add_argument("--delta", type=float, default=0.01)
         p.add_argument("--depth-factor", type=float, default=1.0)
         p.add_argument("--samples", type=int, default=10000)
-        p.add_argument("--vector-mode", choices=["BASIS", "HAAR"],
-                       default="BASIS")
-        p.add_argument("--alpha")
-        p.add_argument("--beta")
-        p.add_argument("--z", type=float, default=3.0)
+        if name == "moments":
+            p.add_argument("--vector-mode", choices=["BASIS", "HAAR"],
+                           default="BASIS")
+            p.add_argument("--alpha")
+            p.add_argument("--beta")
+            p.add_argument("--z", type=float, default=3.0)
         common(p, csv=True)
         p.set_defaults(func=_cmd_moments if name == "moments" else _cmd_gamma)
 

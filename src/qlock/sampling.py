@@ -31,7 +31,8 @@ import random
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .stabilizer import CliffordCircuit, CliffordGate, Tableau, invert_circuit
+from .stabilizer import (CliffordCircuit, CliffordGate, Tableau, gate,
+                         intern_gate, invert_circuit)
 
 
 class Mode(enum.Enum):
@@ -67,10 +68,7 @@ class SeedContext:
     stream_index: int
 
     def __post_init__(self):
-        if not 0 <= self.master_seed < 1 << 128:
-            raise ValueError("master_seed must be a 128-bit value")
-        if self.stream_index < 0:
-            raise ValueError("stream_index must be nonnegative")
+        _check_stream(self.master_seed, self.stream_index)
 
 
 def design_circuit_length(n: int, delta: float, depth_factor: float = 1.0) -> int:
@@ -78,16 +76,19 @@ def design_circuit_length(n: int, delta: float, depth_factor: float = 1.0) -> in
     return math.ceil(depth_factor * n * (n + math.log2(1.0 / delta)))
 
 
+def _check_stream(master_seed: int, stream_index: int) -> None:
+    if not 0 <= master_seed < 1 << 128:
+        raise ValueError(f"master_seed must lie in [0, 2^128), got {master_seed}")
+    if not 0 <= stream_index < 1 << 64:
+        raise ValueError(f"stream_index must lie in [0, 2^64), got {stream_index}")
+
+
 def stream_rng(master_seed: int, stream_index: int) -> random.Random:
     """Deterministic per-stream generator; streams split by SHA-256."""
+    _check_stream(master_seed, stream_index)
     payload = (b"QLOCKv1" + master_seed.to_bytes(16, "big")
                + stream_index.to_bytes(8, "big"))
     return random.Random(int.from_bytes(hashlib.sha256(payload).digest(), "big"))
-
-
-@lru_cache(maxsize=None)
-def _cached_gate(kind: str, qubits: tuple[int, ...]) -> CliffordGate:
-    return CliffordGate(kind, qubits)
 
 
 # -- group tables ------------------------------------------------------------
@@ -97,25 +98,21 @@ def _action_key(t: Tableau):
     return tuple(t.row_bits(r) for r in range(2 * t.n))
 
 
-def _sym_key(t: Tableau):
-    return tuple(t.row_bits(r)[:2] for r in range(2 * t.n))
-
-
-def _close_group(n: int, generators: list[CliffordGate]):
-    """BFS closure over action tableaus; returns {key: shortest word}."""
+def _close_group(n: int, generators: list[CliffordGate]) -> dict[Tableau, tuple]:
+    """BFS closure over action tableaus; returns {tableau: shortest word}."""
     start = Tableau(n)
-    words = {_action_key(start): ()}
-    frontier = [(start, ())]
+    words = {start: ()}
+    frontier = [start]
     while frontier:
         nxt = []
-        for tab, word in frontier:
+        for tab in frontier:
+            word = words[tab]
             for g in generators:
                 t2 = tab.copy()
                 t2.apply(g.kind, g.qubits)
-                key = _action_key(t2)
-                if key not in words:
-                    words[key] = word + (g,)
-                    nxt.append((t2, word + (g,)))
+                if t2 not in words:
+                    words[t2] = word + (g,)
+                    nxt.append(t2)
         frontier = nxt
     return words
 
@@ -124,14 +121,15 @@ class _TwoQubitTable:
     """Canonical index (symplectic class, sign class) -> gate word."""
 
     def __init__(self):
-        gens = [_cached_gate("H", (0,)), _cached_gate("H", (1,)),
-                _cached_gate("S", (0,)), _cached_gate("S", (1,)),
-                _cached_gate("CNOT", (0, 1)), _cached_gate("CNOT", (1, 0))]
+        gens = [gate("H", 0), gate("H", 1), gate("S", 0), gate("S", 1),
+                gate("CNOT", 0, 1), gate("CNOT", 1, 0)]
         words = _close_group(2, gens)
         if len(words) != 11520:
             raise AssertionError(f"two-qubit closure has {len(words)} elements")
         by_sym: dict = {}
-        for key, word in words.items():
+        while words:  # drop each tableau once its key is made: lower peak RSS
+            tab, word = words.popitem()
+            key = _action_key(tab)
             sym = tuple(row[:2] for row in key)
             by_sym.setdefault(sym, []).append((key, word))
         if len(by_sym) != 720:
@@ -146,29 +144,21 @@ class _TwoQubitTable:
 
 class _SingleQubitTable:
     def __init__(self):
-        gens = [_cached_gate("H", (0,)), _cached_gate("S", (0,))]
-        words = _close_group(1, gens)
+        words = _close_group(1, [gate("H", 0), gate("S", 0)])
         if len(words) != 24:
             raise AssertionError(f"single-qubit closure has {len(words)} elements")
-        self.words = [word for _, word in sorted(words.items())]
+        keyed = sorted((_action_key(tab), word) for tab, word in words.items())
+        self.words = [word for _, word in keyed]
 
 
-_TWO_QUBIT: _TwoQubitTable | None = None
-_SINGLE_QUBIT: _SingleQubitTable | None = None
-
-
+@lru_cache(maxsize=1)
 def two_qubit_table() -> _TwoQubitTable:
-    global _TWO_QUBIT
-    if _TWO_QUBIT is None:
-        _TWO_QUBIT = _TwoQubitTable()
-    return _TWO_QUBIT
+    return _TwoQubitTable()
 
 
+@lru_cache(maxsize=1)
 def single_qubit_table() -> _SingleQubitTable:
-    global _SINGLE_QUBIT
-    if _SINGLE_QUBIT is None:
-        _SINGLE_QUBIT = _SingleQubitTable()
-    return _SINGLE_QUBIT
+    return _SingleQubitTable()
 
 
 def single_qubit_circuit(index: int) -> CliffordCircuit:
@@ -229,7 +219,7 @@ def sample_design_circuit(cfg: SamplerConfig, rng) -> CliffordCircuit:
         a, b = rng.sample(range(n), 2)
         word = words[rng.randrange(720)][rng.randrange(16)]
         relabel = {(0,): (a,), (1,): (b,), (0, 1): (a, b), (1, 0): (b, a)}
-        gates.extend([_cached_gate(g.kind, relabel[g.qubits]) for g in word])
+        gates.extend([intern_gate(g.kind, relabel[g.qubits]) for g in word])
     return CliffordCircuit(n, gates)
 
 
@@ -285,11 +275,13 @@ def sample_uniform_clifford(n: int, rng) -> CliffordCircuit:
     return action_to_circuit(action)
 
 
-def _first_bit_at_least(v: int, lo: int) -> int:
-    w = v >> lo
-    if w == 0:
-        raise AssertionError("no set bit at or above the cursor")
-    return lo + (w & -w).bit_length() - 1
+def _set_bits(v: int, lo: int):
+    """Indices of the set bits of v at or above lo, lowest first."""
+    v >>= lo
+    while v:
+        low = v & -v
+        yield lo + low.bit_length() - 1
+        v ^= low
 
 
 def action_to_circuit(action: Tableau) -> CliffordCircuit:
@@ -307,50 +299,33 @@ def action_to_circuit(action: Tableau) -> CliffordCircuit:
 
     def do(kind, *qubits):
         t.apply(kind, qubits)
-        emitted.append(_cached_gate(kind, qubits))
+        emitted.append(intern_gate(kind, qubits))
+
+    def reduce_row(r, j):
+        """Bring row r, with X_j set, to X_j by CNOTs, S and CZs from qubit j."""
+        for q in _set_bits(t.row_bits(r)[0], j + 1):
+            do("CNOT", j, q)
+        if (t.row_bits(r)[1] >> j) & 1:
+            do("S", j)
+        for q in _set_bits(t.row_bits(r)[1], j + 1):
+            do("CZ", j, q)
 
     for j in range(n):
         # stabilizer image -> X_j
         x, z, _ = t.row_bits(n + j)
+        if (x | z) >> j == 0:
+            raise AssertionError("no set bit at or above the cursor")
         if x >> j == 0:
-            do("H", _first_bit_at_least(z, j))
+            do("H", next(_set_bits(z, j)))
             x, z, _ = t.row_bits(n + j)
         if not (x >> j) & 1:
-            do("SWAP", j, _first_bit_at_least(x, j))
-            x, z, _ = t.row_bits(n + j)
-        rest = x & ~((1 << (j + 1)) - 1)
-        while rest:
-            q = (rest & -rest).bit_length() - 1
-            rest &= rest - 1
-            do("CNOT", j, q)
-        x, z, _ = t.row_bits(n + j)
-        if (z >> j) & 1:
-            do("S", j)
-            x, z, _ = t.row_bits(n + j)
-        rest = z & ~((1 << (j + 1)) - 1)
-        while rest:
-            q = (rest & -rest).bit_length() - 1
-            rest &= rest - 1
-            do("CZ", j, q)
+            do("SWAP", j, next(_set_bits(x, j)))
+        reduce_row(n + j, j)
         do("H", j)  # X_j -> Z_j
         # destabilizer image -> X_j; it anticommutes with Z_j so x_j is set
-        x, z, _ = t.row_bits(j)
-        if not (x >> j) & 1:
+        if not (t.row_bits(j)[0] >> j) & 1:
             raise AssertionError("lost the X component during reduction")
-        rest = x & ~((1 << (j + 1)) - 1)
-        while rest:
-            q = (rest & -rest).bit_length() - 1
-            rest &= rest - 1
-            do("CNOT", j, q)
-        x, z, _ = t.row_bits(j)
-        if (z >> j) & 1:
-            do("S", j)
-            x, z, _ = t.row_bits(j)
-        rest = z & ~((1 << (j + 1)) - 1)
-        while rest:
-            q = (rest & -rest).bit_length() - 1
-            rest &= rest - 1
-            do("CZ", j, q)
+        reduce_row(j, j)
     # symplectic part is now the identity; clear the signs
     for j in range(n):
         if t.row(j).sign == -1:
@@ -392,5 +367,5 @@ def circuit_from_text(text: str, n: int) -> CliffordCircuit:
         if not chunk:
             continue
         parts = chunk.split()
-        gates.append(CliffordGate(parts[0], tuple(int(q) for q in parts[1:])))
+        gates.append(intern_gate(parts[0], tuple(int(q) for q in parts[1:])))
     return CliffordCircuit(n, gates)

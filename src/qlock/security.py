@@ -128,7 +128,6 @@ class SecurityParams:
     p_max: Real
     M: int
     gamma: Real
-    delta: Optional[float] = None
 
     def __post_init__(self):
         if self.n < 1:
@@ -153,7 +152,7 @@ class SecurityParams:
         if gamma is None:
             gamma = gamma_bound(delta) if delta is not None else 2.0
         return cls(n=prior.n, epsilon=epsilon, p_max=derived, M=prior.M,
-                   gamma=gamma, delta=delta)
+                   gamma=gamma)
 
     @property
     def h_min(self) -> float:

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Optional
 
 GATE_ARITY = {
@@ -55,11 +56,21 @@ class CliffordGate:
             raise ValueError("negative qubit index")
 
     def inverse(self) -> "CliffordGate":
-        return CliffordGate(_GATE_INVERSE.get(self.kind, self.kind), self.qubits)
+        return intern_gate(_GATE_INVERSE.get(self.kind, self.kind), self.qubits)
+
+
+@lru_cache(maxsize=None)
+def intern_gate(kind: str, qubits: tuple[int, ...]) -> CliffordGate:
+    """The one shared CliffordGate for (kind, qubits).
+
+    Gates are immutable, so every circuit that samples, parses or inverts
+    the same gate holds the same object instead of a copy per occurrence.
+    """
+    return CliffordGate(kind, qubits)
 
 
 def gate(kind: str, *qubits: int) -> CliffordGate:
-    return CliffordGate(kind, tuple(qubits))
+    return intern_gate(kind, qubits)
 
 
 @dataclass

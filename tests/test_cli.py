@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import subprocess
 import sys
@@ -83,7 +84,6 @@ class TestInputValidation:
         (("fig2", "--n", "5:1"), "n range"),
         (("moments", "--n", "2", "--samples", "10", "--z", "-1"), "z"),
         (("moments", "--n", "2", "--samples", "10", "--z", "nan"), "z"),
-        (("gamma", "--n", "2", "--samples", "10", "--z", "-1"), "z"),
         (("lock-probe", "--n", "2", "--K", "2", "--bases", "1",
           "--eps-ref", "-1"), "epsilon_reference"),
         (("verify-maurer", "--n", "2", "--tau", "0.5", "--K", "2",
@@ -95,7 +95,7 @@ class TestInputValidation:
             "codebook-depth-inf", "codebook-depth-nan", "moments-depth-inf",
             "chernoff-depth-inf", "lock-probe-depth-inf", "keylen-gamma-inf",
             "keylen-gamma-nan", "lock-probe-bases-negative", "fig2-empty-range",
-            "moments-z-negative", "moments-z-nan", "gamma-z-negative",
+            "moments-z-negative", "moments-z-nan",
             "lock-probe-eps-ref-negative", "maurer-x-not-bits",
             "maurer-x-short"])
     def test_bad_count_exits_1_with_one_line(self, args, needle):
@@ -106,6 +106,17 @@ class TestInputValidation:
         assert res.stderr.startswith("error: ")
         assert res.stderr.count("\n") == 1
         assert needle in res.stderr
+
+    @pytest.mark.parametrize("option", [("--z", "3"), ("--vector-mode", "HAAR"),
+                                        ("--alpha", "00"), ("--beta", "00")],
+                             ids=["z", "vector-mode", "alpha", "beta"])
+    def test_gamma_rejects_moments_only_options(self, option):
+        # gamma always estimates <00|C|00> moments and reports no z-scores
+        res = run_cli("gamma", "--n", "2", "--samples", "10", *option,
+                      "--seed", SEED)
+        assert res.returncode == 1
+        assert res.stdout == ""
+        assert f"unrecognized arguments: {' '.join(option)}" in res.stderr
 
 
 class TestProtocolPipeline:
@@ -181,6 +192,15 @@ class TestDeterminism:
                     "--seed", SEED, "--out", str(path))
             outs.append(path.read_bytes())
         assert outs[0] == outs[1]
+
+    def test_codebook_bytes_are_pinned(self, tmp_path):
+        # gate interning and table caching must not change the file format
+        path = tmp_path / "cb.txt"
+        res = run_cli("codebook", "--n", "6", "--K", "3", "--seed", SEED,
+                      "--out", str(path))
+        assert res.returncode == 0
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "fdb475f2f8fb5ddf50c2fb0fa0bf65d089de3b459c684f827190d44f2da96407")
 
     def test_verify_maurer_repeatable(self):
         args = ("verify-maurer", "--n", "1", "--tau", "0.5", "--K", "20",

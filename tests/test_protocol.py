@@ -64,6 +64,14 @@ class TestCodebook:
         assert back.n == 3 and back.K == 5 and back.delta == 0.25
         assert back.master_seed == 0xABCDEF
 
+    def test_parsed_codebook_shares_the_sampled_gates(self):
+        # one interned object per distinct gate, not one per occurrence
+        cb = build_codebook(4, 3, 0.25, master_seed=7)
+        back = codebook_from_text(codebook_to_text(cb))
+        for parsed, sampled in zip(back.circuits, cb.circuits):
+            assert len(parsed.gates) == len(sampled.gates)
+            assert all(p is g for p, g in zip(parsed.gates, sampled.gates))
+
     def test_header_line(self):
         cb = build_codebook(2, 1, 0.5, master_seed=1)
         head = codebook_to_text(cb).splitlines()[0]

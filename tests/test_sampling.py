@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -33,6 +34,14 @@ class TestTables:
         table = two_qubit_table()
         assert len(table.words) == 720
         assert all(len(cls) == 16 for cls in table.words)
+
+    def test_table_words_are_pinned(self):
+        # the canonical order fixes every sampled gate list and codebook byte
+        table = two_qubit_table()
+        text = "\n".join(circuit_to_text(CliffordCircuit(2, list(word)))
+                         for cls in table.words for word in cls)
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "09bf257765a6854fffdfa1c9b12c4903d3719d9be0bc1b09f7c43c262618e501")
 
     def test_words_are_distinct_elements(self):
         keys = {action_key(CliffordCircuit(1, list(w)))
@@ -181,6 +190,14 @@ class TestUniformClifford:
         stderr = float(np.std(np.square(vals))) / math.sqrt(samples)
         assert abs(mean4 - 0.1) < 3 * stderr + 1e-3
 
+    def test_gate_list_is_pinned(self):
+        c = sample_uniform_clifford(5, stream_rng(0xABC, 0))
+        assert circuit_to_text(c) == (
+            "X 4; Z 4; X 3; X 2; H 4; SDG 4; CZ 3 4; SDG 3; H 3; H 3; CZ 2 3; "
+            "CNOT 2 4; H 2; CZ 2 3; SDG 2; SWAP 2 3; CZ 1 2; CNOT 1 4; "
+            "CNOT 1 3; H 1; CZ 1 3; CZ 1 2; CNOT 1 4; CZ 0 4; CZ 0 3; CZ 0 2; "
+            "CZ 0 1; SDG 0; CNOT 0 2; CNOT 0 1; H 0; CZ 0 4; CZ 0 3; SWAP 0 2")
+
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_synthesis_round_trip(self, n):
         rng = random.Random(n)
@@ -237,6 +254,22 @@ class TestDerivation:
             SeedContext(-1, 0)
         with pytest.raises(ValueError):
             SeedContext(1 << 128, 0)
+        with pytest.raises(ValueError, match=str(1 << 64)):
+            SeedContext(0, 1 << 64)
+
+    @pytest.mark.parametrize("seed", [-1, 1 << 128], ids=["negative", "2^128"])
+    def test_master_seed_out_of_range(self, seed):
+        with pytest.raises(ValueError, match=f"master_seed.*{seed}"):
+            stream_rng(seed, 0)
+
+    @pytest.mark.parametrize("index", [-1, 1 << 64], ids=["negative", "2^64"])
+    def test_stream_index_out_of_range(self, index):
+        with pytest.raises(ValueError, match=f"stream_index.*{index}"):
+            stream_rng(0, index)
+
+    def test_streams_at_the_bounds_are_pinned(self):
+        assert stream_rng(0xABC, (1 << 64) - 1).getrandbits(64) == 0x9EC45318E246C627
+        assert stream_rng((1 << 128) - 1, 0).getrandbits(64) == 0xD769476B939C1E32
 
 
 class TestSerialization:

@@ -195,6 +195,13 @@ class TestInvert:
         assert invert_circuit(c).gates == [gate("CNOT", 0, 1), gate("SDG", 1),
                                            gate("H", 0)]
 
+    def test_inverse_gates_are_interned(self):
+        # inverting a codebook circuit makes no new gate objects
+        c = CliffordCircuit(2, [gate("S", 0), gate("SDG", 1), gate("CZ", 0, 1)])
+        for g, want in zip(invert_circuit(c).gates,
+                           [gate("CZ", 0, 1), gate("S", 1), gate("SDG", 0)]):
+            assert g is want
+
     @given(st.integers(0, 2 ** 32))
     @settings(max_examples=30, deadline=None)
     def test_involution_and_identity_action(self, seed):

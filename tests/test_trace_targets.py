@@ -14,12 +14,16 @@ import pytest
 SPANS_PATH = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
 
 
-def _load_targets():
+def _load_spans():
     spec = importlib.util.spec_from_file_location("qlock_bench_spans",
                                                   SPANS_PATH)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return [(span, mod, path) for span, targets in module.TARGETS.items()
+    return module
+
+
+def _load_targets():
+    return [(span, mod, path) for span, targets in _load_spans().TARGETS.items()
             for mod, path in targets]
 
 
@@ -33,3 +37,10 @@ def test_trace_target_resolves(span, mod, path):
     # must be defined on the named class itself, not inherited
     found = vars(owner).get(attr) if outer else getattr(owner, attr, None)
     assert found is not None, f"{span}: qlock.{mod}.{path} is gone"
+
+
+def test_every_hook_feeds_from_a_traced_span():
+    # a hook fires only when its span name is wrapped; a key that is not
+    # a TARGETS name would leave its counter (e.g. sampling.gates) at 0
+    spans = _load_spans()
+    assert set(spans.HOOKS) <= set(spans.TARGETS)
