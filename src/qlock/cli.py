@@ -57,9 +57,13 @@ def _parse_seed(text: str | None) -> int:
         seed = secrets.randbits(128)
         sys.stderr.write(f"note: generated seed {seed:032x}\n")
         return seed
-    value = int(text, 16)
+    try:
+        value = int(text, 16)
+    except ValueError:
+        value = -1
     if not 0 <= value < 1 << 128:
-        raise ValueError("seed must fit in 128 bits")
+        raise ValueError("--seed must be a hex number below 2^128, "
+                         f"got {text!r}")
     return value
 
 
@@ -160,6 +164,10 @@ def _cmd_moments(args) -> None:
     else:
         sampler, label = _make_sampler(args)
         alpha = beta = None
+        for name in ("alpha", "beta"):
+            if args.vector_mode == "HAAR" and getattr(args, name) is not None:
+                raise ValueError(f"--{name} needs --vector-mode BASIS; "
+                                 "HAAR draws its vectors at random")
         if args.vector_mode == "BASIS":
             alpha = args.alpha if args.alpha else "0" * args.n
             beta = args.beta if args.beta else "0" * args.n

@@ -2,8 +2,7 @@
 
 This is the verification oracle for the tableau simulator and the engine
 for the density-matrix security analysis.  Everything here is dense and
-limited to n <= dense_cutoff() qubits (default 12, override with the
-QLOCK_DENSE_CUTOFF environment variable).
+limited to n <= DENSE_CUTOFF = 12 qubits.
 
 A gate circuit acts on a (d,) vector or a (d, m) column stack in maximal
 runs of gates that touch at most two qubits.  Each run is multiplied into
@@ -25,7 +24,6 @@ of gates.
 from __future__ import annotations
 
 import math
-import os
 from functools import lru_cache
 from typing import Iterable, Iterator
 
@@ -34,7 +32,11 @@ import numpy as np
 from .sampling import two_qubit_table
 from .stabilizer import CliffordCircuit
 
-DEFAULT_DENSE_CUTOFF = 12
+DENSE_CUTOFF = 12
+
+# largest |A - A^dagger| entry accepted as Hermitian; also the trace and
+# eigenvalue slack of a density matrix
+_TOL = 1e-9
 
 _SQ2 = 1.0 / math.sqrt(2.0)
 
@@ -57,15 +59,10 @@ class NumericalError(RuntimeError):
     """Raised on non-finite input to a numerical routine or a LAPACK failure."""
 
 
-def dense_cutoff() -> int:
-    value = os.environ.get("QLOCK_DENSE_CUTOFF")
-    return int(value) if value else DEFAULT_DENSE_CUTOFF
-
-
-def _check_cutoff(n: int) -> None:
-    cutoff = dense_cutoff()
-    if n > cutoff:
-        raise ValueError(f"n={n} exceeds dense cutoff {cutoff}")
+def check_cutoff(n: int) -> None:
+    """Raise ValueError when n qubits are too many to simulate densely."""
+    if n > DENSE_CUTOFF:
+        raise ValueError(f"n={n} exceeds the dense cutoff {DENSE_CUTOFF}")
 
 
 def basis_index(bits: str) -> int:
@@ -174,7 +171,7 @@ def apply_circuit_to_vector(circuit: CliffordCircuit, vec: np.ndarray) -> np.nda
     The input is not modified.
     """
     n = circuit.n
-    _check_cutoff(n)
+    check_cutoff(n)
     shape = vec.shape
     if shape[:1] != (1 << n,) or len(shape) > 2:
         raise ValueError("state vector dimension mismatch")
@@ -319,7 +316,7 @@ def push(circuits: Iterable, cols: np.ndarray) -> Iterator[np.ndarray]:
     d, m = cols.shape
     if d < 2 or d & (d - 1):
         raise ValueError("state vector dimension mismatch")
-    _check_cutoff(d.bit_length() - 1)
+    check_cutoff(d.bit_length() - 1)
     size = max(1, _BATCH_ENTRIES // (d * m))
     batch: list = []
     for circuit in circuits:
@@ -339,7 +336,7 @@ def push(circuits: Iterable, cols: np.ndarray) -> Iterator[np.ndarray]:
 
 def circuit_unitary(circuit: CliffordCircuit) -> np.ndarray:
     """Dense unitary of the circuit, gates multiplied in circuit order."""
-    _check_cutoff(circuit.n)
+    check_cutoff(circuit.n)
     return apply_circuit_to_vector(circuit, np.eye(1 << circuit.n, dtype=complex))
 
 
@@ -363,24 +360,11 @@ def overlap_prob(alpha: np.ndarray, circuit: CliffordCircuit,
 # -- Hermitian spectra -------------------------------------------------------
 
 
-def check_density_matrix(rho: np.ndarray, tol: float = 1e-9,
-                         check_psd: bool = False) -> None:
-    d = rho.shape[0]
-    if rho.shape != (d, d):
-        raise ValueError("density matrix must be square")
-    if np.max(np.abs(rho - rho.conj().T)) > tol:
-        raise ValueError("density matrix is not Hermitian within tolerance")
-    if abs(np.trace(rho).real - 1.0) > tol or abs(np.trace(rho).imag) > tol:
-        raise ValueError("density matrix trace is not 1 within tolerance")
-    if check_psd and eigvalsh(rho)[-1] < -tol:
-        raise ValueError("density matrix has a negative eigenvalue")
-
-
-def eigvalsh(a: np.ndarray, hermiticity_tol: float = 1e-9) -> np.ndarray:
+def eigvalsh(a: np.ndarray) -> np.ndarray:
     """Eigenvalues of a Hermitian matrix (LAPACK), in descending order.
 
     Raises:
-        ValueError: input not square, or not Hermitian within hermiticity_tol.
+        ValueError: input not square, or not Hermitian within 1e-9.
         NumericalError: non-finite input, or LAPACK failed to converge.
     """
     a = np.asarray(a, dtype=complex)
@@ -389,7 +373,7 @@ def eigvalsh(a: np.ndarray, hermiticity_tol: float = 1e-9) -> np.ndarray:
         raise ValueError("matrix must be square")
     if not np.all(np.isfinite(a)):
         raise NumericalError("matrix has non-finite entries")
-    if np.max(np.abs(a - a.conj().T)) > hermiticity_tol:
+    if np.max(np.abs(a - a.conj().T)) > _TOL:
         raise ValueError("matrix is not Hermitian within tolerance")
     try:
         vals = np.linalg.eigvalsh((a + a.conj().T) / 2.0)
@@ -398,11 +382,18 @@ def eigvalsh(a: np.ndarray, hermiticity_tol: float = 1e-9) -> np.ndarray:
     return vals[::-1]
 
 
-def von_neumann_entropy(rho: np.ndarray, tol: float = 1e-9) -> float:
-    """Entropy -sum(lam * log2 lam) in bits; eigenvalues below 1e-12 count as 0."""
-    check_density_matrix(rho, tol=tol)
+def von_neumann_entropy(rho: np.ndarray) -> float:
+    """Entropy -sum(lam * log2 lam) in bits; eigenvalues below 1e-12 count as 0.
+
+    Raises ValueError unless rho is a density matrix: square, Hermitian
+    within 1e-9, of unit trace within 1e-9 and with no eigenvalue below
+    -1e-9.
+    """
     vals = eigvalsh(rho)
-    if vals[-1] < -tol:
+    trace = np.trace(rho)
+    if abs(trace.real - 1.0) > _TOL or abs(trace.imag) > _TOL:
+        raise ValueError("density matrix trace is not 1 within tolerance")
+    if vals[-1] < -_TOL:
         raise ValueError("density matrix has a negative eigenvalue")
     ent = 0.0
     for lam in vals:

@@ -10,11 +10,10 @@ ASCII with LF line endings.
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass, field
 
-from .sampling import (Mode, SamplerConfig, SeedContext, circuit_from_text,
+from .sampling import (SamplerConfig, SeedContext, circuit_from_text,
                        circuit_to_text, derive_circuit)
 from .stabilizer import (CliffordCircuit, CliffordMap, Tableau,
                          invert_circuit, tableau_from_text)
@@ -35,7 +34,7 @@ def key_bits(K: int) -> int:
     """Length in bits of the shared secret for a K-circuit codebook."""
     if K < 1:
         raise ValueError("K must be >= 1")
-    return math.ceil(math.log2(K)) if K > 1 else 0
+    return (K - 1).bit_length()
 
 
 def keygen(K: int, rng) -> SecretKey:
@@ -76,12 +75,11 @@ class Codebook:
 
 
 def build_codebook(n: int, K: int, delta: float, master_seed: int,
-                   depth_factor: float = 1.0,
-                   mode: Mode = Mode.APPROX_DESIGN) -> Codebook:
+                   depth_factor: float = 1.0) -> Codebook:
     """Derive the K codebook circuits deterministically from the seed."""
     if K < 1:
         raise ValueError("K must be >= 1")
-    cfg = SamplerConfig(n=n, delta=delta, depth_factor=depth_factor, mode=mode)
+    cfg = SamplerConfig(n=n, delta=delta, depth_factor=depth_factor)
     circuits = [derive_circuit(SeedContext(master_seed, k), cfg)
                 for k in range(K)]
     return Codebook(n=n, K=K, delta=delta, master_seed=master_seed,
@@ -147,18 +145,39 @@ def codebook_to_text(cb: Codebook) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _header_field(fields: dict, name: str, parse, ok) -> object:
+    """Parse codebook header field name=value; a missing, malformed or
+    out-of-range value raises ValueError naming the field."""
+    if name not in fields:
+        raise ValueError(f"codebook header has no {name}= field")
+    try:
+        value = parse(fields[name])
+        if ok(value):
+            return value
+    except ValueError:
+        pass
+    raise ValueError(f"bad codebook header field {name}={fields[name]}")
+
+
 def codebook_from_text(text: str) -> Codebook:
     lines = text.splitlines()
     if not lines:
         raise ValueError("empty codebook file")
     head = lines[0].split()
-    if len(head) != 6 or head[0] != "QDLCB" or head[1] != "v1":
+    if head[:2] != ["QDLCB", "v1"]:
         raise ValueError("bad codebook header")
-    fields = dict(part.split("=", 1) for part in head[2:])
-    n = int(fields["n"])
-    K = int(fields["K"])
-    delta = float(fields["delta"])
-    seed = int(fields["seed"], 16)
+    fields = {}
+    for part in head[2:]:
+        name, eq, value = part.partition("=")
+        if not eq or name not in ("n", "K", "delta", "seed") or name in fields:
+            raise ValueError("unknown or repeated codebook header field "
+                             f"{part!r}")
+        fields[name] = value
+    n = _header_field(fields, "n", int, lambda v: v >= 1)
+    K = _header_field(fields, "K", int, lambda v: v >= 1)
+    delta = _header_field(fields, "delta", float, lambda v: 0.0 < v < 1.0)
+    seed = _header_field(fields, "seed", lambda t: int(t, 16),
+                         lambda v: 0 <= v < 1 << 128)
     body = [ln for ln in lines[1:] if ln.strip()]
     if len(body) != K:
         raise ValueError(f"expected {K} circuit lines, got {len(body)}")

@@ -1,13 +1,15 @@
 """Pseudo-random Clifford circuit generation.
 
-Three ensembles are provided:
+Three draws are provided:
 
-* APPROX_DESIGN: L = ceil(c * n * (n + log2(1/delta))) uniformly random
-  two-qubit Clifford fragments on uniformly random qubit pairs.
-* UNIFORM_CLIFFORD: exactly uniform elements of the n-qubit Clifford
-  group (table lookup for n <= 2, symplectic Gram-Schmidt plus gate
-  synthesis above that).
-* SINGLE_QUBIT_EXHAUSTIVE: the 24 single-qubit Cliffords by index, for
+* sample_design_circuit: the codebook ensemble, L = ceil(c * n * (n +
+  log2(1/delta))) uniformly random two-qubit Clifford fragments on
+  uniformly random qubit pairs.  derive_circuit draws it from the seed
+  stream of one codebook index.
+* sample_uniform_clifford: exactly uniform elements of the n-qubit
+  Clifford group (table lookup for n <= 2, symplectic Gram-Schmidt plus
+  gate synthesis above that), the exact-design baseline.
+* single_qubit_circuit: the 24 single-qubit Cliffords by index, for
   exact enumeration checks.
 
 The two-qubit group is enumerated once by closing the generator set
@@ -15,16 +17,14 @@ The two-qubit group is enumerated once by closing the generator set
 indexed as 720 symplectic classes x 16 sign classes, sorted by canonical
 tableau key, so an index pair maps deterministically to a gate word.
 
-A design circuit is drawn either as a gate list (sample_design_circuit)
-or as fragment records (word, a, b) with word = 16 i + j
-(sample_design_fragments), which dense.push applies without expanding
-them into gates.  Both forms take the same draws from the generator, so
-one seed gives the same circuit in either form.
+A design circuit is drawn once, as fragment records (word, a, b) with
+word = 16 i + j (sample_design_fragments), which dense.push applies
+without expanding them into gates; sample_design_circuit is their gate
+expansion, so one seed gives the same circuit in either form.
 """
 
 from __future__ import annotations
 
-import enum
 import hashlib
 import math
 import random
@@ -35,12 +35,6 @@ from .stabilizer import (CliffordCircuit, CliffordGate, Tableau, gate,
                          intern_gate, invert_circuit)
 
 
-class Mode(enum.Enum):
-    APPROX_DESIGN = "APPROX_DESIGN"
-    UNIFORM_CLIFFORD = "UNIFORM_CLIFFORD"
-    SINGLE_QUBIT_EXHAUSTIVE = "SINGLE_QUBIT_EXHAUSTIVE"
-
-
 @dataclass
 class SamplerConfig:
     """Parameters of the circuit ensemble."""
@@ -48,7 +42,6 @@ class SamplerConfig:
     n: int
     delta: float
     depth_factor: float = 1.0
-    mode: Mode = Mode.APPROX_DESIGN
 
     def __post_init__(self):
         if self.n < 1:
@@ -187,8 +180,8 @@ def sample_design_fragments(cfg: SamplerConfig, rng) -> list[tuple[int, int, int
 
     Each record is one uniformly random two-qubit Clifford, table entry
     words[i][j] with word = 16 i + j, acting with its local qubit 0 on
-    qubit a and local qubit 1 on qubit b.  The draws are those of
-    sample_design_circuit: the pair, then i, then j.
+    qubit a and local qubit 1 on qubit b.  The draws per record are the
+    pair, then i, then j.
     """
     n = cfg.n
     if n < 2:
@@ -205,22 +198,20 @@ def sample_design_fragments(cfg: SamplerConfig, rng) -> list[tuple[int, int, int
 def sample_design_circuit(cfg: SamplerConfig, rng) -> CliffordCircuit:
     """Approximate-2-design circuit of L two-qubit fragments.
 
-    Draws as sample_design_fragments does and expands each table word
-    into its gates on the drawn pair.  At n = 1 there are no qubit pairs;
-    the draw falls back to a uniform single-qubit Clifford.
+    The gate expansion of sample_design_fragments: each record's table
+    word with its local qubits relabelled to the drawn pair.  At n = 1
+    there are no qubit pairs; the draw falls back to a uniform
+    single-qubit Clifford.
     """
-    n = cfg.n
-    if n == 1:
+    if cfg.n == 1:
         return single_qubit_circuit(rng.randrange(24))
     words = two_qubit_table().words
-    length = design_circuit_length(n, cfg.delta, cfg.depth_factor)
     gates: list[CliffordGate] = []
-    for _ in range(length):
-        a, b = rng.sample(range(n), 2)
-        word = words[rng.randrange(720)][rng.randrange(16)]
+    for word, a, b in sample_design_fragments(cfg, rng):
         relabel = {(0,): (a,), (1,): (b,), (0, 1): (a, b), (1, 0): (b, a)}
-        gates.extend([intern_gate(g.kind, relabel[g.qubits]) for g in word])
-    return CliffordCircuit(n, gates)
+        gates.extend([intern_gate(g.kind, relabel[g.qubits])
+                      for g in words[word >> 4][word & 15]])
+    return CliffordCircuit(cfg.n, gates)
 
 
 def sample_uniform_clifford(n: int, rng) -> CliffordCircuit:
@@ -338,17 +329,9 @@ def action_to_circuit(action: Tableau) -> CliffordCircuit:
 
 
 def derive_circuit(ctx: SeedContext, cfg: SamplerConfig) -> CliffordCircuit:
-    """Deterministic circuit for (master_seed, stream_index) under cfg."""
-    rng = stream_rng(ctx.master_seed, ctx.stream_index)
-    if cfg.mode is Mode.APPROX_DESIGN:
-        return sample_design_circuit(cfg, rng)
-    if cfg.mode is Mode.UNIFORM_CLIFFORD:
-        return sample_uniform_clifford(cfg.n, rng)
-    if cfg.mode is Mode.SINGLE_QUBIT_EXHAUSTIVE:
-        if cfg.n != 1:
-            raise ValueError("exhaustive mode is single-qubit only")
-        return single_qubit_circuit(ctx.stream_index)
-    raise ValueError(f"unknown mode {cfg.mode}")
+    """Deterministic design circuit for (master_seed, stream_index)."""
+    return sample_design_circuit(cfg, stream_rng(ctx.master_seed,
+                                                 ctx.stream_index))
 
 
 # -- circuit text form -------------------------------------------------------

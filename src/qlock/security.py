@@ -19,7 +19,6 @@ from typing import Iterable, Optional, Sequence, Union
 import numpy as np
 
 from . import dense
-from .design import gamma_bound
 from .protocol import Codebook
 from .sampling import (SamplerConfig, all_single_qubit_circuits,
                        sample_design_circuit, sample_design_fragments,
@@ -143,16 +142,11 @@ class SecurityParams:
                              f"got {self.gamma}")
 
     @classmethod
-    def from_prior(cls, prior: PriorDistribution, epsilon: Real,
-                   gamma: Real = None, delta: float = None,
-                   p_max: Real = None) -> "SecurityParams":
-        derived = prior.p_max
-        if p_max is not None and abs(float(p_max) - float(derived)) > 1e-12:
-            raise ValueError("supplied p_max disagrees with the prior")
-        if gamma is None:
-            gamma = gamma_bound(delta) if delta is not None else 2.0
-        return cls(n=prior.n, epsilon=epsilon, p_max=derived, M=prior.M,
-                   gamma=gamma)
+    def from_prior(cls, prior: PriorDistribution,
+                   epsilon: Real) -> "SecurityParams":
+        """Parameters of a prior, with gamma = 2 = design.gamma_bound(0)."""
+        return cls(n=prior.n, epsilon=epsilon, p_max=prior.p_max, M=prior.M,
+                   gamma=2.0)
 
     @property
     def h_min(self) -> float:
@@ -197,8 +191,7 @@ def eve_state(cb: Codebook, prior: PriorDistribution) -> np.ndarray:
     """rho_E = (1/K) sum_k C_k rho_B C_k^dagger with rho_B the prior mixture."""
     if prior.n != cb.n:
         raise ValueError("prior size mismatch")
-    if cb.n > dense.dense_cutoff():
-        raise ValueError("codebook exceeds the dense cutoff")
+    dense.check_cutoff(cb.n)
     return _adversary_state(cb.circuits, [prior.probability_vector()])[0]
 
 
@@ -232,32 +225,26 @@ def holevo(prior: PriorDistribution, conditionals: Sequence[np.ndarray]) -> floa
 
 @dataclass
 class Measurement:
-    """Unit-rank POVM: elements w_y |phi_y><phi_y| with sum_y w_y = d."""
+    """Rank-one projective measurement onto an orthonormal basis.
 
-    d: int
-    weights: np.ndarray
+    The columns phi_y of vectors are the basis; outcome y has probability
+    <phi_y| rho |phi_y>.
+    """
+
     vectors: np.ndarray  # columns phi_y
     label: str = "measurement"
 
     def __post_init__(self):
-        if self.vectors.shape[0] != self.d:
-            raise ValueError("vector dimension mismatch")
-        if self.vectors.shape[1] != self.weights.shape[0]:
-            raise ValueError("one weight per vector required")
-        if np.any(self.weights < 0):
-            raise ValueError("POVM weights must be nonnegative")
-        resolved = (self.vectors * self.weights) @ self.vectors.conj().T
-        if np.max(np.abs(resolved - np.eye(self.d))) > 1e-8:
-            raise ValueError("POVM elements do not resolve the identity")
+        d = self.vectors.shape[0]
+        if self.vectors.shape != (d, d):
+            raise ValueError("a measurement needs d basis vectors of dimension d")
+        gram = self.vectors @ self.vectors.conj().T
+        if np.max(np.abs(gram - np.eye(d))) > 1e-8:
+            raise ValueError("measurement vectors are not an orthonormal basis")
 
     @classmethod
     def computational_basis(cls, d: int) -> "Measurement":
-        return cls(d, np.ones(d), np.eye(d, dtype=complex), "computational")
-
-    @classmethod
-    def from_basis_unitary(cls, u: np.ndarray, label: str) -> "Measurement":
-        d = u.shape[0]
-        return cls(d, np.ones(d), np.asarray(u, dtype=complex), label)
+        return cls(np.eye(d, dtype=complex), "computational")
 
     @classmethod
     def haar_basis(cls, n: int, rng) -> "Measurement":
@@ -266,18 +253,18 @@ class Measurement:
                        for _ in range(d)] for _ in range(d)])
         q, r = np.linalg.qr(g)
         q = q * (np.diag(r) / np.abs(np.diag(r)))
-        return cls.from_basis_unitary(q, "haar")
+        return cls(q, "haar")
 
     @classmethod
     def clifford_basis(cls, n: int, rng) -> "Measurement":
-        u = dense.circuit_unitary(sample_uniform_clifford(n, rng))
-        return cls.from_basis_unitary(u, "clifford")
+        return cls(dense.circuit_unitary(sample_uniform_clifford(n, rng)),
+                   "clifford")
 
     def outcome_probs(self, rho: np.ndarray) -> np.ndarray:
-        """p(y) = w_y <phi_y| rho |phi_y>, clipped at zero."""
+        """p(y) = <phi_y| rho |phi_y>, clipped at zero."""
         raw = np.real(np.einsum("iy,ij,jy->y", self.vectors.conj(), rho,
                                 self.vectors))
-        return np.clip(raw, 0.0, None) * self.weights
+        return np.clip(raw, 0.0, None)
 
 
 def measured_mi(meas: Measurement, prior: PriorDistribution,
@@ -468,8 +455,7 @@ def empirical_chernoff(n: int, K: int, prior: PriorDistribution, trials: int,
     Each trial draws K fresh design circuits from its own seed stream
     (stream index = trial number), so results are independent of jobs.
     """
-    if n > dense.dense_cutoff():
-        raise ValueError("n exceeds the dense cutoff")
+    dense.check_cutoff(n)
     if K < 1:
         raise ValueError("K must be >= 1")
     params = SecurityParams.from_prior(prior, epsilon)
@@ -540,8 +526,7 @@ def empirical_maurer(n: int, K: int, x: str, phi, trials: int, seed: int,
     """
     if n < 1:
         raise ValueError(f"need at least one qubit, got n={n}")
-    if n > dense.dense_cutoff():
-        raise ValueError("n exceeds the dense cutoff")
+    dense.check_cutoff(n)
     if not 0 <= tau <= 1:
         raise ValueError("tau must lie in [0, 1]")
     if K < 1:
@@ -594,8 +579,7 @@ def locking_probe(n: int, K: int, prior: PriorDistribution,
     circuits drive every conditional toward a rank-K random mixture whose
     entropy deficit is only about 0.72 bits at K = 2^n.
     """
-    if n > dense.dense_cutoff():
-        raise ValueError("n exceeds the dense cutoff")
+    dense.check_cutoff(n)
     if epsilon_reference is not None and not 0 < epsilon_reference < 1:
         raise ValueError("epsilon_reference must lie in (0, 1), "
                          f"got {epsilon_reference}")

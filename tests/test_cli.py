@@ -90,6 +90,11 @@ class TestInputValidation:
           "--trials", "2", "--x", "012"), "x must be a 2-bit"),
         (("verify-maurer", "--n", "2", "--tau", "0.5", "--K", "2",
           "--trials", "2", "--x", "0"), "x must be a 2-bit"),
+        (("keygen", "--K", "4", "--seed", "zz"), "--seed"),
+        (("moments", "--n", "3", "--samples", "10", "--vector-mode", "HAAR",
+          "--alpha", "010"), "--alpha"),
+        (("moments", "--n", "3", "--samples", "10", "--vector-mode", "HAAR",
+          "--beta", "010"), "--beta"),
     ], ids=["jobs-0", "jobs-negative", "trials-0", "chernoff-K-0",
             "maurer-K-0", "lock-probe-K-0", "maurer-n-0", "maurer-n-negative",
             "codebook-depth-inf", "codebook-depth-nan", "moments-depth-inf",
@@ -97,10 +102,33 @@ class TestInputValidation:
             "keylen-gamma-nan", "lock-probe-bases-negative", "fig2-empty-range",
             "moments-z-negative", "moments-z-nan",
             "lock-probe-eps-ref-negative", "maurer-x-not-bits",
-            "maurer-x-short"])
+            "maurer-x-short", "seed-not-hex", "haar-alpha", "haar-beta"])
     def test_bad_count_exits_1_with_one_line(self, args, needle):
-        seed = () if args[0] in ("keylen", "fig2") else ("--seed", SEED)
+        seed = () if args[0] in ("keylen", "fig2") or "--seed" in args \
+            else ("--seed", SEED)
         res = run_cli(*args, *seed)
+        assert res.returncode == 1
+        assert res.stdout == ""
+        assert res.stderr.startswith("error: ")
+        assert res.stderr.count("\n") == 1
+        assert needle in res.stderr
+
+    @pytest.mark.parametrize("fields, needle", [
+        (f"K=1 delta=0.5 seed={SEED}", "no n= field"),
+        (f"n=2 K=1 delta=0.5 seed={SEED} m=1", "field 'm=1'"),
+        (f"n2 K=1 delta=0.5 seed={SEED}", "field 'n2'"),
+        (f"n=0 K=1 delta=0.5 seed={SEED}", "field n=0"),
+        (f"n=2 K=0 delta=0.5 seed={SEED}", "field K=0"),
+        (f"n=2 K=1 delta=nan seed={SEED}", "field delta=nan"),
+        (f"n=2 K=1 delta=2.5 seed={SEED}", "field delta=2.5"),
+        ("n=2 K=1 delta=0.5 seed=zz", "field seed=zz"),
+    ], ids=["missing", "unknown", "bare", "n-0", "K-0", "delta-nan",
+            "delta-above-1", "seed-not-hex"])
+    def test_bad_codebook_header_exits_1(self, tmp_path, fields, needle):
+        path = tmp_path / "cb.txt"
+        path.write_text(f"QDLCB v1 {fields}\n0: H 0\n")
+        res = run_cli("encrypt", "--codebook", str(path), "--key", "0",
+                      "--x", "00")
         assert res.returncode == 1
         assert res.stdout == ""
         assert res.stderr.startswith("error: ")

@@ -69,10 +69,9 @@ class TestCircuitUnitary:
             ui = circuit_unitary(invert_circuit(c))
             assert np.max(np.abs(ui - u.conj().T)) < 1e-10
 
-    def test_cutoff(self, monkeypatch):
-        monkeypatch.setenv("QLOCK_DENSE_CUTOFF", "3")
-        with pytest.raises(ValueError):
-            circuit_unitary(CliffordCircuit(4, []))
+    def test_cutoff(self):
+        with pytest.raises(ValueError, match="n=13 exceeds the dense cutoff 12"):
+            circuit_unitary(CliffordCircuit(13, []))
 
     def test_column_stack_matches_unitary_columns(self):
         rng = random.Random(5)

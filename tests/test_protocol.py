@@ -27,6 +27,12 @@ class TestKeygen:
         assert key_bits(1) == 0
         assert key_bits(9) == 4
 
+    @pytest.mark.parametrize("bits", [53, 95])
+    def test_key_bits_exact_above_float_precision(self, bits):
+        # log2(2^b + 1) rounds to b in floating point; the key needs b + 1
+        assert key_bits((1 << bits) + 1) == bits + 1
+        assert key_bits(1 << bits) == bits
+
     def test_uniform_frequencies(self):
         rng = random.Random(12)
         draws = 100_000

@@ -59,18 +59,6 @@ class TestPrior:
 
 
 class TestParams:
-    def test_from_prior_agreement(self):
-        prior = PriorDistribution(n=2)
-        params = SecurityParams.from_prior(prior, 0.1, p_max=0.25)
-        assert params.p_max == Fraction(1, 4)
-        with pytest.raises(ValueError):
-            SecurityParams.from_prior(prior, 0.1, p_max=0.3)
-
-    def test_gamma_from_delta(self):
-        prior = PriorDistribution(n=2)
-        params = SecurityParams.from_prior(prior, 0.1, delta=0.0)
-        assert params.gamma == 2.0
-
     def test_validation(self):
         with pytest.raises(ValueError):
             SecurityParams(n=2, epsilon=0.0, p_max=0.5, M=2, gamma=2.0)
@@ -91,7 +79,8 @@ class TestEveState:
     def test_random_codebook_valid_density_matrix(self):
         cb = build_codebook(4, 6, 0.25, master_seed=8)
         rho = eve_state(cb, PriorDistribution(n=4))
-        dense.check_density_matrix(rho, check_psd=True)
+        # raises unless rho is Hermitian, of unit trace and PSD
+        dense.von_neumann_entropy(rho)
 
     def test_matches_prior_weighted_conditionals(self):
         cb = build_codebook(3, 4, 0.25, master_seed=15)
@@ -227,7 +216,9 @@ class TestMeasuredMI:
     def test_povm_completeness_enforced(self):
         bad = np.eye(4, dtype=complex)[:, :3]
         with pytest.raises(ValueError):
-            Measurement(4, np.ones(3), bad)
+            Measurement(bad)
+        with pytest.raises(ValueError, match="orthonormal"):
+            Measurement(2 * np.eye(4, dtype=complex))
 
 
 class TestBounds:
