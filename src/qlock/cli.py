@@ -19,6 +19,7 @@ from fractions import Fraction
 
 from . import design, protocol, sampling, security
 from .dense import NumericalError
+from .stabilizer import check_bits
 
 
 def _fmt(x) -> str:
@@ -139,11 +140,31 @@ def _cmd_decrypt(args) -> None:
           args.out)
 
 
+def _ensemble_options(args) -> None:
+    """Reject the sampling options --ensemble single-qubit ignores; give
+    the sampled ensembles their defaults."""
+    sampling_options = {"--n": args.n, "--samples": args.samples,
+                        "--depth-factor": args.depth_factor,
+                        "--alpha": getattr(args, "alpha", None),
+                        "--beta": getattr(args, "beta", None)}
+    if args.ensemble == "single-qubit":
+        given = [name for name, value in sampling_options.items()
+                 if value is not None]
+        if getattr(args, "vector_mode", None) == "HAAR":
+            given.append("--vector-mode HAAR")
+        if given:
+            raise ValueError(f"{given[0]} has no effect with --ensemble "
+                             "single-qubit, which enumerates the 24 "
+                             "single-qubit Cliffords exactly")
+    for name, default in (("n", 2), ("samples", 10000), ("depth_factor", 1.0)):
+        if getattr(args, name) is None:
+            setattr(args, name, default)
+
+
 def _make_sampler(args):
     if args.ensemble == "design":
-        cfg = sampling.SamplerConfig(n=args.n, delta=args.delta,
-                                     depth_factor=args.depth_factor)
-        return lambda rng: sampling.sample_design_circuit(cfg, rng), "design"
+        return sampling.SamplerConfig(n=args.n, delta=args.delta,
+                                      depth_factor=args.depth_factor), "design"
     if args.ensemble == "uniform":
         return (lambda rng: sampling.sample_uniform_clifford(args.n, rng),
                 "uniform")
@@ -157,6 +178,7 @@ def _check_z(z: float) -> None:
 
 def _cmd_moments(args) -> None:
     _check_z(args.z)
+    _ensemble_options(args)
     rng = sampling.stream_rng(_parse_seed(args.seed), 0)
     if args.ensemble == "single-qubit":
         est = design.exhaustive_single_qubit_moments()
@@ -171,6 +193,8 @@ def _cmd_moments(args) -> None:
         if args.vector_mode == "BASIS":
             alpha = args.alpha if args.alpha else "0" * args.n
             beta = args.beta if args.beta else "0" * args.n
+            check_bits("--alpha", alpha, args.n)
+            check_bits("--beta", beta, args.n)
         est = design.estimate_moments(sampler, args.vector_mode, alpha, beta,
                                       args.samples, rng)
     row = design.moments_csv_row(label, est, args.delta, args.z)
@@ -182,6 +206,7 @@ def _cmd_moments(args) -> None:
 
 
 def _cmd_gamma(args) -> None:
+    _ensemble_options(args)
     rng = sampling.stream_rng(_parse_seed(args.seed), 0)
     if args.ensemble == "single-qubit":
         est = design.exhaustive_single_qubit_moments()
@@ -358,10 +383,11 @@ def build_parser() -> _Parser:
         p.add_argument("--ensemble", choices=["design", "uniform",
                                               "single-qubit"],
                        default="design")
-        p.add_argument("--n", type=int, default=2)
+        # defaults of the sampled ensembles, which single-qubit ignores
+        p.add_argument("--n", type=int, help="default 2")
         p.add_argument("--delta", type=float, default=0.01)
-        p.add_argument("--depth-factor", type=float, default=1.0)
-        p.add_argument("--samples", type=int, default=10000)
+        p.add_argument("--depth-factor", type=float, help="default 1.0")
+        p.add_argument("--samples", type=int, help="default 10000")
         if name == "moments":
             p.add_argument("--vector-mode", choices=["BASIS", "HAAR"],
                            default="BASIS")

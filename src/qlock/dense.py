@@ -11,14 +11,15 @@ applied with one gather, matmul and scatter over the rows grouped by the
 run's qubits, so the cost follows the number of runs, not the number of
 gates.
 
-A design circuit can also be given in its sampled form, a list of
-fragment records (word, a, b): word = 16 i + j indexes the 720 x 16
-two-qubit Clifford table, applied with its local qubit 0 on a and 1 on b.
-Each record is one 4x4 unitary, phi U_{i,0} P, taken from a table built
-on first use.  push() applies batches of such circuits to copies of one
-column stack, one step per fragment position, with one gather, matmul and
-scatter over the whole batch per step: the same step that applies a run
-of gates.
+A design circuit can also be given in its sampled form, fragment records
+(word, a, b): word = 16 i + j indexes the 720 x 16 two-qubit Clifford
+table, applied with its local qubit 0 on a and 1 on b.  B circuits of L
+fragments are one (B, L, 3) int array, as sampling.sample_design_fragments
+draws them.  Each record is one 4x4 unitary, phi U_{i,0} P, taken from a
+table built on first use.  push() applies such an array to copies of one
+column stack in batches, one step per fragment position, with one gather,
+matmul and scatter over the whole batch per step: the same step that
+applies a run of gates.
 """
 
 from __future__ import annotations
@@ -279,23 +280,22 @@ def _pair_rows(n: int) -> np.ndarray:
     return rows
 
 
-def _push_fragments(batch: list, cols: np.ndarray) -> np.ndarray:
-    """(B, d, m) stack of U_b cols for B circuits given as equally long
-    fragment record lists; one step per fragment position."""
+def _push_fragments(recs: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """(B, d, m) stack of U_b cols for the B circuits of a (B, L, 3)
+    record array; one step per fragment position."""
     d, m = cols.shape
     n = d.bit_length() - 1
     if n < 2:
         raise ValueError("fragment circuits need at least two qubits")
-    recs = np.array(batch, dtype=np.intp).reshape(len(batch), -1, 3)
     words, a, b = recs[..., 0], recs[..., 1], recs[..., 2]
     if recs.size and (words.min() < 0 or words.max() >= 720 * 16
                       or min(a.min(), b.min()) < 0
                       or max(a.max(), b.max()) >= n or np.any(a == b)):
         raise ValueError(f"fragment record out of range for n={n}")
-    stack = np.empty((len(batch), d, m), dtype=complex)
+    stack = np.empty((len(recs), d, m), dtype=complex)
     stack[:] = cols
     flat = stack.reshape(-1, m)
-    offsets = (np.arange(len(batch)) * d)[:, None, None]
+    offsets = (np.arange(len(recs)) * d)[:, None, None]
     pair_rows = _pair_rows(n)
     table = _fragment_table()
     for t in range(recs.shape[1]):
@@ -304,34 +304,37 @@ def _push_fragments(batch: list, cols: np.ndarray) -> np.ndarray:
     return stack
 
 
+def batch_size(d: int, m: int) -> int:
+    """Circuits per push() batch for a (d, m) column stack."""
+    return max(1, _BATCH_ENTRIES // (d * m))
+
+
 def push(circuits: Iterable, cols: np.ndarray) -> Iterator[np.ndarray]:
     """Yield U_k cols as (B, d, m) stacks for the circuits, in order.
 
-    A CliffordCircuit is applied on its own by apply_circuit_to_vector.
-    Consecutive fragment record lists, as drawn by
-    sampling.sample_design_fragments, are applied together in batches
-    whose stacks hold at most _BATCH_ENTRIES entries.  The circuits are
-    consumed lazily, so a generator is never held in memory as a whole.
+    An item is a CliffordCircuit, applied on its own by
+    apply_circuit_to_vector, or the fragment records of B circuits, a
+    (B, L, 3) int array as sampling.sample_design_fragments draws them,
+    applied in batches of at most batch_size(d, m) circuits.  A caller
+    that draws one batch at a time holds one batch of records.  The items
+    are consumed lazily, so a generator is never held in memory as a
+    whole.
     """
     d, m = cols.shape
     if d < 2 or d & (d - 1):
         raise ValueError("state vector dimension mismatch")
     check_cutoff(d.bit_length() - 1)
-    size = max(1, _BATCH_ENTRIES // (d * m))
-    batch: list = []
+    size = batch_size(d, m)
     for circuit in circuits:
         if isinstance(circuit, CliffordCircuit):
-            if batch:
-                yield _push_fragments(batch, cols)
-                batch = []
             yield apply_circuit_to_vector(circuit, cols)[None]
             continue
-        batch.append(circuit)
-        if len(batch) == size:
-            yield _push_fragments(batch, cols)
-            batch = []
-    if batch:
-        yield _push_fragments(batch, cols)
+        recs = np.asarray(circuit, dtype=np.intp)
+        if recs.ndim != 3 or recs.shape[2] != 3:
+            raise ValueError("fragment records must form a (B, L, 3) array, "
+                             f"got shape {recs.shape}")
+        for lo in range(0, len(recs), size):
+            yield _push_fragments(recs[lo:lo + size], cols)
 
 
 def circuit_unitary(circuit: CliffordCircuit) -> np.ndarray:

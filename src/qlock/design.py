@@ -14,11 +14,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
+from typing import Iterator
+
+import numpy as np
 
 from . import dense
-from .sampling import all_single_qubit_circuits
-from .stabilizer import basis_overlap_prob, basis_overlap_prob_exact
+from .sampling import (SamplerConfig, all_single_qubit_circuits,
+                       sample_design_circuit, sample_design_fragments)
+from .stabilizer import (basis_overlap_prob, basis_overlap_prob_exact,
+                         check_bits)
 
 VECTOR_MODES = ("BASIS", "HAAR")
 
@@ -53,21 +57,83 @@ class MomentEstimate:
             raise ValueError("moment ordering 0 <= mean4 <= mean2 <= 1 violated")
 
 
-def estimate_moments(sampler: Callable, vector_mode: str, alpha, beta,
+# largest distance of a dense basis overlap from its exact value
+_SNAP_TOL = 1e-9
+
+
+def snap_overlaps(probs: np.ndarray, n: int) -> np.ndarray:
+    """Dense |<alpha|C|beta>|^2 values snapped to {0} u {2^-s : s <= n}.
+
+    Basis-state overlaps of a Clifford circuit take exactly these values;
+    snapping gives the tableau's floats bit for bit.
+
+    Raises:
+        NumericalError: a value lies farther than 1e-9 from that set.
+    """
+    probs = np.asarray(probs, dtype=float)
+    # s = n + 1 stands for an overlap of zero; fmax maps NaN to it too
+    s = np.clip(np.rint(-np.log2(np.fmax(probs, 2.0 ** -(n + 2)))),
+                0, n + 1).astype(int)
+    exact = np.where(s > n, 0.0, np.ldexp(1.0, -s))
+    off = ~(np.abs(probs - exact) <= _SNAP_TOL)
+    if off.any():
+        raise dense.NumericalError(
+            f"overlap {probs[off][0]!r} is not within {_SNAP_TOL} of 0 or "
+            f"2^-s for s <= {n}")
+    return exact
+
+
+def _pushed_overlaps(cfg: SamplerConfig, alpha: str, beta: str,
+                     samples: int, rng) -> Iterator[float]:
+    """|<alpha|C|beta>|^2 of samples design circuits, |beta> pushed through
+    each by dense.push, one push batch of records drawn at a time."""
+    n = cfg.n
+    d = 1 << n
+    col = np.zeros((d, 1), dtype=complex)
+    col[dense.basis_index(beta), 0] = 1.0
+    row = dense.basis_index(alpha)
+    size = dense.batch_size(d, 1)
+
+    def batches():
+        for lo in range(0, samples, size):
+            yield sample_design_fragments(cfg, rng, min(size, samples - lo))
+
+    for stack in dense.push(batches(), col):
+        yield from snap_overlaps(np.abs(stack[:, row, 0]) ** 2, n).tolist()
+
+
+def estimate_moments(sampler, vector_mode: str, alpha, beta,
                      samples: int, rng) -> MomentEstimate:
     """Monte-Carlo moments of the overlap distribution.
 
     Args:
-        sampler: callable(rng) -> CliffordCircuit, drawn fresh per sample.
-        vector_mode: "BASIS" uses tableau overlaps between the given bit
+        sampler: the ensemble: a SamplerConfig for design circuits, or a
+            callable(rng) -> CliffordCircuit drawn fresh per sample.
+        vector_mode: "BASIS" gives exact overlaps between the given bit
             strings (any n); "HAAR" uses dense overlaps, drawing fresh
             Haar-random alpha/beta each sample when they are None.
         alpha, beta: bit strings (BASIS) or dense vectors / None (HAAR).
+
+    BASIS overlaps of design circuits at 2 <= n <= dense.DENSE_CUTOFF come
+    from pushing |beta> through batches of fragment records, snapped to
+    their exact values; all others from the tableau, circuit by circuit.
+    Either way the draws and the estimate are the same.
     """
     if samples <= 0:
         raise ValueError("samples must be positive")
     if vector_mode not in VECTOR_MODES:
         raise ValueError(f"vector_mode must be one of {VECTOR_MODES}")
+    if isinstance(sampler, SamplerConfig):
+        cfg = sampler
+        if vector_mode == "BASIS":
+            check_bits("alpha", alpha, cfg.n)
+            check_bits("beta", beta, cfg.n)
+            if 2 <= cfg.n <= dense.DENSE_CUTOFF:
+                values = _pushed_overlaps(cfg, alpha, beta, samples, rng)
+                return _estimate(values, 1 << cfg.n, samples)
+
+        def sampler(r):
+            return sample_design_circuit(cfg, r)
     if vector_mode == "BASIS":
         def overlap(circuit):
             return basis_overlap_prob(circuit, beta, alpha)
@@ -76,15 +142,22 @@ def estimate_moments(sampler: Callable, vector_mode: str, alpha, beta,
             a = dense.random_state_vector(circuit.n, rng) if alpha is None else alpha
             b = dense.random_state_vector(circuit.n, rng) if beta is None else beta
             return dense.overlap_prob(a, circuit, b)
-    s1 = s2 = s4 = 0.0
+    values = []
     for _ in range(samples):
         circuit = sampler(rng)
-        v = overlap(circuit)
+        values.append(overlap(circuit))
+    return _estimate(values, 1 << circuit.n, samples)
+
+
+def _estimate(values, d: int, samples: int) -> MomentEstimate:
+    """Means and standard errors of v and v^2 over the overlaps v, summed
+    in draw order."""
+    s1 = s2 = s4 = 0.0
+    for v in values:
         s1 += v
         v2 = v * v
         s2 += v2
         s4 += v2 * v2
-    d = 1 << circuit.n
     mean2 = s1 / samples
     mean4 = s2 / samples
     var2 = max(0.0, s2 / samples - mean2 * mean2)

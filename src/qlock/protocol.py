@@ -145,49 +145,71 @@ def codebook_to_text(cb: Codebook) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _header_field(fields: dict, name: str, parse, ok) -> object:
-    """Parse codebook header field name=value; a missing, malformed or
-    out-of-range value raises ValueError naming the field."""
-    if name not in fields:
-        raise ValueError(f"codebook header has no {name}= field")
-    try:
-        value = parse(fields[name])
-        if ok(value):
-            return value
-    except ValueError:
-        pass
-    raise ValueError(f"bad codebook header field {name}={fields[name]}")
+def _header(line: str, magic: list[str], fields: dict, what: str) -> dict:
+    """Parse a header line: its magic words, then name=value fields.
+
+    fields maps each field name to (parse, ok).  Every field must appear
+    exactly once and parse to a value that ok accepts; otherwise
+    ValueError names the offending field.  Returns {name: value}.
+    """
+    head = line.split()
+    if head[:2] != magic:
+        raise ValueError(f"bad {what} header")
+    raw = {}
+    for part in head[2:]:
+        name, eq, value = part.partition("=")
+        if not eq or name not in fields or name in raw:
+            raise ValueError(f"unknown or repeated {what} header field "
+                             f"{part!r}")
+        raw[name] = value
+    values = {}
+    for name, (parse, ok) in fields.items():
+        if name not in raw:
+            raise ValueError(f"{what} header has no {name}= field")
+        try:
+            value = parse(raw[name])
+        except ValueError:
+            value = None
+        if value is None or not ok(value):
+            raise ValueError(f"bad {what} header field {name}={raw[name]}")
+        values[name] = value
+    return values
+
+
+def _positive(v: int) -> bool:
+    return v >= 1
 
 
 def codebook_from_text(text: str) -> Codebook:
     lines = text.splitlines()
     if not lines:
         raise ValueError("empty codebook file")
-    head = lines[0].split()
-    if head[:2] != ["QDLCB", "v1"]:
-        raise ValueError("bad codebook header")
-    fields = {}
-    for part in head[2:]:
-        name, eq, value = part.partition("=")
-        if not eq or name not in ("n", "K", "delta", "seed") or name in fields:
-            raise ValueError("unknown or repeated codebook header field "
-                             f"{part!r}")
-        fields[name] = value
-    n = _header_field(fields, "n", int, lambda v: v >= 1)
-    K = _header_field(fields, "K", int, lambda v: v >= 1)
-    delta = _header_field(fields, "delta", float, lambda v: 0.0 < v < 1.0)
-    seed = _header_field(fields, "seed", lambda t: int(t, 16),
-                         lambda v: 0 <= v < 1 << 128)
-    body = [ln for ln in lines[1:] if ln.strip()]
+    head = _header(lines[0], ["QDLCB", "v1"], {
+        "n": (int, _positive), "K": (int, _positive),
+        "delta": (float, lambda v: 0.0 < v < 1.0),
+        "seed": (lambda t: int(t, 16), lambda v: 0 <= v < 1 << 128)},
+        "codebook")
+    n, K = head["n"], head["K"]
+    body = [(i + 1, ln) for i, ln in enumerate(lines) if i and ln.strip()]
     if len(body) != K:
         raise ValueError(f"expected {K} circuit lines, got {len(body)}")
     circuits = []
-    for k, ln in enumerate(body):
+    for k, (lineno, ln) in enumerate(body):
         idx, _, rest = ln.partition(":")
-        if int(idx) != k:
-            raise ValueError("circuit indices out of order")
-        circuits.append(circuit_from_text(rest.strip(), n))
-    return Codebook(n=n, K=K, delta=delta, master_seed=seed, circuits=circuits)
+        try:
+            index = int(idx)
+        except ValueError:
+            index = None
+        if index != k:
+            raise ValueError(f"codebook line {lineno}: expected circuit "
+                             f"index {k}, got {idx.strip()!r}")
+        try:
+            circuits.append(circuit_from_text(rest.strip(), n))
+        except ValueError as exc:
+            raise ValueError(f"codebook line {lineno}, circuit {k}: {exc}"
+                             ) from None
+    return Codebook(n=n, K=K, delta=head["delta"], master_seed=head["seed"],
+                    circuits=circuits)
 
 
 def cipher_to_text(cipher: CipherState) -> str:
@@ -198,10 +220,8 @@ def cipher_from_text(text: str) -> CipherState:
     lines = text.splitlines()
     if not lines:
         raise ValueError("empty cipher file")
-    head = lines[0].split()
-    if len(head) != 3 or head[0] != "QDLCT" or head[1] != "v1":
-        raise ValueError("bad cipher header")
-    n = int(head[2].split("=", 1)[1])
+    n = _header(lines[0], ["QDLCT", "v1"], {"n": (int, _positive)},
+                "cipher")["n"]
     tableau = tableau_from_text("\n".join(lines[1:]))
     if tableau.n != n:
         raise ValueError("cipher header size disagrees with tableau")

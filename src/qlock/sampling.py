@@ -21,6 +21,25 @@ A design circuit is drawn once, as fragment records (word, a, b) with
 word = 16 i + j (sample_design_fragments), which dense.push applies
 without expanding them into gates; sample_design_circuit is their gate
 expansion, so one seed gives the same circuit in either form.
+
+The draw rule defines every seeded design stream.  It reads the
+generator's MT19937 output as 32-bit words; getrandbits(32 W) returns W
+consecutive words, the first in the lowest bits.  A fragment fills four
+slots in order, each from the words that follow the previous slot.  A
+slot with bound m reads a word w as v = w >> (32 - k), k = m.bit_length(),
+accepts v if v < m and otherwise rejects the word and reads the next one.
+The slots are:
+
+1. a, bound n;
+2. pool branch (n <= 21): j, bound n - 1, and b = j, or b = n - 1 when
+   j = a; set branch (n > 21): b, bound n, also rejected when b = a;
+3. i, bound 720;
+4. the sign class s, bound 16, read with k = 5, so half the words fail.
+
+The record is (16 i + s, a, b).  These are the words and values that
+rng.sample(range(n), 2), rng.randrange(720) and rng.randrange(16) use in
+CPython, so a draw of count circuits equals count draws of those calls
+per fragment, and leaves the generator in the same state.
 """
 
 from __future__ import annotations
@@ -28,8 +47,12 @@ from __future__ import annotations
 import hashlib
 import math
 import random
+import struct
+from array import array
 from dataclasses import dataclass
 from functools import lru_cache
+
+import numpy as np
 
 from .stabilizer import (CliffordCircuit, CliffordGate, Tableau, gate,
                          intern_gate, invert_circuit)
@@ -175,24 +198,90 @@ def sample_two_qubit_clifford(rng) -> CliffordCircuit:
     return CliffordCircuit(2, list(table.words[i][j]))
 
 
-def sample_design_fragments(cfg: SamplerConfig, rng) -> list[tuple[int, int, int]]:
-    """The sampled form of a design circuit: L records (word, a, b).
+# most MT words read at once; bounds a draw's read-ahead
+_BLOCK_WORDS = 1 << 13
 
-    Each record is one uniformly random two-qubit Clifford, table entry
-    words[i][j] with word = 16 i + j, acting with its local qubit 0 on
-    qubit a and local qubit 1 on qubit b.  The draws per record are the
-    pair, then i, then j.
+# random.sample takes its pool branch up to this population size for k = 2
+_POOL_MAX = 21
+
+
+def _draw_records(n: int, fragments: int, rng) -> array:
+    """Flat (word, a, b) records of the next `fragments` fragments of rng.
+
+    The words are read with getrandbits(32 W), W at most _BLOCK_WORDS and
+    never more than the fragments still to draw can use: each slot reads
+    at least one word, so W = 4 fragments - slots done is a lower bound,
+    and the generator ends exactly after the last word used.
+    """
+    pool = n <= _POOL_MAX
+    m0 = n
+    m1 = n - 1 if pool else n
+    shift0 = 32 - m0.bit_length()
+    shift1 = 32 - m1.bit_length()
+    out = array("q")
+    put = out.append
+    slot = a = b = i = 0
+    left = fragments
+    while left:
+        size = min(4 * left - slot, _BLOCK_WORDS)
+        block = rng.getrandbits(32 * size).to_bytes(4 * size, "little")
+        for w in struct.unpack(f"<{size}I", block):
+            if slot == 0:
+                a = w >> shift0
+                if a < m0:
+                    slot = 1
+            elif slot == 1:
+                b = w >> shift1
+                if b < m1:
+                    if pool:
+                        if b == a:
+                            b = n - 1
+                        slot = 2
+                    elif b != a:
+                        slot = 2
+            elif slot == 2:
+                i = w >> 22
+                if i < 720:
+                    slot = 3
+            elif w >> 27 < 16:
+                put(16 * i + (w >> 27))
+                put(a)
+                put(b)
+                slot = 0
+                left -= 1
+    return out
+
+
+def sample_design_fragments(cfg: SamplerConfig, rng,
+                            count: int = 1) -> np.ndarray:
+    """count consecutive design circuits as a (count, L, 3) int array.
+
+    Record (word, a, b) is one uniformly random two-qubit Clifford, table
+    entry words[i][j] with word = 16 i + j, acting with its local qubit 0
+    on qubit a and local qubit 1 on qubit b.  The records follow the draw
+    rule in the module docstring, so count circuits drawn at once equal
+    count circuits drawn one by one, and rng ends in the same state.
     """
     n = cfg.n
     if n < 2:
         raise ValueError("fragments need at least two qubits")
+    if count < 0:
+        raise ValueError(f"count must be >= 0, got {count}")
     length = design_circuit_length(n, cfg.delta, cfg.depth_factor)
-    records = []
-    for _ in range(length):
-        a, b = rng.sample(range(n), 2)
-        i = rng.randrange(720)
-        records.append((16 * i + rng.randrange(16), a, b))
-    return records
+    flat = _draw_records(n, count * length, rng)
+    return np.frombuffer(flat, dtype=np.int64).reshape(count, length, 3)
+
+
+def _expand(n: int, flat) -> CliffordCircuit:
+    """The gate circuit of one design circuit's flat fragment records."""
+    words = two_qubit_table().words
+    gates: list[CliffordGate] = []
+    it = iter(flat)
+    for word, a, b in zip(it, it, it):
+        relabel = {(0,): (a,), (1,): (b,), (0, 1): (a, b), (1, 0): (b, a)}
+        gates.extend([intern_gate(g.kind, relabel[g.qubits])
+                      for g in words[word >> 4][word & 15]])
+    return CliffordCircuit(n, gates)
 
 
 def sample_design_circuit(cfg: SamplerConfig, rng) -> CliffordCircuit:
@@ -205,13 +294,8 @@ def sample_design_circuit(cfg: SamplerConfig, rng) -> CliffordCircuit:
     """
     if cfg.n == 1:
         return single_qubit_circuit(rng.randrange(24))
-    words = two_qubit_table().words
-    gates: list[CliffordGate] = []
-    for word, a, b in sample_design_fragments(cfg, rng):
-        relabel = {(0,): (a,), (1,): (b,), (0, 1): (a, b), (1, 0): (b, a)}
-        gates.extend([intern_gate(g.kind, relabel[g.qubits])
-                      for g in words[word >> 4][word & 15]])
-    return CliffordCircuit(cfg.n, gates)
+    length = design_circuit_length(cfg.n, cfg.delta, cfg.depth_factor)
+    return _expand(cfg.n, _draw_records(cfg.n, length, rng))
 
 
 def sample_uniform_clifford(n: int, rng) -> CliffordCircuit:
@@ -350,5 +434,9 @@ def circuit_from_text(text: str, n: int) -> CliffordCircuit:
         if not chunk:
             continue
         parts = chunk.split()
-        gates.append(intern_gate(parts[0], tuple(int(q) for q in parts[1:])))
+        try:
+            gates.append(intern_gate(parts[0],
+                                     tuple(int(q) for q in parts[1:])))
+        except ValueError as exc:
+            raise ValueError(f"bad gate {chunk!r}: {exc}") from None
     return CliffordCircuit(n, gates)

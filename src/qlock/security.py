@@ -23,7 +23,7 @@ from .protocol import Codebook
 from .sampling import (SamplerConfig, all_single_qubit_circuits,
                        sample_design_circuit, sample_design_fragments,
                        sample_uniform_clifford, stream_rng)
-from .stabilizer import CliffordCircuit, basis_overlap_prob
+from .stabilizer import CliffordCircuit, basis_overlap_prob, check_bits
 
 Real = Union[int, float, Fraction]
 
@@ -434,11 +434,17 @@ class ChernoffReport:
 def _chernoff_chunk(payload) -> list[ChernoffTrial]:
     cfg, K, p, seed, threshold, lo, hi = payload
     rows = []
-    # n = 1 has no qubit pairs and draws single-qubit circuits
-    draw = sample_design_circuit if cfg.n == 1 else sample_design_fragments
+    size = dense.batch_size(len(p), np.count_nonzero(p))
     for t in range(lo, hi):
         rng = stream_rng(seed, t)
-        rho = _adversary_state((draw(cfg, rng) for _ in range(K)), [p])[0]
+        if cfg.n == 1:
+            # no qubit pairs: single-qubit circuits, one at a time
+            circuits = (sample_design_circuit(cfg, rng) for _ in range(K))
+        else:
+            # one push batch of records per draw
+            circuits = (sample_design_fragments(cfg, rng, min(size, K - k))
+                        for k in range(0, K, size))
+        rho = _adversary_state(circuits, [p])[0]
         lam = float(dense.eigvalsh(rho)[0])
         rows.append(ChernoffTrial(lambda_max=lam,
                                   epsilon_hat=lam * 2.0 ** cfg.n - 1.0,
@@ -505,12 +511,6 @@ def _maurer_chunk(payload) -> list[float]:
     return means
 
 
-def _check_bits(name: str, bits: str, n: int) -> None:
-    if len(bits) != n or set(bits) - set("01"):
-        raise ValueError(f"{name} must be a {n}-bit string of 0s and 1s, "
-                         f"got {bits!r}")
-
-
 def empirical_maurer(n: int, K: int, x: str, phi, trials: int, seed: int,
                      tau: float, gamma: Optional[float] = None,
                      jobs: int = 1) -> MaurerReport:
@@ -531,9 +531,9 @@ def empirical_maurer(n: int, K: int, x: str, phi, trials: int, seed: int,
         raise ValueError("tau must lie in [0, 1]")
     if K < 1:
         raise ValueError("K must be >= 1")
-    _check_bits("x", x, n)
+    check_bits("x", x, n)
     if isinstance(phi, str):
-        _check_bits("phi", phi, n)
+        check_bits("phi", phi, n)
     else:
         phi = np.asarray(phi, dtype=complex)
     d = 1 << n
@@ -588,7 +588,10 @@ def locking_probe(n: int, K: int, prior: PriorDistribution,
             raise ValueError("K must be >= 1")
         rng = stream_rng(seed, 0)
         cfg = SamplerConfig(n=n, delta=delta, depth_factor=depth_factor)
-        circuits = [sample_design_circuit(cfg, rng) for _ in range(K)]
+        if n == 1:
+            circuits = [sample_design_circuit(cfg, rng) for _ in range(K)]
+        else:
+            circuits = [sample_design_fragments(cfg, rng, K)]
     else:
         K = len(circuits)
     conditionals = _adversary_state(

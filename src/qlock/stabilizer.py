@@ -85,7 +85,9 @@ class CliffordCircuit:
             raise ValueError("need at least one qubit")
         for g in self.gates:
             if max(g.qubits) >= self.n:
-                raise ValueError(f"gate {g} out of range for n={self.n}")
+                raise ValueError(f"gate {g.kind} "
+                                 f"{' '.join(map(str, g.qubits))} "
+                                 f"out of range for n={self.n}")
 
     def __len__(self):
         return len(self.gates)
@@ -398,7 +400,9 @@ def tableau_from_text(text: str) -> Tableau:
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or not lines[0].startswith("n="):
         raise ValueError("missing tableau header")
-    n = int(lines[0][2:])
+    n = int(lines[0][2:]) if lines[0][2:].isdecimal() else 0
+    if n < 1:
+        raise ValueError(f"bad tableau header {lines[0]!r}: needs n=<int >= 1>")
     if len(lines) != 2 * n + 1:
         raise ValueError(f"expected {2 * n} rows, got {len(lines) - 1}")
     t = Tableau(n)
@@ -411,6 +415,9 @@ def tableau_from_text(text: str) -> Tableau:
             raise ValueError("destabilizer/stabilizer rows out of order")
         if len(xstr) != n or len(zstr) != n:
             raise ValueError("row length mismatch")
+        if xstr.strip("01") or zstr.strip("01") or sign not in ("+", "-"):
+            raise ValueError(f"bad tableau row {r}: {ln!r} needs bit strings "
+                             "of 0s and 1s and a sign + or -")
         x = sum((int(xstr[q]) << q) for q in range(n))
         z = sum((int(zstr[q]) << q) for q in range(n))
         delta = ((x & z).bit_count() + (0 if sign == "+" else 2)) % 4
@@ -421,6 +428,13 @@ def tableau_from_text(text: str) -> Tableau:
 
 
 # -- module-level operation surface ---------------------------------------
+
+
+def check_bits(name: str, bits: str, n: int) -> None:
+    """Raise ValueError, naming the value, unless bits is n 0s and 1s."""
+    if len(bits) != n or set(bits) - set("01"):
+        raise ValueError(f"{name} must be a {n}-bit string of 0s and 1s, "
+                         f"got {bits!r}")
 
 
 def new_basis_state(n: int, x: str) -> Tableau:

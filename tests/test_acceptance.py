@@ -97,8 +97,7 @@ def test_criterion_04_design_certification():
     watch = Stopwatch(60.0)
     rng = random.Random(4)
     cfg = SamplerConfig(n=2, delta=0.01)
-    est = estimate_moments(lambda r: sample_design_circuit(cfg, r),
-                           "BASIS", "00", "00", 100_000, rng)
+    est = estimate_moments(cfg, "BASIS", "00", "00", 100_000, rng)
     report = check_design(est, 0.01, z=3.0)
     elapsed = watch.check()
     assert report.passed, report

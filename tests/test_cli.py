@@ -95,6 +95,26 @@ class TestInputValidation:
           "--alpha", "010"), "--alpha"),
         (("moments", "--n", "3", "--samples", "10", "--vector-mode", "HAAR",
           "--beta", "010"), "--beta"),
+        (("moments", "--ensemble", "single-qubit", "--n", "5",
+          "--vector-mode", "HAAR", "--alpha", "111"), "--n has no effect"),
+        (("moments", "--ensemble", "single-qubit", "--samples", "10"),
+         "--samples has no effect"),
+        (("moments", "--ensemble", "single-qubit", "--vector-mode", "HAAR"),
+         "--vector-mode HAAR has no effect"),
+        (("moments", "--ensemble", "single-qubit", "--alpha", "0"),
+         "--alpha has no effect"),
+        (("moments", "--ensemble", "single-qubit", "--beta", "1"),
+         "--beta has no effect"),
+        (("moments", "--ensemble", "single-qubit", "--depth-factor", "2"),
+         "--depth-factor has no effect"),
+        (("gamma", "--ensemble", "single-qubit", "--n", "3"),
+         "--n has no effect"),
+        (("gamma", "--ensemble", "single-qubit", "--samples", "10"),
+         "--samples has no effect"),
+        (("moments", "--n", "2", "--samples", "10", "--alpha", "0x"),
+         "--alpha must be a 2-bit string"),
+        (("moments", "--ensemble", "uniform", "--n", "3", "--samples", "10",
+          "--beta", "01"), "--beta must be a 3-bit string"),
     ], ids=["jobs-0", "jobs-negative", "trials-0", "chernoff-K-0",
             "maurer-K-0", "lock-probe-K-0", "maurer-n-0", "maurer-n-negative",
             "codebook-depth-inf", "codebook-depth-nan", "moments-depth-inf",
@@ -102,7 +122,12 @@ class TestInputValidation:
             "keylen-gamma-nan", "lock-probe-bases-negative", "fig2-empty-range",
             "moments-z-negative", "moments-z-nan",
             "lock-probe-eps-ref-negative", "maurer-x-not-bits",
-            "maurer-x-short", "seed-not-hex", "haar-alpha", "haar-beta"])
+            "maurer-x-short", "seed-not-hex", "haar-alpha", "haar-beta",
+            "single-qubit-n", "single-qubit-samples",
+            "single-qubit-haar", "single-qubit-alpha", "single-qubit-beta",
+            "single-qubit-depth", "gamma-single-qubit-n",
+            "gamma-single-qubit-samples", "alpha-not-bits",
+            "uniform-beta-short"])
     def test_bad_count_exits_1_with_one_line(self, args, needle):
         seed = () if args[0] in ("keylen", "fig2") or "--seed" in args \
             else ("--seed", SEED)
@@ -135,6 +160,57 @@ class TestInputValidation:
         assert res.stderr.count("\n") == 1
         assert needle in res.stderr
 
+    @pytest.mark.parametrize("header, needle", [
+        ("QDLCT v1 x", "field 'x'"),
+        ("QDLCT v1 n=abc", "field n=abc"),
+        ("QDLCT v1 n=0", "field n=0"),
+        ("QDLCT v1", "no n= field"),
+        ("QDLCT v1 n=2 n=2", "field 'n=2'"),
+        ("QDLCT v1 m=2", "field 'm=2'"),
+        ("QDLCT v2 n=2", "bad cipher header"),
+    ], ids=["bare", "n-not-int", "n-0", "missing", "repeated", "unknown",
+            "version"])
+    def test_bad_cipher_header_exits_1(self, tmp_path, header, needle):
+        res = decrypt_files(tmp_path, f"{header}\n{IDENTITY_N2}")
+        assert res.returncode == 1
+        assert res.stdout == ""
+        assert res.stderr.startswith("error: ")
+        assert res.stderr.count("\n") == 1
+        assert needle in res.stderr
+
+    @pytest.mark.parametrize("line", ["n=x", "n=0", "n=-2"])
+    def test_bad_tableau_header_exits_1(self, tmp_path, line):
+        rows = IDENTITY_N2.replace("n=2", line)
+        res = decrypt_files(tmp_path, f"QDLCT v1 n=2\n{rows}")
+        assert res.returncode == 1
+        assert res.stderr == f"error: bad tableau header {line!r}: " \
+            "needs n=<int >= 1>\n"
+
+    def test_bad_tableau_bits_name_the_row(self, tmp_path):
+        rows = IDENTITY_N2.replace("S 00 10 +", "S 0x 10 +")
+        res = decrypt_files(tmp_path, f"QDLCT v1 n=2\n{rows}")
+        assert res.returncode == 1
+        assert res.stderr.startswith("error: bad tableau row 2: 'S 0x 10 +'")
+        assert res.stderr.count("\n") == 1
+
+    @pytest.mark.parametrize("body, needle", [
+        ("x: H 0", "codebook line 2: expected circuit index 0, got 'x'"),
+        ("0: H", "codebook line 2, circuit 0: bad gate 'H': H takes 1 qubit"),
+        ("0: H 5", "codebook line 2, circuit 0: gate H 5 out of range for n=2"),
+        ("0: H x", "codebook line 2, circuit 0: bad gate 'H x'"),
+        ("0: FOO 1", "codebook line 2, circuit 0: bad gate 'FOO 1'"),
+    ], ids=["index-not-int", "no-qubits", "qubit-high", "qubit-not-int",
+            "unknown-gate"])
+    def test_bad_codebook_body_exits_1(self, tmp_path, body, needle):
+        path = tmp_path / "cb.txt"
+        path.write_text(f"QDLCB v1 n=2 K=1 delta=0.5 seed={SEED}\n{body}\n")
+        res = run_cli("encrypt", "--codebook", str(path), "--key", "0",
+                      "--x", "00")
+        assert res.returncode == 1
+        assert res.stdout == ""
+        assert res.stderr.startswith(f"error: {needle}")
+        assert res.stderr.count("\n") == 1
+
     @pytest.mark.parametrize("option", [("--z", "3"), ("--vector-mode", "HAAR"),
                                         ("--alpha", "00"), ("--beta", "00")],
                              ids=["z", "vector-mode", "alpha", "beta"])
@@ -145,6 +221,20 @@ class TestInputValidation:
         assert res.returncode == 1
         assert res.stdout == ""
         assert f"unrecognized arguments: {' '.join(option)}" in res.stderr
+
+
+# the n = 2 tableau of |00>: destabilizers X0, X1, stabilizers Z0, Z1
+IDENTITY_N2 = "n=2\nD 10 00 +\nD 01 00 +\nS 00 10 +\nS 00 01 +\n"
+
+
+def decrypt_files(tmp_path, cipher_text):
+    """qlock decrypt of cipher_text with key 0 of an n = 2, K = 1 codebook."""
+    cb = tmp_path / "cb.txt"
+    cb.write_text(f"QDLCB v1 n=2 K=1 delta=0.5 seed={SEED}\n0: H 0\n")
+    ct = tmp_path / "ct.txt"
+    ct.write_text(cipher_text)
+    return run_cli("decrypt", "--codebook", str(cb), "--key", "0",
+                   "--cipher", str(ct), "--seed", SEED)
 
 
 class TestProtocolPipeline:
@@ -229,6 +319,75 @@ class TestDeterminism:
         assert res.returncode == 0
         assert hashlib.sha256(path.read_bytes()).hexdigest() == (
             "fdb475f2f8fb5ddf50c2fb0fa0bf65d089de3b459c684f827190d44f2da96407")
+
+    def test_codebook_n64_bytes_are_pinned(self, tmp_path):
+        # n = 64 draws its qubit pairs by random.sample's set branch
+        path = tmp_path / "cb.txt"
+        res = run_cli("codebook", "--n", "64", "--K", "2", "--seed", SEED,
+                      "--out", str(path))
+        assert res.returncode == 0
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "b7180284ac2ad371c0aadd972a08b8aeba5da11abb1732a52d933e1652fca8a5")
+
+    @pytest.mark.parametrize("n, alpha, beta, samples, row", [
+        ("2", "01", "11", "2000",
+         "design,4,2000,0.241875,0.00426996688365,0.09496875,"
+         "0.00300475526445,1.62329988182,2.06101418223,true"),
+        ("3", "101", "011", "1000",
+         "design,8,1000,0.130875,0.00368864600836,0.030734375,"
+         "0.00200011663478,1.79436585542,2.06101418223,true"),
+    ], ids=["n2", "n3"])
+    def test_design_moments_are_pinned(self, n, alpha, beta, samples, row):
+        # dense.push plus snapping prints the tableau path's bytes
+        res = run_cli("moments", "--ensemble", "design", "--n", n,
+                      "--samples", samples, "--alpha", alpha, "--beta", beta,
+                      "--csv", "--seed", SEED)
+        assert res.returncode == 0
+        assert res.stdout == ("ensemble,d,samples,mean2,stderr2,mean4,stderr4,"
+                              f"gamma,gamma_bound,pass\n{row}\n")
+
+    def test_haar_moments_are_pinned(self):
+        res = run_cli("moments", "--vector-mode", "HAAR", "--n", "2",
+                      "--samples", "500", "--seed", SEED)
+        assert res.returncode == 0
+        assert res.stdout == (
+            "ensemble = design\nd = 4\nsamples = 500\n"
+            "mean2 = 0.246929740936\nstderr2 = 0.00868042580723\n"
+            "mean4 = 0.0986491930561\nstderr4 = 0.00616442363552\n"
+            "gamma = 1.61788159891\ngamma_bound = 2.06101418223\n"
+            "pass = true\n")
+
+    def test_gamma_design_is_pinned(self):
+        res = run_cli("gamma", "--ensemble", "design", "--n", "2",
+                      "--samples", "2000", "--seed", SEED)
+        assert res.returncode == 0
+        assert res.stdout == ("gamma = 1.61835141295\n"
+                              "gamma_exact_2_design = 1.6\n"
+                              "gamma_bound = 2.06101418223\n")
+
+    def test_chernoff_residues_are_pinned(self):
+        # every epsilon_hat residue, not just its size, is fixed by the
+        # draws and the push batches
+        res = run_cli("verify-chernoff", "--n", "3", "--eps", "0.1",
+                      "--trials", "3", "--csv", "--seed", SEED)
+        assert res.returncode == 0
+        assert res.stdout == (
+            "trial,lambda_max,epsilon_hat,violated\n"
+            "0,0.125,8.881784197e-16,false\n"
+            "1,0.125,4.4408920985e-16,false\n"
+            "2,0.125,2.22044604925e-16,false\n"
+            "K=832,violation_freq=0,p1_bound=0.999441697589\n")
+
+    def test_sampled_ensemble_defaults(self):
+        # n = 2 and 10 000 samples unless given
+        res = run_cli("moments", "--seed", SEED)
+        assert res.returncode == 0
+        assert res.stdout.startswith("ensemble = design\nd = 4\n"
+                                     "samples = 10000\n")
+        res = run_cli("moments", "--ensemble", "uniform", "--samples", "20",
+                      "--seed", SEED)
+        assert res.returncode == 0
+        assert res.stdout.startswith("ensemble = uniform\nd = 4\n")
 
     def test_verify_maurer_repeatable(self):
         args = ("verify-maurer", "--n", "1", "--tau", "0.5", "--K", "20",

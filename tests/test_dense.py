@@ -138,11 +138,11 @@ class TestFusedRuns:
 
 
 def design_draws(n, K, seed):
-    """K fragment record lists and the gate circuits drawn from the same
-    streams."""
+    """A (K, L, 3) record array and the K gate circuits drawn from the
+    same streams."""
     cfg = SamplerConfig(n, 0.25)
-    records = [sample_design_fragments(cfg, stream_rng(seed, k))
-               for k in range(K)]
+    records = np.concatenate([sample_design_fragments(cfg, stream_rng(seed, k))
+                              for k in range(K)])
     circuits = [sample_design_circuit(cfg, stream_rng(seed, k))
                 for k in range(K)]
     return records, circuits
@@ -165,7 +165,7 @@ class TestFragmentPush:
         monkeypatch.setattr(dense, "_BATCH_ENTRIES", 3 << (2 * n))
         records, circuits = design_draws(n, K, 40 + n)
         eye = np.eye(1 << n, dtype=complex)
-        stacks = list(dense.push(records, eye))
+        stacks = list(dense.push([records], eye))
         assert [len(s) for s in stacks] == [3] * (K // 3) + [K % 3] * (K % 3 > 0)
         got = np.concatenate(stacks)
         for u, c in zip(got, circuits):
@@ -178,14 +178,14 @@ class TestFragmentPush:
         K = 2 * size + extra
         records, circuits = design_draws(6, K, 7)
         cols = random_stack(6, 64, 3)
-        stacks = list(dense.push(records, cols))
+        stacks = list(dense.push([records], cols))
         assert [len(s) for s in stacks] == [size, size] + [1] * extra
         for v, c in zip(np.concatenate(stacks), circuits):
             assert np.max(np.abs(v - reference_apply(c, cols))) < 1e-12
 
     def test_gate_circuits_and_records_keep_their_order(self):
         records, circuits = design_draws(3, 4, 11)
-        stream = [circuits[0], records[1], records[2], circuits[3]]
+        stream = [circuits[0], records[1:3], circuits[3]]
         cols = random_stack(3, 2, 4)
         before = cols.copy()
         stacks = list(dense.push(stream, cols))
@@ -196,7 +196,7 @@ class TestFragmentPush:
 
     def test_empty_records_are_identity(self):
         cols = random_stack(2, 3, 5)
-        (stack,) = dense.push([[], []], cols)
+        (stack,) = dense.push([np.zeros((2, 0, 3), dtype=int)], cols)
         assert np.array_equal(stack, np.stack([cols, cols]))
 
     @pytest.mark.parametrize("records", [
@@ -205,11 +205,18 @@ class TestFragmentPush:
                             "qubit-high", "qubit-negative"])
     def test_bad_records(self, records):
         with pytest.raises(ValueError, match="out of range"):
+            list(dense.push([[records]], np.eye(8, dtype=complex)))
+
+    @pytest.mark.parametrize("records", [
+        np.zeros((4, 3), dtype=int), np.zeros((1, 4, 2), dtype=int), []],
+        ids=["one-circuit", "pairs", "empty-list"])
+    def test_record_arrays_are_three_dimensional(self, records):
+        with pytest.raises(ValueError, match=r"\(B, L, 3\)"):
             list(dense.push([records], np.eye(8, dtype=complex)))
 
     def test_one_qubit_has_no_fragments(self):
         with pytest.raises(ValueError, match="two qubits"):
-            list(dense.push([[(5, 0, 1)]], np.eye(2, dtype=complex)))
+            list(dense.push([[[(5, 0, 1)]]], np.eye(2, dtype=complex)))
 
     def test_two_qubit_table_leaves_the_fragment_table_unbuilt(self):
         # set-up builds the gate table; the fragment table waits for the

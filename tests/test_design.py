@@ -1,11 +1,16 @@
+import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from qlock import dense
+from qlock.dense import NumericalError
 from qlock.design import (DesignReport, MomentEstimate, check_design,
                           estimate_moments, exhaustive_single_qubit_moments,
-                          gamma_bound, gamma_of, haar_moment, moments_csv_row)
+                          gamma_bound, gamma_of, haar_moment, moments_csv_row,
+                          snap_overlaps)
 from qlock.sampling import SamplerConfig, sample_design_circuit, sample_uniform_clifford
 from qlock.stabilizer import CliffordCircuit
 
@@ -61,6 +66,76 @@ class TestEstimateMoments:
     def test_zero_samples(self, rng):
         with pytest.raises(ValueError):
             estimate_moments(identity_sampler(1), "BASIS", "0", "0", 0, rng)
+
+
+class TestPushedBasisMoments:
+    # design BASIS moments at 2 <= n <= DENSE_CUTOFF come from dense.push;
+    # the tableau path, circuit by circuit, is their oracle
+    @pytest.mark.parametrize("n, alpha, beta, samples", [
+        (2, "00", "00", 3000), (2, "01", "11", 3000), (3, "101", "011", 2500),
+        (5, "10110", "00000", 400), (12, "0" * 12, "1" * 11 + "0", 3)])
+    def test_equals_tableau_moments(self, n, alpha, beta, samples):
+        cfg = SamplerConfig(n=n, delta=0.25, depth_factor=0.5 if n > 5 else 1)
+        pushed_rng, tableau_rng = random.Random(n), random.Random(n)
+        pushed = estimate_moments(cfg, "BASIS", alpha, beta, samples,
+                                  pushed_rng)
+        tableau = estimate_moments(lambda r: sample_design_circuit(cfg, r),
+                                   "BASIS", alpha, beta, samples, tableau_rng)
+        assert pushed == tableau
+        assert pushed_rng.getstate() == tableau_rng.getstate()
+
+    def test_uses_the_push(self, monkeypatch, rng):
+        calls = []
+        push = dense.push
+
+        def counting_push(circuits, cols):
+            calls.append(cols.shape)
+            return push(circuits, cols)
+
+        monkeypatch.setattr(dense, "push", counting_push)
+        cfg = SamplerConfig(n=3, delta=0.25)
+        estimate_moments(cfg, "BASIS", "000", "000", 10, rng)
+        assert calls == [(8, 1)]
+        estimate_moments(SamplerConfig(n=13, delta=0.5, depth_factor=0.1),
+                         "BASIS", "0" * 13, "0" * 13, 2, rng)
+        assert calls == [(8, 1)]
+
+    @pytest.mark.parametrize("bits", ["0", "012", "ab"])
+    def test_rejects_bad_bit_strings(self, bits, rng):
+        cfg = SamplerConfig(n=2, delta=0.25)
+        with pytest.raises(ValueError, match="2-bit string"):
+            estimate_moments(cfg, "BASIS", bits, "00", 5, rng)
+        with pytest.raises(ValueError, match="2-bit string"):
+            estimate_moments(cfg, "BASIS", "00", bits, 5, rng)
+
+    def test_snap_gives_exact_values(self):
+        exact = np.array([0.0, 1.0, 0.5, 0.25, 2.0 ** -12])
+        noisy = exact + np.array([3e-17, -2e-16, 1e-12, -4e-13, 5e-10])
+        got = snap_overlaps(noisy, 12)
+        assert got.tolist() == exact.tolist()
+        assert got.tolist() == [0.0, 1.0, 0.5 ** 1, 0.5 ** 2, 0.5 ** 12]
+
+    @pytest.mark.parametrize("value", [0.3, 0.25 + 2e-9, 2e-9, 0.5 ** 3,
+                                       1.0 + 1e-6, -1e-6, math.nan, math.inf],
+                             ids=["between", "near-quarter", "near-zero",
+                                  "below-2^-n", "above-one", "negative", "nan",
+                                  "inf"])
+    def test_snap_rejects_inexact_values(self, value):
+        # n = 2 allows only 0, 1/4, 1/2 and 1
+        with pytest.raises(NumericalError, match="not within 1e-09"):
+            snap_overlaps(np.array([0.25, value, 1.0]), 2)
+
+    def test_perturbed_push_is_a_numerical_error(self, monkeypatch, rng):
+        push = dense.push
+
+        def shrunk(circuits, cols):
+            for stack in push(circuits, cols):
+                yield stack * 0.999
+
+        monkeypatch.setattr(dense, "push", shrunk)
+        with pytest.raises(NumericalError):
+            estimate_moments(SamplerConfig(n=2, delta=0.25), "BASIS", "00",
+                             "00", 50, rng)
 
 
 class TestGamma:

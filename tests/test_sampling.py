@@ -1,6 +1,7 @@
 import hashlib
 import math
 import random
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -18,6 +19,23 @@ from qlock.stabilizer import (CliffordCircuit, CliffordGate, Tableau,
                               invert_circuit)
 
 from test_stabilizer import random_circuit
+
+
+def reference_fragments(cfg, rng, count):
+    """The draw loop that defines the design stream: per fragment the pair
+    from rng.sample, then randrange(720), then randrange(16).  The engine
+    in sampling must give the same records and leave rng in the same
+    state."""
+    length = design_circuit_length(cfg.n, cfg.delta, cfg.depth_factor)
+    circuits = []
+    for _ in range(count):
+        records = []
+        for _ in range(length):
+            a, b = rng.sample(range(cfg.n), 2)
+            i = rng.randrange(720)
+            records.append([16 * i + rng.randrange(16), a, b])
+        circuits.append(records)
+    return circuits
 
 
 def action_key(circuit):
@@ -47,6 +65,54 @@ class TestTables:
         keys = {action_key(CliffordCircuit(1, list(w)))
                 for w in single_qubit_table().words}
         assert len(keys) == 24
+
+
+class TestDrawEngine:
+    # (n, depth_factor): the pool branch of random.sample up to n = 21 and
+    # its set branch above, with 8 to 43 fragments per circuit
+    CONFIGS = [(2, 1.0), (3, 1.0), (5, 0.5), (21, 0.05), (22, 0.05),
+               (64, 0.01)]
+    COUNTS = [1, 2, 3, 7, 60, 300]
+
+    @pytest.mark.parametrize("plain", [False, True],
+                             ids=["stream_rng", "random.Random"])
+    def test_matches_the_draw_loop(self, plain):
+        version = "%d.%d" % sys.version_info[:2]
+        for seed in range(50):
+            for c, (n, depth) in enumerate(self.CONFIGS):
+                count = self.COUNTS[(seed + c) % len(self.COUNTS)]
+                cfg = SamplerConfig(n=n, delta=0.25, depth_factor=depth)
+                engine, loop = ((random.Random(seed), random.Random(seed))
+                                if plain else (stream_rng(seed, c),
+                                               stream_rng(seed, c)))
+                got = sample_design_fragments(cfg, engine, count)
+                want = reference_fragments(cfg, loop, count)
+                where = (f"n={n}, seed={seed}, count={count}, Python "
+                         f"{version}: the design stream is CPython's "
+                         "random.sample and randrange algorithm")
+                assert got.tolist() == want, f"records differ at {where}"
+                assert engine.getstate() == loop.getstate(), \
+                    f"generator state differs at {where}"
+
+    @pytest.mark.parametrize("n", [2, 22])
+    def test_split_draws_continue_the_stream(self, n):
+        cfg = SamplerConfig(n=n, delta=0.25, depth_factor=0.1)
+        whole = sample_design_fragments(cfg, stream_rng(9, n), 40)
+        rng = stream_rng(9, n)
+        parts = [sample_design_fragments(cfg, rng, k) for k in (1, 0, 13, 26)]
+        assert np.array_equal(np.concatenate(parts), whole)
+
+    def test_long_draw_spans_blocks(self):
+        # 6000 fragments read their words in several blocks
+        cfg = SamplerConfig(n=3, delta=0.25)
+        engine, loop = stream_rng(5, 0), stream_rng(5, 0)
+        assert sample_design_fragments(cfg, engine, 400).tolist() == \
+            reference_fragments(cfg, loop, 400)
+        assert engine.getstate() == loop.getstate()
+
+    def test_negative_count(self, rng):
+        with pytest.raises(ValueError, match="count"):
+            sample_design_fragments(SamplerConfig(n=2, delta=0.25), rng, -1)
 
 
 class TestTwoQubitSampler:
@@ -95,27 +161,23 @@ class TestDesignSampler:
 
     def test_fragment_count(self, rng):
         cfg = SamplerConfig(n=4, delta=2 ** -4)
-        frags = sample_design_fragments(cfg, rng)
-        assert len(frags) == 32
+        assert sample_design_fragments(cfg, rng).shape == (1, 32, 3)
+        assert sample_design_fragments(cfg, rng, 5).shape == (5, 32, 3)
+        assert sample_design_fragments(cfg, rng, 0).shape == (0, 32, 3)
 
     @pytest.mark.parametrize("n", [2, 3, 64])
     def test_fragments_expand_the_table_words(self, n):
-        # the records are the raw draws (pair, then i, then j), and the
-        # circuit drawn from the same stream is their word-by-word
-        # expansion, which fixes the gate lists and the codebook bytes
+        # the records are the draw loop's, and the circuit drawn from the
+        # same stream is their word-by-word expansion, which fixes the gate
+        # lists and the codebook bytes
         table = two_qubit_table()
         cfg = SamplerConfig(n=n, delta=0.25)
         for k in range(20 if n < 64 else 2):
-            records = sample_design_fragments(cfg, stream_rng(0x1234, k))
-            rng = stream_rng(0x1234, k)
-            draws = []
-            for _ in records:
-                a, b = rng.sample(range(n), 2)
-                i = rng.randrange(720)
-                draws.append((16 * i + rng.randrange(16), a, b))
-            assert records == draws
+            (records,) = sample_design_fragments(cfg, stream_rng(0x1234, k))
+            assert records.tolist() == reference_fragments(
+                cfg, stream_rng(0x1234, k), 1)[0]
             want = [CliffordGate(g.kind, tuple((a, b)[q] for q in g.qubits))
-                    for word, a, b in records
+                    for word, a, b in records.tolist()
                     for g in table.words[word // 16][word % 16]]
             circuit = sample_design_circuit(cfg, stream_rng(0x1234, k))
             assert circuit.gates == want

@@ -122,8 +122,8 @@ class TestEveState:
     def test_fragments_match_gate_circuits(self, n, K):
         # K = 600 at n = 3 spans two batches of the 8-column push
         cfg = SamplerConfig(n=n, delta=0.25)
-        records = [sample_design_fragments(cfg, stream_rng(3, k))
-                   for k in range(K)]
+        records = np.concatenate([sample_design_fragments(cfg, stream_rng(3, k))
+                                  for k in range(K)])
         circuits = [sample_design_circuit(cfg, stream_rng(3, k))
                     for k in range(K)]
         d = 1 << n
@@ -132,11 +132,11 @@ class TestEveState:
         skewed = np.arange(1.0, d + 1) / (d * (d + 1) / 2)
         priors = [PriorDistribution(n=n).probability_vector(), sparse,
                   skewed, dense.basis_vector("1" * n).real]
-        got = _adversary_state(records, priors)
+        got = _adversary_state([records], priors)
         want = _adversary_state(circuits, priors)
         for g, w in zip(got, want):
             assert np.max(np.abs(g - w)) < 1e-12
-        (alone,) = _adversary_state(iter(records), [sparse])
+        (alone,) = _adversary_state(iter(records[:, None]), [sparse])
         assert np.max(np.abs(alone - want[1])) < 1e-12
 
     def test_empty_codebook_circuits_rejected(self):
