@@ -11,13 +11,13 @@ applied with one gather, matmul and scatter over the rows grouped by the
 run's qubits, so the cost follows the number of runs, not the number of
 gates.
 
-A design circuit can also be given in its sampled form, fragment records
-(word, a, b): word = 16 i + j indexes the 720 x 16 two-qubit Clifford
-table, applied with its local qubit 0 on a and 1 on b.  B circuits of L
-fragments are one (B, L, 3) int array, as sampling.sample_design_fragments
-draws them.  Each record is one 4x4 unitary, phi U_{i,0} P, taken from a
-table built on first use.  push() applies such an array to copies of one
-column stack in batches, one step per fragment position, with one gather,
+A sampled design circuit (sampling.DesignCircuit) holds its fragment
+records (word, a, b) as an (L, 3) int array: word = 16 i + j indexes the
+720 x 16 two-qubit Clifford table, applied with its local qubit 0 on a
+and 1 on b.  Each record is one 4x4 unitary, phi U_{i,0} P, taken from a
+table built on first use.  push() stacks the records of consecutive
+design circuits into (B, L, 3) batches and applies each batch to copies
+of one column stack, one step per fragment position, with one gather,
 matmul and scatter over the whole batch per step: the same step that
 applies a run of gates.
 """
@@ -30,7 +30,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .sampling import two_qubit_table
+from .sampling import DesignCircuit, two_qubit_table
 from .stabilizer import CliffordCircuit
 
 DENSE_CUTOFF = 12
@@ -285,8 +285,6 @@ def _push_fragments(recs: np.ndarray, cols: np.ndarray) -> np.ndarray:
     record array; one step per fragment position."""
     d, m = cols.shape
     n = d.bit_length() - 1
-    if n < 2:
-        raise ValueError("fragment circuits need at least two qubits")
     words, a, b = recs[..., 0], recs[..., 1], recs[..., 2]
     if recs.size and (words.min() < 0 or words.max() >= 720 * 16
                       or min(a.min(), b.min()) < 0
@@ -304,37 +302,38 @@ def _push_fragments(recs: np.ndarray, cols: np.ndarray) -> np.ndarray:
     return stack
 
 
-def batch_size(d: int, m: int) -> int:
-    """Circuits per push() batch for a (d, m) column stack."""
-    return max(1, _BATCH_ENTRIES // (d * m))
-
-
-def push(circuits: Iterable, cols: np.ndarray) -> Iterator[np.ndarray]:
+def push(circuits: Iterable[CliffordCircuit],
+         cols: np.ndarray) -> Iterator[np.ndarray]:
     """Yield U_k cols as (B, d, m) stacks for the circuits, in order.
 
-    An item is a CliffordCircuit, applied on its own by
-    apply_circuit_to_vector, or the fragment records of B circuits, a
-    (B, L, 3) int array as sampling.sample_design_fragments draws them,
-    applied in batches of at most batch_size(d, m) circuits.  A caller
-    that draws one batch at a time holds one batch of records.  The items
-    are consumed lazily, so a generator is never held in memory as a
-    whole.
+    A CliffordCircuit is applied on its own by apply_circuit_to_vector.
+    Consecutive DesignCircuits, as sampling.sample_design_circuit draws
+    them, are applied together from their fragment records in batches
+    whose stacks hold at most _BATCH_ENTRIES entries.  The circuits are
+    consumed lazily, so a generator is never held in memory as a whole.
     """
     d, m = cols.shape
     if d < 2 or d & (d - 1):
         raise ValueError("state vector dimension mismatch")
-    check_cutoff(d.bit_length() - 1)
-    size = batch_size(d, m)
+    n = d.bit_length() - 1
+    check_cutoff(n)
+    size = max(1, _BATCH_ENTRIES // (d * m))
+    batch: list[np.ndarray] = []
     for circuit in circuits:
-        if isinstance(circuit, CliffordCircuit):
-            yield apply_circuit_to_vector(circuit, cols)[None]
+        # a design circuit on other than n qubits fails in
+        # apply_circuit_to_vector's dimension check
+        if isinstance(circuit, DesignCircuit) and circuit.n == n:
+            batch.append(circuit.records)
+            if len(batch) == size:
+                yield _push_fragments(np.stack(batch), cols)
+                batch = []
             continue
-        recs = np.asarray(circuit, dtype=np.intp)
-        if recs.ndim != 3 or recs.shape[2] != 3:
-            raise ValueError("fragment records must form a (B, L, 3) array, "
-                             f"got shape {recs.shape}")
-        for lo in range(0, len(recs), size):
-            yield _push_fragments(recs[lo:lo + size], cols)
+        if batch:
+            yield _push_fragments(np.stack(batch), cols)
+            batch = []
+        yield apply_circuit_to_vector(circuit, cols)[None]
+    if batch:
+        yield _push_fragments(np.stack(batch), cols)
 
 
 def circuit_unitary(circuit: CliffordCircuit) -> np.ndarray:

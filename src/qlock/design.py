@@ -14,13 +14,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import Iterator
 
 import numpy as np
 
 from . import dense
 from .sampling import (SamplerConfig, all_single_qubit_circuits,
-                       sample_design_circuit, sample_design_fragments)
+                       sample_design_circuit)
 from .stabilizer import (basis_overlap_prob, basis_overlap_prob_exact,
                          check_bits)
 
@@ -86,19 +87,13 @@ def snap_overlaps(probs: np.ndarray, n: int) -> np.ndarray:
 def _pushed_overlaps(cfg: SamplerConfig, alpha: str, beta: str,
                      samples: int, rng) -> Iterator[float]:
     """|<alpha|C|beta>|^2 of samples design circuits, |beta> pushed through
-    each by dense.push, one push batch of records drawn at a time."""
+    them by dense.push."""
     n = cfg.n
-    d = 1 << n
-    col = np.zeros((d, 1), dtype=complex)
+    col = np.zeros((1 << n, 1), dtype=complex)
     col[dense.basis_index(beta), 0] = 1.0
     row = dense.basis_index(alpha)
-    size = dense.batch_size(d, 1)
-
-    def batches():
-        for lo in range(0, samples, size):
-            yield sample_design_fragments(cfg, rng, min(size, samples - lo))
-
-    for stack in dense.push(batches(), col):
+    circuits = (sample_design_circuit(cfg, rng) for _ in range(samples))
+    for stack in dense.push(circuits, col):
         yield from snap_overlaps(np.abs(stack[:, row, 0]) ** 2, n).tolist()
 
 
@@ -115,9 +110,9 @@ def estimate_moments(sampler, vector_mode: str, alpha, beta,
         alpha, beta: bit strings (BASIS) or dense vectors / None (HAAR).
 
     BASIS overlaps of design circuits at 2 <= n <= dense.DENSE_CUTOFF come
-    from pushing |beta> through batches of fragment records, snapped to
-    their exact values; all others from the tableau, circuit by circuit.
-    Either way the draws and the estimate are the same.
+    from pushing |beta> through batches of their fragment records, snapped
+    to their exact values; all others from the tableau, circuit by
+    circuit.  Either way the draws and the estimate are the same.
     """
     if samples <= 0:
         raise ValueError("samples must be positive")
@@ -142,11 +137,11 @@ def estimate_moments(sampler, vector_mode: str, alpha, beta,
             a = dense.random_state_vector(circuit.n, rng) if alpha is None else alpha
             b = dense.random_state_vector(circuit.n, rng) if beta is None else beta
             return dense.overlap_prob(a, circuit, b)
-    values = []
-    for _ in range(samples):
-        circuit = sampler(rng)
-        values.append(overlap(circuit))
-    return _estimate(values, 1 << circuit.n, samples)
+    # each circuit's overlap is taken before the next circuit is drawn
+    first = sampler(rng)
+    rest = (sampler(rng) for _ in range(samples - 1))
+    return _estimate(map(overlap, chain([first], rest)), 1 << first.n,
+                     samples)
 
 
 def _estimate(values, d: int, samples: int) -> MomentEstimate:

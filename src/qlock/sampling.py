@@ -17,16 +17,17 @@ The two-qubit group is enumerated once by closing the generator set
 indexed as 720 symplectic classes x 16 sign classes, sorted by canonical
 tableau key, so an index pair maps deterministically to a gate word.
 
-A design circuit is drawn once, as fragment records (word, a, b) with
-word = 16 i + j (sample_design_fragments), which dense.push applies
-without expanding them into gates; sample_design_circuit is their gate
-expansion, so one seed gives the same circuit in either form.
+sample_design_circuit draws a design circuit as its L fragment records
+(word, a, b), word = 16 i + j, and returns them as a DesignCircuit.
+dense.push applies the records without expanding them into gates; every
+other consumer reads the gate list, which is expanded from the records on
+first use, so one seed gives the same circuit in either form.
 
 The draw rule defines every seeded design stream.  It reads the
-generator's MT19937 output as 32-bit words; getrandbits(32 W) returns W
-consecutive words, the first in the lowest bits.  A fragment fills four
-slots in order, each from the words that follow the previous slot.  A
-slot with bound m reads a word w as v = w >> (32 - k), k = m.bit_length(),
+generator's MT19937 output as 32-bit words, one word per getrandbits(k)
+call with k <= 32, which returns the word's top k bits.  A fragment
+fills four slots in order, each from the words that follow the previous
+slot.  A slot with bound m reads v = getrandbits(k), k = m.bit_length(),
 accepts v if v < m and otherwise rejects the word and reads the next one.
 The slots are:
 
@@ -38,8 +39,8 @@ The slots are:
 
 The record is (16 i + s, a, b).  These are the words and values that
 rng.sample(range(n), 2), rng.randrange(720) and rng.randrange(16) use in
-CPython, so a draw of count circuits equals count draws of those calls
-per fragment, and leaves the generator in the same state.
+CPython, so a draw equals those calls per fragment, and leaves the
+generator in the same state.
 """
 
 from __future__ import annotations
@@ -47,10 +48,9 @@ from __future__ import annotations
 import hashlib
 import math
 import random
-import struct
 from array import array
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -198,104 +198,80 @@ def sample_two_qubit_clifford(rng) -> CliffordCircuit:
     return CliffordCircuit(2, list(table.words[i][j]))
 
 
-# most MT words read at once; bounds a draw's read-ahead
-_BLOCK_WORDS = 1 << 13
-
 # random.sample takes its pool branch up to this population size for k = 2
 _POOL_MAX = 21
 
 
-def _draw_records(n: int, fragments: int, rng) -> array:
-    """Flat (word, a, b) records of the next `fragments` fragments of rng.
-
-    The words are read with getrandbits(32 W), W at most _BLOCK_WORDS and
-    never more than the fragments still to draw can use: each slot reads
-    at least one word, so W = 4 fragments - slots done is a lower bound,
-    and the generator ends exactly after the last word used.
-    """
-    pool = n <= _POOL_MAX
-    m0 = n
-    m1 = n - 1 if pool else n
-    shift0 = 32 - m0.bit_length()
-    shift1 = 32 - m1.bit_length()
-    out = array("q")
-    put = out.append
-    slot = a = b = i = 0
-    left = fragments
-    while left:
-        size = min(4 * left - slot, _BLOCK_WORDS)
-        block = rng.getrandbits(32 * size).to_bytes(4 * size, "little")
-        for w in struct.unpack(f"<{size}I", block):
-            if slot == 0:
-                a = w >> shift0
-                if a < m0:
-                    slot = 1
-            elif slot == 1:
-                b = w >> shift1
-                if b < m1:
-                    if pool:
-                        if b == a:
-                            b = n - 1
-                        slot = 2
-                    elif b != a:
-                        slot = 2
-            elif slot == 2:
-                i = w >> 22
-                if i < 720:
-                    slot = 3
-            elif w >> 27 < 16:
-                put(16 * i + (w >> 27))
-                put(a)
-                put(b)
-                slot = 0
-                left -= 1
-    return out
-
-
-def sample_design_fragments(cfg: SamplerConfig, rng,
-                            count: int = 1) -> np.ndarray:
-    """count consecutive design circuits as a (count, L, 3) int array.
+class DesignCircuit(CliffordCircuit):
+    """A design circuit held as its (L, 3) array of fragment records.
 
     Record (word, a, b) is one uniformly random two-qubit Clifford, table
     entry words[i][j] with word = 16 i + j, acting with its local qubit 0
-    on qubit a and local qubit 1 on qubit b.  The records follow the draw
-    rule in the module docstring, so count circuits drawn at once equal
-    count circuits drawn one by one, and rng ends in the same state.
+    on qubit a and local qubit 1 on qubit b.  dense.push applies the
+    records directly; the gate list is their word-by-word expansion, made
+    on first use.
     """
-    n = cfg.n
-    if n < 2:
-        raise ValueError("fragments need at least two qubits")
-    if count < 0:
-        raise ValueError(f"count must be >= 0, got {count}")
-    length = design_circuit_length(n, cfg.delta, cfg.depth_factor)
-    flat = _draw_records(n, count * length, rng)
-    return np.frombuffer(flat, dtype=np.int64).reshape(count, length, 3)
 
+    def __init__(self, n: int, records: np.ndarray):
+        if n < 2:
+            raise ValueError("fragments need at least two qubits")
+        if records.ndim != 2 or records.shape[1] != 3:
+            raise ValueError("fragment records must form an (L, 3) array, "
+                             f"got shape {records.shape}")
+        self.n = n
+        self.records = records
 
-def _expand(n: int, flat) -> CliffordCircuit:
-    """The gate circuit of one design circuit's flat fragment records."""
-    words = two_qubit_table().words
-    gates: list[CliffordGate] = []
-    it = iter(flat)
-    for word, a, b in zip(it, it, it):
-        relabel = {(0,): (a,), (1,): (b,), (0, 1): (a, b), (1, 0): (b, a)}
-        gates.extend([intern_gate(g.kind, relabel[g.qubits])
-                      for g in words[word >> 4][word & 15]])
-    return CliffordCircuit(n, gates)
+    @cached_property
+    def gates(self) -> list[CliffordGate]:
+        words = two_qubit_table().words
+        gates: list[CliffordGate] = []
+        for word, a, b in self.records.tolist():
+            relabel = {(0,): (a,), (1,): (b,), (0, 1): (a, b), (1, 0): (b, a)}
+            gates.extend([intern_gate(g.kind, relabel[g.qubits])
+                          for g in words[word >> 4][word & 15]])
+        return gates
 
 
 def sample_design_circuit(cfg: SamplerConfig, rng) -> CliffordCircuit:
     """Approximate-2-design circuit of L two-qubit fragments.
 
-    The gate expansion of sample_design_fragments: each record's table
-    word with its local qubits relabelled to the drawn pair.  At n = 1
-    there are no qubit pairs; the draw falls back to a uniform
-    single-qubit Clifford.
+    A DesignCircuit of L records drawn by the rule in the module
+    docstring.  At n = 1 there are no qubit pairs; the draw falls back to
+    a uniform single-qubit Clifford.
     """
-    if cfg.n == 1:
+    n = cfg.n
+    if n == 1:
         return single_qubit_circuit(rng.randrange(24))
-    length = design_circuit_length(cfg.n, cfg.delta, cfg.depth_factor)
-    return _expand(cfg.n, _draw_records(cfg.n, length, rng))
+    length = design_circuit_length(n, cfg.delta, cfg.depth_factor)
+    bits = rng.getrandbits
+    pool = n <= _POOL_MAX
+    k0 = n.bit_length()
+    m1 = n - 1 if pool else n
+    k1 = m1.bit_length()
+    flat = array("q")
+    put = flat.extend
+    for _ in range(length):
+        a = bits(k0)
+        while a >= n:
+            a = bits(k0)
+        b = bits(k1)
+        if pool:
+            while b >= m1:
+                b = bits(k1)
+            if b == a:
+                b = n - 1
+        else:
+            while b >= n or b == a:
+                b = bits(k1)
+        i = bits(10)
+        while i >= 720:
+            i = bits(10)
+        s = bits(5)
+        while s >= 16:
+            s = bits(5)
+        put((16 * i + s, a, b))
+    records = np.frombuffer(flat, dtype=np.int64).reshape(length, 3)
+    return DesignCircuit(n, records)
 
 
 def sample_uniform_clifford(n: int, rng) -> CliffordCircuit:
@@ -413,9 +389,11 @@ def action_to_circuit(action: Tableau) -> CliffordCircuit:
 
 
 def derive_circuit(ctx: SeedContext, cfg: SamplerConfig) -> CliffordCircuit:
-    """Deterministic design circuit for (master_seed, stream_index)."""
-    return sample_design_circuit(cfg, stream_rng(ctx.master_seed,
-                                                 ctx.stream_index))
+    """Deterministic design circuit for (master_seed, stream_index), as a
+    gate circuit: codebooks compile, print and simulate their gates."""
+    circuit = sample_design_circuit(cfg, stream_rng(ctx.master_seed,
+                                                    ctx.stream_index))
+    return CliffordCircuit(circuit.n, circuit.gates)
 
 
 # -- circuit text form -------------------------------------------------------

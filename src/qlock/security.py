@@ -21,8 +21,8 @@ import numpy as np
 from . import dense
 from .protocol import Codebook
 from .sampling import (SamplerConfig, all_single_qubit_circuits,
-                       sample_design_circuit, sample_design_fragments,
-                       sample_uniform_clifford, stream_rng)
+                       sample_design_circuit, sample_uniform_clifford,
+                       stream_rng)
 from .stabilizer import CliffordCircuit, basis_overlap_prob, check_bits
 
 Real = Union[int, float, Fraction]
@@ -160,12 +160,11 @@ def _adversary_state(circuits: Iterable, priors: Sequence[np.ndarray]
                      ) -> list[np.ndarray]:
     """rho_j = (1/K) sum_k C_k diag(p_j) C_k^dagger for each prior p_j.
 
-    The circuits are CliffordCircuits or fragment record lists; dense.push
-    applies each one, or each batch, to the union of the priors' support
-    columns once, and every rho_j is summed circuit by circuit from its own
-    support columns of the pushed (B, d, m) stacks.  The circuits are
-    consumed lazily, so a generator of circuits is never held in memory as
-    a whole.
+    dense.push applies each circuit, or each batch of design circuits, to
+    the union of the priors' support columns once, and every rho_j is
+    summed circuit by circuit from its own support columns of the pushed
+    (B, d, m) stacks.  The circuits are consumed lazily, so a generator of
+    circuits is never held in memory as a whole.
     """
     d = priors[0].shape[0]
     support = np.flatnonzero(np.any(np.stack(priors) != 0, axis=0))
@@ -434,16 +433,9 @@ class ChernoffReport:
 def _chernoff_chunk(payload) -> list[ChernoffTrial]:
     cfg, K, p, seed, threshold, lo, hi = payload
     rows = []
-    size = dense.batch_size(len(p), np.count_nonzero(p))
     for t in range(lo, hi):
         rng = stream_rng(seed, t)
-        if cfg.n == 1:
-            # no qubit pairs: single-qubit circuits, one at a time
-            circuits = (sample_design_circuit(cfg, rng) for _ in range(K))
-        else:
-            # one push batch of records per draw
-            circuits = (sample_design_fragments(cfg, rng, min(size, K - k))
-                        for k in range(0, K, size))
+        circuits = (sample_design_circuit(cfg, rng) for _ in range(K))
         rho = _adversary_state(circuits, [p])[0]
         lam = float(dense.eigvalsh(rho)[0])
         rows.append(ChernoffTrial(lambda_max=lam,
@@ -588,10 +580,7 @@ def locking_probe(n: int, K: int, prior: PriorDistribution,
             raise ValueError("K must be >= 1")
         rng = stream_rng(seed, 0)
         cfg = SamplerConfig(n=n, delta=delta, depth_factor=depth_factor)
-        if n == 1:
-            circuits = [sample_design_circuit(cfg, rng) for _ in range(K)]
-        else:
-            circuits = [sample_design_fragments(cfg, rng, K)]
+        circuits = [sample_design_circuit(cfg, rng) for _ in range(K)]
     else:
         K = len(circuits)
     conditionals = _adversary_state(

@@ -10,8 +10,8 @@ from qlock import dense
 from qlock.dense import (NumericalError, apply_circuit_to_vector,
                          circuit_unitary, eigvalsh, overlap_prob,
                          von_neumann_entropy)
-from qlock.sampling import (SamplerConfig, all_single_qubit_circuits,
-                            sample_design_circuit, sample_design_fragments,
+from qlock.sampling import (DesignCircuit, SamplerConfig,
+                            all_single_qubit_circuits, sample_design_circuit,
                             sample_uniform_clifford, stream_rng,
                             two_qubit_table)
 from qlock.stabilizer import CliffordCircuit, gate, invert_circuit
@@ -138,14 +138,12 @@ class TestFusedRuns:
 
 
 def design_draws(n, K, seed):
-    """A (K, L, 3) record array and the K gate circuits drawn from the
-    same streams."""
+    """K design circuits and their gate circuits, drawn from the same
+    streams."""
     cfg = SamplerConfig(n, 0.25)
-    records = np.concatenate([sample_design_fragments(cfg, stream_rng(seed, k))
-                              for k in range(K)])
-    circuits = [sample_design_circuit(cfg, stream_rng(seed, k))
-                for k in range(K)]
-    return records, circuits
+    designs = [sample_design_circuit(cfg, stream_rng(seed, k))
+               for k in range(K)]
+    return designs, [CliffordCircuit(n, list(c.gates)) for c in designs]
 
 
 class TestFragmentPush:
@@ -163,9 +161,9 @@ class TestFragmentPush:
         # three circuits per batch: K = 1, K = the batch size and K not a
         # multiple of it
         monkeypatch.setattr(dense, "_BATCH_ENTRIES", 3 << (2 * n))
-        records, circuits = design_draws(n, K, 40 + n)
+        designs, circuits = design_draws(n, K, 40 + n)
         eye = np.eye(1 << n, dtype=complex)
-        stacks = list(dense.push([records], eye))
+        stacks = list(dense.push(iter(designs), eye))
         assert [len(s) for s in stacks] == [3] * (K // 3) + [K % 3] * (K % 3 > 0)
         got = np.concatenate(stacks)
         for u, c in zip(got, circuits):
@@ -176,16 +174,17 @@ class TestFragmentPush:
         # full stacks at n = 6: two whole batches, then one more circuit
         size = max(1, dense._BATCH_ENTRIES // (64 * 64))
         K = 2 * size + extra
-        records, circuits = design_draws(6, K, 7)
+        designs, circuits = design_draws(6, K, 7)
         cols = random_stack(6, 64, 3)
-        stacks = list(dense.push([records], cols))
+        stacks = list(dense.push(designs, cols))
         assert [len(s) for s in stacks] == [size, size] + [1] * extra
         for v, c in zip(np.concatenate(stacks), circuits):
             assert np.max(np.abs(v - reference_apply(c, cols))) < 1e-12
 
     def test_gate_circuits_and_records_keep_their_order(self):
-        records, circuits = design_draws(3, 4, 11)
-        stream = [circuits[0], records[1:3], circuits[3]]
+        # gate circuits go one by one and end a batch of design circuits
+        designs, circuits = design_draws(3, 4, 11)
+        stream = [circuits[0], designs[1], designs[2], circuits[3]]
         cols = random_stack(3, 2, 4)
         before = cols.copy()
         stacks = list(dense.push(stream, cols))
@@ -196,7 +195,8 @@ class TestFragmentPush:
 
     def test_empty_records_are_identity(self):
         cols = random_stack(2, 3, 5)
-        (stack,) = dense.push([np.zeros((2, 0, 3), dtype=int)], cols)
+        empty = DesignCircuit(2, np.zeros((0, 3), dtype=np.int64))
+        (stack,) = dense.push([empty, empty], cols)
         assert np.array_equal(stack, np.stack([cols, cols]))
 
     @pytest.mark.parametrize("records", [
@@ -204,19 +204,18 @@ class TestFragmentPush:
         [(5, -1, 2)]], ids=["word-high", "word-negative", "same-qubit",
                             "qubit-high", "qubit-negative"])
     def test_bad_records(self, records):
+        bad = DesignCircuit(3, np.array(records, dtype=np.int64))
         with pytest.raises(ValueError, match="out of range"):
-            list(dense.push([[records]], np.eye(8, dtype=complex)))
-
-    @pytest.mark.parametrize("records", [
-        np.zeros((4, 3), dtype=int), np.zeros((1, 4, 2), dtype=int), []],
-        ids=["one-circuit", "pairs", "empty-list"])
-    def test_record_arrays_are_three_dimensional(self, records):
-        with pytest.raises(ValueError, match=r"\(B, L, 3\)"):
-            list(dense.push([records], np.eye(8, dtype=complex)))
+            list(dense.push([bad], np.eye(8, dtype=complex)))
 
     def test_one_qubit_has_no_fragments(self):
+        # a design circuit needs two qubits, and one on other than the
+        # stack's qubit count is a dimension mismatch
         with pytest.raises(ValueError, match="two qubits"):
-            list(dense.push([[[(5, 0, 1)]]], np.eye(2, dtype=complex)))
+            DesignCircuit(1, np.array([(5, 0, 1)], dtype=np.int64))
+        (design,), _ = design_draws(2, 1, 3)
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            list(dense.push([design], np.eye(8, dtype=complex)))
 
     def test_two_qubit_table_leaves_the_fragment_table_unbuilt(self):
         # set-up builds the gate table; the fragment table waits for the

@@ -7,11 +7,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from qlock.sampling import (SamplerConfig, SeedContext,
+from qlock.sampling import (DesignCircuit, SamplerConfig, SeedContext,
                             action_to_circuit, all_single_qubit_circuits,
                             circuit_from_text, circuit_to_text,
                             derive_circuit, design_circuit_length,
-                            sample_design_circuit, sample_design_fragments,
+                            sample_design_circuit,
                             sample_two_qubit_clifford, sample_uniform_clifford,
                             single_qubit_table, stream_rng, two_qubit_table)
 from qlock.stabilizer import (CliffordCircuit, CliffordGate, Tableau,
@@ -85,34 +85,15 @@ class TestDrawEngine:
                 engine, loop = ((random.Random(seed), random.Random(seed))
                                 if plain else (stream_rng(seed, c),
                                                stream_rng(seed, c)))
-                got = sample_design_fragments(cfg, engine, count)
+                got = [sample_design_circuit(cfg, engine).records.tolist()
+                       for _ in range(count)]
                 want = reference_fragments(cfg, loop, count)
                 where = (f"n={n}, seed={seed}, count={count}, Python "
                          f"{version}: the design stream is CPython's "
                          "random.sample and randrange algorithm")
-                assert got.tolist() == want, f"records differ at {where}"
+                assert got == want, f"records differ at {where}"
                 assert engine.getstate() == loop.getstate(), \
                     f"generator state differs at {where}"
-
-    @pytest.mark.parametrize("n", [2, 22])
-    def test_split_draws_continue_the_stream(self, n):
-        cfg = SamplerConfig(n=n, delta=0.25, depth_factor=0.1)
-        whole = sample_design_fragments(cfg, stream_rng(9, n), 40)
-        rng = stream_rng(9, n)
-        parts = [sample_design_fragments(cfg, rng, k) for k in (1, 0, 13, 26)]
-        assert np.array_equal(np.concatenate(parts), whole)
-
-    def test_long_draw_spans_blocks(self):
-        # 6000 fragments read their words in several blocks
-        cfg = SamplerConfig(n=3, delta=0.25)
-        engine, loop = stream_rng(5, 0), stream_rng(5, 0)
-        assert sample_design_fragments(cfg, engine, 400).tolist() == \
-            reference_fragments(cfg, loop, 400)
-        assert engine.getstate() == loop.getstate()
-
-    def test_negative_count(self, rng):
-        with pytest.raises(ValueError, match="count"):
-            sample_design_fragments(SamplerConfig(n=2, delta=0.25), rng, -1)
 
 
 class TestTwoQubitSampler:
@@ -161,30 +142,39 @@ class TestDesignSampler:
 
     def test_fragment_count(self, rng):
         cfg = SamplerConfig(n=4, delta=2 ** -4)
-        assert sample_design_fragments(cfg, rng).shape == (1, 32, 3)
-        assert sample_design_fragments(cfg, rng, 5).shape == (5, 32, 3)
-        assert sample_design_fragments(cfg, rng, 0).shape == (0, 32, 3)
+        assert sample_design_circuit(cfg, rng).records.shape == (32, 3)
+        cfg = SamplerConfig(n=2, delta=0.25, depth_factor=0.1)
+        assert sample_design_circuit(cfg, rng).records.shape == (1, 3)
 
     @pytest.mark.parametrize("n", [2, 3, 64])
     def test_fragments_expand_the_table_words(self, n):
-        # the records are the draw loop's, and the circuit drawn from the
-        # same stream is their word-by-word expansion, which fixes the gate
-        # lists and the codebook bytes
+        # the records are the draw loop's, and the gate list is their
+        # word-by-word expansion, which fixes the gate lists and the
+        # codebook bytes
         table = two_qubit_table()
         cfg = SamplerConfig(n=n, delta=0.25)
         for k in range(20 if n < 64 else 2):
-            (records,) = sample_design_fragments(cfg, stream_rng(0x1234, k))
-            assert records.tolist() == reference_fragments(
+            circuit = sample_design_circuit(cfg, stream_rng(0x1234, k))
+            records = circuit.records.tolist()
+            assert records == reference_fragments(
                 cfg, stream_rng(0x1234, k), 1)[0]
             want = [CliffordGate(g.kind, tuple((a, b)[q] for q in g.qubits))
-                    for word, a, b in records.tolist()
+                    for word, a, b in records
                     for g in table.words[word // 16][word % 16]]
-            circuit = sample_design_circuit(cfg, stream_rng(0x1234, k))
             assert circuit.gates == want
+            assert len(circuit) == len(want)
+            derived = derive_circuit(SeedContext(0x1234, k), cfg)
+            assert type(derived) is CliffordCircuit
+            assert derived.gates == want
 
-    def test_fragments_need_two_qubits(self, rng):
+    def test_fragments_need_two_qubits(self):
         with pytest.raises(ValueError, match="two qubits"):
-            sample_design_fragments(SamplerConfig(n=1, delta=0.25), rng)
+            DesignCircuit(1, np.zeros((2, 3), dtype=np.int64))
+
+    @pytest.mark.parametrize("shape", [(4,), (4, 2), (1, 4, 3)])
+    def test_records_are_an_l_by_3_array(self, shape):
+        with pytest.raises(ValueError, match=r"\(L, 3\)"):
+            DesignCircuit(3, np.zeros(shape, dtype=np.int64))
 
     def test_n1_fallback(self, rng):
         cfg = SamplerConfig(n=1, delta=0.25)

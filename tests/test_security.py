@@ -8,8 +8,7 @@ import pytest
 from qlock import dense
 from qlock.protocol import Codebook, build_codebook
 from qlock.sampling import (SamplerConfig, all_single_qubit_circuits,
-                            sample_design_circuit, sample_design_fragments,
-                            stream_rng)
+                            sample_design_circuit, stream_rng)
 from qlock.security import (Measurement,
                             PriorDistribution, SecurityParams,
                             _adversary_state, chernoff_p1,
@@ -122,22 +121,19 @@ class TestEveState:
     def test_fragments_match_gate_circuits(self, n, K):
         # K = 600 at n = 3 spans two batches of the 8-column push
         cfg = SamplerConfig(n=n, delta=0.25)
-        records = np.concatenate([sample_design_fragments(cfg, stream_rng(3, k))
-                                  for k in range(K)])
-        circuits = [sample_design_circuit(cfg, stream_rng(3, k))
-                    for k in range(K)]
+        designs = [sample_design_circuit(cfg, stream_rng(3, k))
+                   for k in range(K)]
+        circuits = [CliffordCircuit(n, list(c.gates)) for c in designs]
         d = 1 << n
         sparse = np.zeros(d)
         sparse[[0, 3, d - 3]] = [0.5, 0.25, 0.25]
         skewed = np.arange(1.0, d + 1) / (d * (d + 1) / 2)
         priors = [PriorDistribution(n=n).probability_vector(), sparse,
                   skewed, dense.basis_vector("1" * n).real]
-        got = _adversary_state([records], priors)
+        got = _adversary_state(iter(designs), priors)
         want = _adversary_state(circuits, priors)
         for g, w in zip(got, want):
             assert np.max(np.abs(g - w)) < 1e-12
-        (alone,) = _adversary_state(iter(records[:, None]), [sparse])
-        assert np.max(np.abs(alone - want[1])) < 1e-12
 
     def test_empty_codebook_circuits_rejected(self):
         prior = PriorDistribution(n=1)
