@@ -16,6 +16,7 @@ import math
 import secrets
 import sys
 from fractions import Fraction
+from functools import lru_cache
 
 from . import design, protocol, sampling, security
 from .dense import NumericalError
@@ -87,6 +88,9 @@ def _parse_range(text: str) -> list[int]:
 
 
 def _params_for(args, n: int) -> security.SecurityParams:
+    if not 0.0 <= args.hmin_frac <= 1.0:
+        raise ValueError("--hmin-frac must be a number in [0, 1], "
+                         f"got {args.hmin_frac}")
     if args.pmax is not None:
         p_max = args.pmax
     else:
@@ -354,7 +358,6 @@ def build_parser() -> _Parser:
     p = sub.add_parser("keygen", help="draw a uniform secret key")
     p.add_argument("--K", type=int, required=True)
     common(p)
-    p.set_defaults(func=_cmd_keygen)
 
     p = sub.add_parser("codebook", help="derive and serialize a codebook")
     p.add_argument("--n", type=int, required=True)
@@ -362,21 +365,18 @@ def build_parser() -> _Parser:
     p.add_argument("--delta", type=float, default=0.0625)
     p.add_argument("--depth-factor", type=float, default=1.0)
     common(p)
-    p.set_defaults(func=_cmd_codebook)
 
     p = sub.add_parser("encrypt", help="encrypt a plaintext bit string")
     p.add_argument("--codebook", required=True)
     p.add_argument("--key", type=int, required=True)
     p.add_argument("--x", required=True)
     common(p, seed=False)
-    p.set_defaults(func=_cmd_encrypt)
 
     p = sub.add_parser("decrypt", help="decrypt a cipher file")
     p.add_argument("--codebook", required=True)
     p.add_argument("--key", type=int, required=True)
     p.add_argument("--cipher", required=True)
     common(p)
-    p.set_defaults(func=_cmd_decrypt)
 
     for name in ("moments", "gamma"):
         p = sub.add_parser(name, help="estimate overlap moments")
@@ -395,7 +395,6 @@ def build_parser() -> _Parser:
             p.add_argument("--beta")
             p.add_argument("--z", type=float, default=3.0)
         common(p, csv=True)
-        p.set_defaults(func=_cmd_moments if name == "moments" else _cmd_gamma)
 
     def bound_args(p):
         p.add_argument("--eps", type=float, default=1e-8)
@@ -409,13 +408,11 @@ def build_parser() -> _Parser:
     p.add_argument("--n", type=int, required=True)
     bound_args(p)
     common(p, seed=False, csv=True)
-    p.set_defaults(func=_cmd_keylen)
 
     p = sub.add_parser("fig2", help="key-length curves over a range of n")
     p.add_argument("--n", required=True, help="range start:stop:step")
     bound_args(p)
     common(p, seed=False, csv=True)
-    p.set_defaults(func=_cmd_fig2)
 
     p = sub.add_parser("verify-chernoff",
                        help="Monte-Carlo check of the matrix concentration")
@@ -427,7 +424,6 @@ def build_parser() -> _Parser:
     p.add_argument("--depth-factor", type=float, default=1.0)
     p.add_argument("--jobs", type=int, default=1)
     common(p, csv=True)
-    p.set_defaults(func=_cmd_verify_chernoff)
 
     p = sub.add_parser("verify-maurer",
                        help="Monte-Carlo check of the lower-tail bound")
@@ -439,7 +435,6 @@ def build_parser() -> _Parser:
     p.add_argument("--gamma", type=float)
     p.add_argument("--jobs", type=int, default=1)
     common(p, csv=True)
-    p.set_defaults(func=_cmd_verify_maurer)
 
     p = sub.add_parser("lock-probe",
                        help="Holevo quantity vs measured mutual information")
@@ -450,16 +445,21 @@ def build_parser() -> _Parser:
     p.add_argument("--depth-factor", type=float, default=0.05)
     p.add_argument("--eps-ref", type=float)
     common(p, csv=True)
-    p.set_defaults(func=_cmd_lock_probe)
 
     return parser
 
 
+@lru_cache(maxsize=1)
+def _parser() -> _Parser:
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
+    # looked up by name on each call, not bound into the cached parser
+    command = globals()["_cmd_" + args.command.replace("-", "_")]
     try:
-        args.func(args)
+        command(args)
     except NumericalError as exc:
         sys.stderr.write(f"numerical failure: {exc}\n")
         return 2

@@ -13,15 +13,27 @@ Three draws are provided:
   exact enumeration checks.
 
 The two-qubit group is enumerated once by closing the generator set
-{H0, H1, S0, S1, CNOT01, CNOT10} over conjugation-action tableaus and is
-indexed as 720 symplectic classes x 16 sign classes, sorted by canonical
-tableau key, so an index pair maps deterministically to a gate word.
+{H0, H1, S0, S1, CNOT01, CNOT10} and is indexed as 720 symplectic
+classes x 16 sign classes, sorted by canonical tableau key, so an index
+pair maps deterministically to a gate word; the 24 single-qubit
+Cliffords close {H0, S0} the same way.  The closure is a breadth-first
+search over conjugation-action tableaus packed into integers, one layer
+at a time in numpy.  Each generator acts on a packed row through a table
+of all 2^(2n+2) rows, made by one Tableau.apply, so the gate semantics
+are the tableau's own.
 
 sample_design_circuit draws a design circuit as its L fragment records
 (word, a, b), word = 16 i + j, and returns them as a DesignCircuit.
 dense.push applies the records without expanding them into gates; every
 other consumer reads the gate list, which is expanded from the records on
-first use, so one seed gives the same circuit in either form.
+first use by relabelling each word's template of generator indices onto
+(a, b), so one seed gives the same circuit in either form.
+
+The circuit text form is 'H 0; SDG 2; CNOT 0 3'.  Printing joins the
+texts the interned gates carry, and parsing looks each stripped chunk up
+in stabilizer.GATES_BY_TEXT; only a chunk that is not a canonical gate
+text (extra blanks, leading zeros, a bad gate) goes through the full
+parse, which reports it.
 
 The draw rule defines every seeded design stream.  It reads the
 generator's MT19937 output as 32-bit words, one word per getrandbits(k)
@@ -54,8 +66,8 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .stabilizer import (CliffordCircuit, CliffordGate, Tableau, gate,
-                         intern_gate, invert_circuit)
+from .stabilizer import (GATES_BY_TEXT, CliffordCircuit, CliffordGate,
+                         Tableau, gate, intern_gate, invert_circuit)
 
 
 @dataclass
@@ -110,61 +122,134 @@ def stream_rng(master_seed: int, stream_index: int) -> random.Random:
 # -- group tables ------------------------------------------------------------
 
 
-def _action_key(t: Tableau):
-    return tuple(t.row_bits(r) for r in range(2 * t.n))
+def _row_code(n: int, x: int, z: int, delta: int) -> int:
+    """A tableau row (x_bits, z_bits, delta) as one 2n+2-bit integer, ordered
+    like the tuple."""
+    return (x << (n + 2)) | (z << 2) | delta
 
 
-def _close_group(n: int, generators: list[CliffordGate]) -> dict[Tableau, tuple]:
-    """BFS closure over action tableaus; returns {tableau: shortest word}."""
-    start = Tableau(n)
-    words = {start: ()}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for tab in frontier:
-            word = words[tab]
-            for g in generators:
-                t2 = tab.copy()
-                t2.apply(g.kind, g.qubits)
-                if t2 not in words:
-                    words[t2] = word + (g,)
-                    nxt.append(t2)
-        frontier = nxt
-    return words
+def _row_tables(n: int, generators: list[CliffordGate]) -> np.ndarray:
+    """(len(generators), 2^(2n+2)) images of every row code under each
+    generator's conjugation.
+
+    One tableau holds every possible row, one row per code, so each table
+    comes from a single Tableau.apply.
+    """
+    size = 1 << (2 * n + 2)
+    every_row = Tableau(n, [0] * n, [0] * n)
+    for c in range(size):
+        every_row.set_row(c, c >> (n + 2), (c >> 2) & ((1 << n) - 1), c & 3)
+    tables = np.empty((len(generators), size), dtype=np.int64)
+    for i, g in enumerate(generators):
+        t = every_row.copy()
+        t.apply(g.kind, g.qubits)
+        tables[i] = [_row_code(n, *t.row_bits(c)) for c in range(size)]
+    return tables
+
+
+def _close_group(n: int, generators: list[CliffordGate]
+                 ) -> tuple[np.ndarray, list[tuple[int, ...]]]:
+    """BFS closure of the group the generators make.
+
+    An element is its conjugation-action tableau packed as one integer:
+    the 2n row codes, row 0 most significant, so integer order is the
+    order of the (x_bits, z_bits, delta) row tuples.  Each BFS layer is
+    expanded in numpy; an element keeps its first occurrence in
+    (frontier, generator) order, which gives every element a shortest
+    word.  Returns the codes in discovery order and each element's word
+    as generator indices.  A code has 2n(2n+2) bits, so n <= 3.
+    """
+    width = 2 * n + 2
+    shifts = width * np.arange(2 * n - 1, -1, -1, dtype=np.int64)
+    tables = _row_tables(n, generators)
+    identity = Tableau(n)
+    start = 0
+    for r in range(2 * n):
+        start = (start << width) | _row_code(n, *identity.row_bits(r))
+    frontier = np.array([start], dtype=np.int64)
+    seen = frontier
+    layers = [frontier]
+    parents: list[np.ndarray] = []
+    moves: list[np.ndarray] = []
+    offset = 0  # discovery index of frontier[0]
+    while frontier.size:
+        rows = (frontier[:, None] >> shifts) & ((1 << width) - 1)
+        images = np.bitwise_or.reduce(tables[:, rows] << shifts, axis=2)
+        cand = images.T.ravel()  # (frontier, generator) order
+        codes, first = np.unique(cand, return_index=True)
+        first = np.sort(first[~np.isin(codes, seen, assume_unique=True)])
+        parents.append(offset + first // len(generators))
+        moves.append(first % len(generators))
+        offset += len(frontier)
+        frontier = cand[first]
+        layers.append(frontier)
+        seen = np.sort(np.concatenate([seen, frontier]))
+    words: list[tuple[int, ...]] = [()]
+    for p, g in zip(np.concatenate(parents).tolist(),
+                    np.concatenate(moves).tolist()):
+        words.append(words[p] + (g,))
+    return np.concatenate(layers), words
 
 
 class _TwoQubitTable:
-    """Canonical index (symplectic class, sign class) -> gate word."""
+    """Canonical index (symplectic class, sign class) -> gate word.
+
+    words[i][j] is a tuple of generator gates; templates[16 i + j] is the
+    same word as bytes of indices into the generator list, which expand
+    relabels onto a qubit pair.
+    """
 
     def __init__(self):
+        # expand relabels these six, in this order, onto each qubit pair
         gens = [gate("H", 0), gate("H", 1), gate("S", 0), gate("S", 1),
                 gate("CNOT", 0, 1), gate("CNOT", 1, 0)]
-        words = _close_group(2, gens)
-        if len(words) != 11520:
-            raise AssertionError(f"two-qubit closure has {len(words)} elements")
-        by_sym: dict = {}
-        while words:  # drop each tableau once its key is made: lower peak RSS
-            tab, word = words.popitem()
-            key = _action_key(tab)
-            sym = tuple(row[:2] for row in key)
-            by_sym.setdefault(sym, []).append((key, word))
-        if len(by_sym) != 720:
-            raise AssertionError(f"{len(by_sym)} symplectic classes")
-        self.words: list[list[tuple]] = []
-        for sym in sorted(by_sym):
-            variants = sorted(by_sym[sym])
-            if len(variants) != 16:
-                raise AssertionError("sign classes are not 16 per symplectic class")
-            self.words.append([word for _, word in variants])
+        codes, paths = _close_group(2, gens)
+        if len(codes) != 11520:
+            raise AssertionError(f"two-qubit closure has {len(codes)} elements")
+        # per row: its 4 symplectic bits (x, z) and its 2 delta bits
+        sym = np.zeros_like(codes)
+        signs = np.zeros_like(codes)
+        for r in range(4):
+            row = (codes >> (6 * (3 - r))) & 63
+            sym = (sym << 4) | (row >> 2)
+            signs = (signs << 2) | (row & 3)
+        classes, counts = np.unique(sym, return_counts=True)
+        if len(classes) != 720:
+            raise AssertionError(f"{len(classes)} symplectic classes")
+        if np.any(counts != 16):
+            raise AssertionError("sign classes are not 16 per symplectic class")
+        self.templates = [bytes(paths[k])
+                          for k in np.lexsort((signs, sym)).tolist()]
+        self.words: list[list[tuple]] = [
+            [tuple([gens[g] for g in t]) for t in self.templates[i:i + 16]]
+            for i in range(0, 11520, 16)]
+
+    def expand(self, n: int, records: np.ndarray) -> list[CliffordGate]:
+        """The gates of fragment records (word, a, b) on n qubits: each
+        word's template with local qubit 0 on a and local qubit 1 on b."""
+        templates = self.templates
+        h = [intern_gate("H", (q,)) for q in range(n)]
+        s = [intern_gate("S", (q,)) for q in range(n)]
+        pairs: dict[int, tuple] = {}
+        gates: list[CliffordGate] = []
+        for word, a, b in records.tolist():
+            local = pairs.get(a * n + b)
+            if local is None:
+                local = pairs[a * n + b] = (
+                    h[a], h[b], s[a], s[b], intern_gate("CNOT", (a, b)),
+                    intern_gate("CNOT", (b, a)))
+            gates += map(local.__getitem__, templates[word])
+        return gates
 
 
 class _SingleQubitTable:
     def __init__(self):
-        words = _close_group(1, [gate("H", 0), gate("S", 0)])
-        if len(words) != 24:
-            raise AssertionError(f"single-qubit closure has {len(words)} elements")
-        keyed = sorted((_action_key(tab), word) for tab, word in words.items())
-        self.words = [word for _, word in keyed]
+        gens = [gate("H", 0), gate("S", 0)]
+        codes, paths = _close_group(1, gens)
+        if len(codes) != 24:
+            raise AssertionError(f"single-qubit closure has {len(codes)} elements")
+        self.words = [tuple([gens[g] for g in paths[k]])
+                      for k in np.argsort(codes).tolist()]
 
 
 @lru_cache(maxsize=1)
@@ -223,13 +308,7 @@ class DesignCircuit(CliffordCircuit):
 
     @cached_property
     def gates(self) -> list[CliffordGate]:
-        words = two_qubit_table().words
-        gates: list[CliffordGate] = []
-        for word, a, b in self.records.tolist():
-            relabel = {(0,): (a,), (1,): (b,), (0, 1): (a, b), (1, 0): (b, a)}
-            gates.extend([intern_gate(g.kind, relabel[g.qubits])
-                          for g in words[word >> 4][word & 15]])
-        return gates
+        return two_qubit_table().expand(self.n, self.records)
 
 
 def sample_design_circuit(cfg: SamplerConfig, rng) -> CliffordCircuit:
@@ -401,20 +480,32 @@ def derive_circuit(ctx: SeedContext, cfg: SamplerConfig) -> CliffordCircuit:
 
 def circuit_to_text(circuit: CliffordCircuit) -> str:
     """Semicolon-separated gate list, e.g. 'H 0; SDG 2; CNOT 0 3'."""
-    return "; ".join(f"{g.kind} {' '.join(str(q) for q in g.qubits)}"
-                     for g in circuit.gates)
+    return "; ".join([g.text for g in circuit.gates])
 
 
 def circuit_from_text(text: str, n: int) -> CliffordCircuit:
-    gates = []
-    for chunk in text.split(";"):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        parts = chunk.split()
-        try:
-            gates.append(intern_gate(parts[0],
-                                     tuple(int(q) for q in parts[1:])))
-        except ValueError as exc:
-            raise ValueError(f"bad gate {chunk!r}: {exc}") from None
+    """Parse a gate list.  Chunks are split at ';' and stripped; empty
+    chunks are skipped.  A chunk that is the canonical text of an interned
+    gate is looked up; any other chunk is parsed as a kind followed by
+    qubit indices in ASCII decimal digits, separated by whitespace."""
+    chunks = text.split(";")
+    # stripped chunks are made one at a time, not held as a second list
+    gates = [GATES_BY_TEXT.get(chunk.strip()) for chunk in chunks]
+    if not all(gates):
+        gates = [g or _parse_gate(chunk)
+                 for g, chunk in zip(gates, map(str.strip, chunks))
+                 if g or chunk]
     return CliffordCircuit(n, gates)
+
+
+def _parse_gate(chunk: str) -> CliffordGate:
+    kind, *qubits = chunk.split()
+    try:
+        for q in qubits:
+            # int() would also take '+1', '1_0' and non-ASCII digits
+            if not (q.isascii() and q.isdecimal()):
+                raise ValueError(f"invalid literal for int() with base 10: "
+                                 f"{q!r}")
+        return intern_gate(kind, tuple(map(int, qubits)))
+    except ValueError as exc:
+        raise ValueError(f"bad gate {chunk!r}: {exc}") from None

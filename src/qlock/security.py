@@ -150,7 +150,8 @@ class SecurityParams:
 
     @property
     def h_min(self) -> float:
-        return -_frac_log2(Fraction(self.p_max))
+        # 0.0 - x rather than -x: p_max = 1 gives 0, not -0
+        return 0.0 - _frac_log2(Fraction(self.p_max))
 
 
 # -- adversary states ---------------------------------------------------------

@@ -20,13 +20,21 @@ multiplication is
 
 where v.s is the GF(2) inner product, so phase bookkeeping reduces to
 parities of column masks.
+
+Gates are interned: intern_gate makes one CliffordGate per (kind, qubits)
+and every circuit holds those shared objects.  Each gate carries its
+canonical text ("CNOT 0 3") and its highest qubit index, made once, so
+printing a circuit joins stored texts, parsing one looks each chunk up in
+GATES_BY_TEXT, and a circuit checks its qubit range with one attribute
+read per gate.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from operator import attrgetter
 from typing import Optional
 
 GATE_ARITY = {
@@ -39,10 +47,13 @@ _GATE_INVERSE = {"S": "SDG", "SDG": "S"}
 
 @dataclass(frozen=True)
 class CliffordGate:
-    """A named Clifford gate on one or two qubit indices."""
+    """A named Clifford gate on one or two qubit indices, with its
+    canonical text and its highest qubit index."""
 
     kind: str
     qubits: tuple[int, ...]
+    text: str = field(init=False, repr=False, compare=False)
+    top: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         arity = GATE_ARITY.get(self.kind)
@@ -54,9 +65,16 @@ class CliffordGate:
             raise ValueError(f"{self.kind} requires distinct qubits")
         if any(q < 0 for q in self.qubits):
             raise ValueError("negative qubit index")
+        object.__setattr__(self, "text",
+                           " ".join([self.kind, *map(str, self.qubits)]))
+        object.__setattr__(self, "top", max(self.qubits))
 
     def inverse(self) -> "CliffordGate":
         return intern_gate(_GATE_INVERSE.get(self.kind, self.kind), self.qubits)
+
+
+# canonical text -> interned gate, for every gate intern_gate has made
+GATES_BY_TEXT: dict[str, CliffordGate] = {}
 
 
 @lru_cache(maxsize=None)
@@ -66,11 +84,16 @@ def intern_gate(kind: str, qubits: tuple[int, ...]) -> CliffordGate:
     Gates are immutable, so every circuit that samples, parses or inverts
     the same gate holds the same object instead of a copy per occurrence.
     """
-    return CliffordGate(kind, qubits)
+    g = CliffordGate(kind, qubits)
+    GATES_BY_TEXT[g.text] = g
+    return g
 
 
 def gate(kind: str, *qubits: int) -> CliffordGate:
     return intern_gate(kind, qubits)
+
+
+_TOP = attrgetter("top")
 
 
 @dataclass
@@ -83,11 +106,9 @@ class CliffordCircuit:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("need at least one qubit")
-        for g in self.gates:
-            if max(g.qubits) >= self.n:
-                raise ValueError(f"gate {g.kind} "
-                                 f"{' '.join(map(str, g.qubits))} "
-                                 f"out of range for n={self.n}")
+        if max(map(_TOP, self.gates), default=0) >= self.n:
+            bad = next(g for g in self.gates if g.top >= self.n)
+            raise ValueError(f"gate {bad.text} out of range for n={self.n}")
 
     def __len__(self):
         return len(self.gates)

@@ -115,6 +115,12 @@ class TestInputValidation:
          "--alpha must be a 2-bit string"),
         (("moments", "--ensemble", "uniform", "--n", "3", "--samples", "10",
           "--beta", "01"), "--beta must be a 3-bit string"),
+        (("keylen", "--n", "8", "--hmin-frac", "2"), "--hmin-frac"),
+        (("keylen", "--n", "8", "--hmin-frac", "inf"), "--hmin-frac"),
+        (("keylen", "--n", "8", "--hmin-frac", "-1"), "--hmin-frac"),
+        (("keylen", "--n", "8", "--hmin-frac", "nan"), "--hmin-frac"),
+        (("fig2", "--n", "4:9:2", "--hmin-frac", "1.5", "--csv"),
+         "--hmin-frac"),
     ], ids=["jobs-0", "jobs-negative", "trials-0", "chernoff-K-0",
             "maurer-K-0", "lock-probe-K-0", "maurer-n-0", "maurer-n-negative",
             "codebook-depth-inf", "codebook-depth-nan", "moments-depth-inf",
@@ -127,7 +133,8 @@ class TestInputValidation:
             "single-qubit-haar", "single-qubit-alpha", "single-qubit-beta",
             "single-qubit-depth", "gamma-single-qubit-n",
             "gamma-single-qubit-samples", "alpha-not-bits",
-            "uniform-beta-short"])
+            "uniform-beta-short", "keylen-hmin-above-1", "keylen-hmin-inf",
+            "keylen-hmin-negative", "keylen-hmin-nan", "fig2-hmin-above-1"])
     def test_bad_count_exits_1_with_one_line(self, args, needle):
         seed = () if args[0] in ("keylen", "fig2") or "--seed" in args \
             else ("--seed", SEED)
@@ -199,11 +206,17 @@ class TestInputValidation:
         ("0: H 5", "codebook line 2, circuit 0: gate H 5 out of range for n=2"),
         ("0: H x", "codebook line 2, circuit 0: bad gate 'H x'"),
         ("0: FOO 1", "codebook line 2, circuit 0: bad gate 'FOO 1'"),
+        # int() reads these as 1, 0 and 10; a qubit index is ASCII digits
+        ("0: H +1", "codebook line 2, circuit 0: bad gate 'H +1'"),
+        ("0: H \uff10", "codebook line 2, circuit 0: bad gate 'H \uff10'"),
+        ("0: H 1_0", "codebook line 2, circuit 0: bad gate 'H 1_0'"),
     ], ids=["index-not-int", "no-qubits", "qubit-high", "qubit-not-int",
-            "unknown-gate"])
+            "unknown-gate", "qubit-plus-sign", "qubit-fullwidth-digit",
+            "qubit-underscore"])
     def test_bad_codebook_body_exits_1(self, tmp_path, body, needle):
         path = tmp_path / "cb.txt"
-        path.write_text(f"QDLCB v1 n=2 K=1 delta=0.5 seed={SEED}\n{body}\n")
+        path.write_text(f"QDLCB v1 n=2 K=1 delta=0.5 seed={SEED}\n{body}\n",
+                        encoding="utf-8")
         res = run_cli("encrypt", "--codebook", str(path), "--key", "0",
                       "--x", "00")
         assert res.returncode == 1
@@ -281,6 +294,11 @@ class TestCsvContracts:
         rows = parse_csv(res.stdout)
         assert rows[0][0] == "ensemble"
         assert rows[1][-1] == "true"
+
+    def test_keylen_hmin_frac_zero_prints_zero(self):
+        res = run_cli("keylen", "--n", "8", "--hmin-frac", "0")
+        assert res.returncode == 0
+        assert "\nh_min = 0\n" in res.stdout
 
     def test_keylen_csv(self):
         res = run_cli("keylen", "--n", "32", "--eps", "1e-8", "--csv")
@@ -388,6 +406,25 @@ class TestDeterminism:
                       "--seed", SEED)
         assert res.returncode == 0
         assert res.stdout.startswith("ensemble = uniform\nd = 4\n")
+
+    def test_in_process_calls_match_fresh_processes(self, capsys):
+        # main builds its parser once per process; no call may leave state
+        # in it that changes a later call, including moments' defaults
+        from qlock import cli
+        calls = [("moments", "--n", "3", "--samples", "50", "--vector-mode",
+                  "HAAR", "--seed", SEED),
+                 ("gamma", "--ensemble", "single-qubit", "--seed", SEED),
+                 ("gamma", "--samples", "20", "--depth-factor", "0.5",
+                  "--seed", SEED),
+                 ("keylen", "--n", "8", "--hmin-frac", "0.5"),
+                 ("fig2", "--n", "4:9:2", "--csv"),
+                 ("keygen", "--K", "16", "--seed", SEED),
+                 ("moments", "--seed", SEED)]
+        for args in calls:
+            assert cli.main(list(args)) == 0
+            fresh = run_cli(*args)
+            assert fresh.returncode == 0
+            assert capsys.readouterr().out == fresh.stdout, args
 
     def test_verify_maurer_repeatable(self):
         args = ("verify-maurer", "--n", "1", "--tau", "0.5", "--K", "20",

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 
@@ -69,6 +70,15 @@ class TestCodebook:
         assert codebook_to_text(back) == text
         assert back.n == 3 and back.K == 5 and back.delta == 0.25
         assert back.master_seed == 0xABCDEF
+
+    def test_n256_round_trip_is_byte_identical(self):
+        cb = build_codebook(256, 1, 0.0625, master_seed=0xABC)
+        text = codebook_to_text(cb)
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "f3f260705a88b8687d748243effa91d6402194e3a4efda8ed3c159ef44f1acb2")
+        back = codebook_from_text(text)
+        assert codebook_to_text(back) == text
+        assert back.circuits[0].gates == cb.circuits[0].gates
 
     def test_parsed_codebook_shares_the_sampled_gates(self):
         # one interned object per distinct gate, not one per occurrence

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import random
+import re
 import sys
 from fractions import Fraction
 
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 from qlock.sampling import (DesignCircuit, SamplerConfig, SeedContext,
+                            _close_group,
                             action_to_circuit, all_single_qubit_circuits,
                             circuit_from_text, circuit_to_text,
                             derive_circuit, design_circuit_length,
@@ -16,7 +18,7 @@ from qlock.sampling import (DesignCircuit, SamplerConfig, SeedContext,
                             single_qubit_table, stream_rng, two_qubit_table)
 from qlock.stabilizer import (CliffordCircuit, CliffordGate, Tableau,
                               basis_overlap_prob, basis_overlap_prob_exact,
-                              invert_circuit)
+                              gate, invert_circuit)
 
 from test_stabilizer import random_circuit
 
@@ -36,6 +38,26 @@ def reference_fragments(cfg, rng, count):
             records.append([16 * i + rng.randrange(16), a, b])
         circuits.append(records)
     return circuits
+
+
+def reference_closure(n, generators):
+    """The breadth-first closure over Tableau objects that the packed
+    closure replaced: {action tableau: word as generator indices}, in
+    discovery order."""
+    start = Tableau(n)
+    words = {start: ()}
+    frontier = [start]
+    while frontier:
+        nxt = []
+        for tab in frontier:
+            for i, g in enumerate(generators):
+                t2 = tab.copy()
+                t2.apply(g.kind, g.qubits)
+                if t2 not in words:
+                    words[t2] = words[tab] + (i,)
+                    nxt.append(t2)
+        frontier = nxt
+    return words
 
 
 def action_key(circuit):
@@ -60,6 +82,33 @@ class TestTables:
                          for cls in table.words for word in cls)
         assert hashlib.sha256(text.encode()).hexdigest() == (
             "09bf257765a6854fffdfa1c9b12c4903d3719d9be0bc1b09f7c43c262618e501")
+
+    def test_single_qubit_words_are_pinned(self):
+        # single_qubit_circuit(i) and the n = 1 draws index this order
+        text = "\n".join(circuit_to_text(CliffordCircuit(1, list(word)))
+                         for word in single_qubit_table().words)
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "855c1a47f1d32f4f9d6ee5feb144ab5b8d46652e983c551ba94f37a1de8f439c")
+
+    @pytest.mark.parametrize("n, gens", [
+        (1, [gate("H", 0), gate("S", 0)]),
+        (2, [gate("H", 0), gate("H", 1), gate("S", 0), gate("S", 1),
+             gate("CNOT", 0, 1), gate("CNOT", 1, 0)])], ids=["n1", "n2"])
+    def test_closure_matches_the_tableau_bfs(self, n, gens):
+        # same elements, discovery order and shortest words; each code packs
+        # the rows (x_bits, z_bits, delta), row 0 most significant
+        codes, words = _close_group(n, gens)
+        ref = reference_closure(n, gens)
+        assert words == list(ref.values())
+        want = []
+        for tab in ref:
+            code = 0
+            for r in range(2 * n):
+                x, z, delta = tab.row_bits(r)
+                row = (x << (n + 2)) | (z << 2) | delta
+                code = (code << (2 * n + 2)) | row
+            want.append(code)
+        assert codes.tolist() == want
 
     def test_words_are_distinct_elements(self):
         keys = {action_key(CliffordCircuit(1, list(w)))
@@ -326,6 +375,23 @@ class TestSerialization:
         back = circuit_from_text(text, n)
         assert circuit_to_text(back) == text
         assert action_key(back) == action_key(c)
+
+    def test_separators_are_lenient(self):
+        # runs of blanks, a tab, an empty chunk and a trailing ';' all parse
+        c = circuit_from_text("H  0;  S 1\t; CNOT 0 1;;SDG 1;", 2)
+        assert circuit_to_text(c) == "H 0; S 1; CNOT 0 1; SDG 1"
+
+    def test_leading_zeros_parse_to_the_canonical_gate(self):
+        c = circuit_from_text("CNOT 01 00", 2)
+        assert c.gates == [gate("CNOT", 1, 0)]
+        assert circuit_to_text(c) == "CNOT 1 0"
+
+    @pytest.mark.parametrize("chunk", ["H +1", "H \uff10", "H 1_0", "H -1",
+                                       "H x", "FOO 1", "H"])
+    def test_bad_gate_is_named(self, chunk):
+        want = f"^bad gate {re.escape(repr(chunk))}: "
+        with pytest.raises(ValueError, match=want):
+            circuit_from_text(f"S 0; {chunk}; S 1", 2)
 
     def test_empty_circuit(self):
         assert circuit_to_text(CliffordCircuit(2, [])) == ""

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qlock import dense, sampling
-from qlock.stabilizer import (CliffordCircuit, CliffordMap,
+from qlock.stabilizer import (GATES_BY_TEXT, CliffordCircuit, CliffordMap,
                               PauliRow, Tableau, basis_overlap_prob,
                               basis_overlap_prob_exact, gate, invert_circuit,
                               new_basis_state, tableau_from_text)
@@ -185,6 +185,19 @@ class TestOverlap:
             u = dense.circuit_unitary(c)
             p_dense = abs(u[dense.basis_index(y), dense.basis_index(x)]) ** 2
             assert abs(basis_overlap_prob(c, x, y) - p_dense) < 1e-10
+
+
+class TestGateText:
+    def test_text_and_top(self):
+        g = gate("CNOT", 3, 1)
+        assert (g.text, g.top) == ("CNOT 3 1", 3)
+        assert GATES_BY_TEXT["CNOT 3 1"] is g
+
+    def test_out_of_range_gate_is_named(self):
+        with pytest.raises(ValueError,
+                           match=r"^gate CNOT 1 5 out of range for n=2$"):
+            CliffordCircuit(2, [gate("H", 0), gate("CNOT", 1, 5),
+                                gate("H", 7)])
 
 
 class TestInvert:
