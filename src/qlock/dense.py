@@ -227,18 +227,19 @@ class _FragmentTable:
     """
 
     def __init__(self):
-        words = two_qubit_table().words
+        word = two_qubit_table().word
         self.classes = np.empty((720, 4, 4), dtype=complex)
         self.code = np.empty(720 * 16, dtype=np.uint8)
         # a few classes at a time keeps every temporary array small
         for lo in range(0, 720, _TABLE_CHUNK):
             hi = lo + _TABLE_CHUNK
-            chunk = words[lo:hi]
-            self.classes[lo:hi] = _word_products([w[0] for w in chunk])
+            chunk = range(lo, min(hi, 720))
+            self.classes[lo:hi] = _word_products([word(16 * i) for i in chunk])
             adjoints = self.classes[lo:hi].conj().transpose(0, 2, 1)
             for j in range(16):
                 # U_{i,0}^dagger U_{i,j} = phi P for one Pauli P per class
-                rel = adjoints @ _word_products([w[j] for w in chunk])
+                rel = adjoints @ _word_products([word(16 * i + j)
+                                                 for i in chunk])
                 coef = np.einsum("pab,iab->ip", _PAULIS.conj(), rel) / 4
                 p = np.argmax(np.abs(coef), axis=1)
                 phase = coef[np.arange(len(chunk)), p]

@@ -31,9 +31,10 @@ first use by relabelling each word's template of generator indices onto
 
 The circuit text form is 'H 0; SDG 2; CNOT 0 3'.  Printing joins the
 texts the interned gates carry, and parsing looks each stripped chunk up
-in stabilizer.GATES_BY_TEXT; only a chunk that is not a canonical gate
-text (extra blanks, leading zeros, a bad gate) goes through the full
-parse, which reports it.
+in stabilizer.GATES_BY_TEXT.  A chunk that misses (a gate this process
+has not interned yet, extra blanks, leading zeros, a bad gate) goes
+through the full parse, which interns its gate, so later repeats of the
+chunk hit, or reports the chunk.
 
 The draw rule defines every seeded design stream.  It reads the
 generator's MT19937 output as 32-bit words, one word per getrandbits(k)
@@ -194,15 +195,16 @@ def _close_group(n: int, generators: list[CliffordGate]
 class _TwoQubitTable:
     """Canonical index (symplectic class, sign class) -> gate word.
 
-    words[i][j] is a tuple of generator gates; templates[16 i + j] is the
-    same word as bytes of indices into the generator list, which expand
-    relabels onto a qubit pair.
+    templates[16 i + j] is the word of class i, sign class j, as bytes of
+    indices into gens; word() gives its gates and expand relabels it onto
+    a qubit pair.
     """
 
     def __init__(self):
         # expand relabels these six, in this order, onto each qubit pair
-        gens = [gate("H", 0), gate("H", 1), gate("S", 0), gate("S", 1),
-                gate("CNOT", 0, 1), gate("CNOT", 1, 0)]
+        self.gens = gens = [gate("H", 0), gate("H", 1), gate("S", 0),
+                            gate("S", 1), gate("CNOT", 0, 1),
+                            gate("CNOT", 1, 0)]
         codes, paths = _close_group(2, gens)
         if len(codes) != 11520:
             raise AssertionError(f"two-qubit closure has {len(codes)} elements")
@@ -220,9 +222,10 @@ class _TwoQubitTable:
             raise AssertionError("sign classes are not 16 per symplectic class")
         self.templates = [bytes(paths[k])
                           for k in np.lexsort((signs, sym)).tolist()]
-        self.words: list[list[tuple]] = [
-            [tuple([gens[g] for g in t]) for t in self.templates[i:i + 16]]
-            for i in range(0, 11520, 16)]
+
+    def word(self, w: int) -> list[CliffordGate]:
+        """The gates of table word w = 16 i + j on qubits 0 and 1."""
+        return list(map(self.gens.__getitem__, self.templates[w]))
 
     def expand(self, n: int, records: np.ndarray) -> list[CliffordGate]:
         """The gates of fragment records (word, a, b) on n qubits: each
@@ -277,10 +280,9 @@ def all_single_qubit_circuits() -> list[CliffordCircuit]:
 
 def sample_two_qubit_clifford(rng) -> CliffordCircuit:
     """Uniform draw from the 11,520-element two-qubit Clifford group."""
-    table = two_qubit_table()
     i = rng.randrange(720)
     j = rng.randrange(16)
-    return CliffordCircuit(2, list(table.words[i][j]))
+    return CliffordCircuit(2, two_qubit_table().word(16 * i + j))
 
 
 # random.sample takes its pool branch up to this population size for k = 2
@@ -291,7 +293,7 @@ class DesignCircuit(CliffordCircuit):
     """A design circuit held as its (L, 3) array of fragment records.
 
     Record (word, a, b) is one uniformly random two-qubit Clifford, table
-    entry words[i][j] with word = 16 i + j, acting with its local qubit 0
+    word 16 i + j of class i and sign class j, acting with its local qubit 0
     on qubit a and local qubit 1 on qubit b.  dense.push applies the
     records directly; the gate list is their word-by-word expansion, made
     on first use.
@@ -488,13 +490,10 @@ def circuit_from_text(text: str, n: int) -> CliffordCircuit:
     chunks are skipped.  A chunk that is the canonical text of an interned
     gate is looked up; any other chunk is parsed as a kind followed by
     qubit indices in ASCII decimal digits, separated by whitespace."""
-    chunks = text.split(";")
-    # stripped chunks are made one at a time, not held as a second list
-    gates = [GATES_BY_TEXT.get(chunk.strip()) for chunk in chunks]
-    if not all(gates):
-        gates = [g or _parse_gate(chunk)
-                 for g, chunk in zip(gates, map(str.strip, chunks))
-                 if g or chunk]
+    # _parse_gate interns the gate of a missed chunk, so its repeats hit
+    lookup = GATES_BY_TEXT.get
+    gates = [lookup(chunk) or _parse_gate(chunk)
+             for chunk in map(str.strip, text.split(";")) if chunk]
     return CliffordCircuit(n, gates)
 
 

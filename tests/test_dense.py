@@ -149,10 +149,10 @@ def design_draws(n, K, seed):
 class TestFragmentPush:
     def test_every_table_word(self):
         # phi U_{i,0} P from the compact table against each word's gates
-        words = two_qubit_table().words
+        table = two_qubit_table()
         got = dense._fragment_table().matrices(np.arange(720 * 16))
         for w in range(720 * 16):
-            c = CliffordCircuit(2, list(words[w // 16][w % 16]))
+            c = CliffordCircuit(2, table.word(w))
             assert np.max(np.abs(got[w] - circuit_unitary(c))) < 1e-12
 
     @pytest.mark.parametrize("n", range(2, 7))

@@ -8,6 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from qlock import sampling
 from qlock.sampling import (DesignCircuit, SamplerConfig, SeedContext,
                             _close_group,
                             action_to_circuit, all_single_qubit_circuits,
@@ -72,14 +73,16 @@ class TestTables:
 
     def test_two_qubit_group_structure(self):
         table = two_qubit_table()
-        assert len(table.words) == 720
-        assert all(len(cls) == 16 for cls in table.words)
+        assert len(table.templates) == 720 * 16
+        assert len(set(table.templates)) == 720 * 16
+        assert all(table.word(w) == [table.gens[g] for g in t]
+                   for w, t in enumerate(table.templates))
 
     def test_table_words_are_pinned(self):
         # the canonical order fixes every sampled gate list and codebook byte
         table = two_qubit_table()
-        text = "\n".join(circuit_to_text(CliffordCircuit(2, list(word)))
-                         for cls in table.words for word in cls)
+        text = "\n".join(circuit_to_text(CliffordCircuit(2, table.word(w)))
+                         for w in range(720 * 16))
         assert hashlib.sha256(text.encode()).hexdigest() == (
             "09bf257765a6854fffdfa1c9b12c4903d3719d9be0bc1b09f7c43c262618e501")
 
@@ -168,7 +171,7 @@ class TestTwoQubitSampler:
         # elements through their canonical action tableaus
         rng = random.Random(123)
         table = two_qubit_table()
-        words = [word for cls in table.words for word in cls]
+        words = [table.word(w) for w in range(720 * 16)]
         keys = {action_key(CliffordCircuit(2, list(word))) for word in words}
         assert len(keys) == 11520
         index_of = {tuple(word): w for w, word in enumerate(words)}
@@ -209,7 +212,7 @@ class TestDesignSampler:
                 cfg, stream_rng(0x1234, k), 1)[0]
             want = [CliffordGate(g.kind, tuple((a, b)[q] for q in g.qubits))
                     for word, a, b in records
-                    for g in table.words[word // 16][word % 16]]
+                    for g in table.word(word)]
             assert circuit.gates == want
             assert len(circuit) == len(want)
             derived = derive_circuit(SeedContext(0x1234, k), cfg)
@@ -385,6 +388,18 @@ class TestSerialization:
         c = circuit_from_text("CNOT 01 00", 2)
         assert c.gates == [gate("CNOT", 1, 0)]
         assert circuit_to_text(c) == "CNOT 1 0"
+
+    def test_a_gate_first_seen_in_the_text_is_parsed_once(self, monkeypatch):
+        # a cold parse: the first chunk of a gate not interned yet takes the
+        # full parse, which interns it, so its repeats are looked up
+        calls = []
+        full = sampling._parse_gate
+        monkeypatch.setattr(sampling, "_parse_gate",
+                            lambda chunk: calls.append(chunk) or full(chunk))
+        c = circuit_from_text("CNOT 7001 7000; CNOT 7001 7000;CNOT 7001 7000",
+                              7002)
+        assert calls == ["CNOT 7001 7000"]
+        assert c.gates[0] is c.gates[1] is c.gates[2]
 
     @pytest.mark.parametrize("chunk", ["H +1", "H \uff10", "H 1_0", "H -1",
                                        "H x", "FOO 1", "H"])
