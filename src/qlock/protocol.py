@@ -11,6 +11,7 @@ ASCII with LF line endings.
 from __future__ import annotations
 
 import random
+import string
 from dataclasses import dataclass, field
 
 from .sampling import (SamplerConfig, SeedContext, circuit_from_text,
@@ -180,14 +181,26 @@ def _positive(v: int) -> bool:
     return v >= 1
 
 
+def _decimal(t: str) -> int | None:
+    """t read as ASCII decimal digits, else None (int() also takes signs,
+    underscores and non-ASCII digits)."""
+    return int(t) if t.isascii() and t.isdecimal() else None
+
+
+def _hex(t: str) -> int | None:
+    """t read as ASCII hex digits, else None (int(t, 16) also takes a 0x
+    prefix and underscores)."""
+    return int(t, 16) if t and not t.strip(string.hexdigits) else None
+
+
 def codebook_from_text(text: str) -> Codebook:
     lines = text.splitlines()
     if not lines:
         raise ValueError("empty codebook file")
     head = _header(lines[0], ["QDLCB", "v1"], {
-        "n": (int, _positive), "K": (int, _positive),
+        "n": (_decimal, _positive), "K": (_decimal, _positive),
         "delta": (float, lambda v: 0.0 < v < 1.0),
-        "seed": (lambda t: int(t, 16), lambda v: 0 <= v < 1 << 128)},
+        "seed": (_hex, lambda v: v < 1 << 128)},
         "codebook")
     n, K = head["n"], head["K"]
     body = [(i + 1, ln) for i, ln in enumerate(lines) if i and ln.strip()]
@@ -220,7 +233,7 @@ def cipher_from_text(text: str) -> CipherState:
     lines = text.splitlines()
     if not lines:
         raise ValueError("empty cipher file")
-    n = _header(lines[0], ["QDLCT", "v1"], {"n": (int, _positive)},
+    n = _header(lines[0], ["QDLCT", "v1"], {"n": (_decimal, _positive)},
                 "cipher")["n"]
     tableau = tableau_from_text("\n".join(lines[1:]))
     if tableau.n != n:

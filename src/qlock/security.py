@@ -303,13 +303,27 @@ class BoundResult:
         return math.exp(float(self.exponent))
 
 
-def chernoff_p1(params: SecurityParams, K: Real) -> BoundResult:
-    """Matrix-Chernoff failure bound exp{n ln2 - K (eps^2/4) 2^-n / p_max}."""
-    n = params.n
+def _chernoff_terms(params: SecurityParams) -> tuple[Fraction, Fraction]:
+    """(a, b) with the Chernoff exponent a - K b (see chernoff_p1)."""
+    eps = Fraction(params.epsilon)
+    return (params.n * _LN2,
+            eps * eps / 4 / (1 << params.n) / Fraction(params.p_max))
+
+
+def _maurer_terms(params: SecurityParams) -> tuple[Fraction, Fraction]:
+    """(a, b) with the Maurer exponent a - K b (see maurer_p2)."""
     eps = Fraction(params.epsilon)
     p_max = Fraction(params.p_max)
-    exponent = n * _LN2 - Fraction(K) * eps * eps / 4 / (1 << n) / p_max
-    return BoundResult(exponent)
+    ln_net = Fraction(_ln_net(params.n, params.epsilon))
+    ln_m = Fraction(math.log(params.M))
+    return (2 * (1 << params.n) * ln_net + eps * ln_m / (4 * p_max),
+            eps ** 3 / (128 * Fraction(params.gamma) * p_max))
+
+
+def chernoff_p1(params: SecurityParams, K: Real) -> BoundResult:
+    """Matrix-Chernoff failure bound exp{n ln2 - K (eps^2/4) 2^-n / p_max}."""
+    a, b = _chernoff_terms(params)
+    return BoundResult(a - Fraction(K) * b)
 
 
 def maurer_p2(params: SecurityParams, K: Real) -> BoundResult:
@@ -318,22 +332,14 @@ def maurer_p2(params: SecurityParams, K: Real) -> BoundResult:
     exp{ 2d ln(20 * 2^n / eps) + eps ln(M) / (4 p_max)
          - K eps^3 / (128 gamma p_max) },  d = 2^n.
     """
-    n = params.n
-    d = 1 << n
-    eps = Fraction(params.epsilon)
-    p_max = Fraction(params.p_max)
-    gamma = Fraction(params.gamma)
-    ln_net = Fraction(_ln_net(n, params.epsilon))
-    ln_m = Fraction(math.log(params.M))
-    exponent = (2 * d * ln_net + eps * ln_m / (4 * p_max)
-                - Fraction(K) * eps ** 3 / (128 * gamma * p_max))
-    return BoundResult(exponent)
+    a, b = _maurer_terms(params)
+    return BoundResult(a - Fraction(K) * b)
 
 
 def chernoff_threshold(params: SecurityParams) -> Fraction:
     """K at which the Chernoff exponent vanishes: 4 n 2^n p_max ln2 / eps^2."""
-    eps = Fraction(params.epsilon)
-    return 4 * params.n * (1 << params.n) * Fraction(params.p_max) * _LN2 / (eps * eps)
+    a, b = _chernoff_terms(params)
+    return a / b
 
 
 def maurer_threshold(params: SecurityParams) -> Fraction:
@@ -341,11 +347,8 @@ def maurer_threshold(params: SecurityParams) -> Fraction:
 
     (128 gamma / eps^3) [ 2^(n+1) p_max ln(20 * 2^n / eps) + eps ln(M) / 4 ].
     """
-    eps = Fraction(params.epsilon)
-    ln_net = Fraction(_ln_net(params.n, params.epsilon))
-    ln_m = Fraction(math.log(params.M))
-    bracket = (1 << (params.n + 1)) * Fraction(params.p_max) * ln_net + eps * ln_m / 4
-    return 128 * Fraction(params.gamma) / eps ** 3 * bracket
+    a, b = _maurer_terms(params)
+    return a / b
 
 
 @dataclass

@@ -128,12 +128,6 @@ class PauliRow:
     z_bits: int
     sign: int
 
-    def x_string(self) -> str:
-        return "".join("1" if (self.x_bits >> q) & 1 else "0" for q in range(self.n))
-
-    def z_string(self) -> str:
-        return "".join("1" if (self.z_bits >> q) & 1 else "0" for q in range(self.n))
-
 
 class Tableau:
     """Stabilizer state of n qubits as a destabilizer/stabilizer tableau.
@@ -168,9 +162,6 @@ class Tableau:
         return (isinstance(other, Tableau) and self.n == other.n
                 and self.xs == other.xs and self.zs == other.zs
                 and self.d0 == other.d0 and self.d1 == other.d1)
-
-    def __hash__(self):
-        return hash((self.n, tuple(self.xs), tuple(self.zs), self.d0, self.d1))
 
     # -- row access ------------------------------------------------------
 
@@ -332,20 +323,11 @@ class Tableau:
 
     def measure_sample(self, qubit: int, rng) -> int:
         """Measure qubit, drawing the outcome from rng when it is random."""
-        probe = self.measure_postselect_probe(qubit)
-        if probe is not None:
-            return probe
-        bit = 1 if rng.random() < 0.5 else 0
-        self.measure_postselect(qubit, bit)
-        return bit
-
-    def measure_postselect_probe(self, qubit: int) -> Optional[int]:
-        """Deterministic outcome of measuring qubit, or None if random."""
-        n = self.n
-        if self.xs[qubit] >> n:
-            return None
-        p = self.measure_postselect(qubit, 0)
-        return 0 if p == 1.0 else 1
+        if self.xs[qubit] >> self.n:
+            bit = 1 if rng.random() < 0.5 else 0
+            self.measure_postselect(qubit, bit)
+            return bit
+        return 0 if self.measure_postselect(qubit, 0) == 1.0 else 1
 
     # -- invariants and readout -------------------------------------------
 
@@ -355,14 +337,20 @@ class Tableau:
         return (((xr & zs_).bit_count() + (zr & xs_).bit_count()) & 1) == 0
 
     def symplectic_ok(self) -> bool:
-        """Check the full destabilizer/stabilizer pairing structure."""
+        """Check the full symplectic condition on the 2n rows.
+
+        Destabilizer i anticommutes with stabilizer j exactly when i == j,
+        and every other pair of rows commutes; each unordered pair is
+        checked once.
+        """
         n = self.n
         for i in range(n):
             for j in range(n):
-                if not self.rows_commute(n + i, n + j):
+                if self.rows_commute(i, n + j) == (i == j):
                     return False
-                want_anti = i == j
-                if self.rows_commute(i, n + j) == want_anti:
+            for j in range(i + 1, n):
+                if not (self.rows_commute(i, j)
+                        and self.rows_commute(n + i, n + j)):
                     return False
         # pairing implies rank 2n over GF(2); also require Hermitian rows
         try:
@@ -375,45 +363,30 @@ class Tableau:
     def z_readout(self) -> Optional[str]:
         """If the state is a computational basis state, return its bits.
 
-        Returns None when any stabilizer row carries an X component.  The
-        bit for qubit q solves Z_q = +/- (product of stabilizer rows) by
-        Gaussian elimination over the packed Z columns.
+        Returns None when any stabilizer row carries an X part.  Otherwise
+        Z_q is +/- the product of the stabilizers n+i whose destabilizer i
+        has X on q (Aaronson-Gottesman), so bit q is the parity of those
+        stabilizers' sign bits.
         """
         n = self.n
-        acc = 0
-        for q in range(n):
-            acc |= self.xs[q] >> n
-        if acc & ((1 << n) - 1):
+        if any(x >> n for x in self.xs):
             return None
-        rows = []
-        for i in range(n):
-            x, z, delta = self.row_bits(n + i)
-            rows.append([z, (delta >> 1) & 1])
-        # reduce [Z | sign] to [I | bits]
-        for col in range(n):
-            pivot = None
-            for r in range(col, n):
-                if (rows[r][0] >> col) & 1:
-                    pivot = r
-                    break
-            if pivot is None:
-                raise AssertionError("stabilizer Z block is singular")
-            rows[col], rows[pivot] = rows[pivot], rows[col]
-            for r in range(n):
-                if r != col and (rows[r][0] >> col) & 1:
-                    rows[r][0] ^= rows[col][0]
-                    rows[r][1] ^= rows[col][1]
-        return "".join(str(rows[q][1]) for q in range(n))
+        signs = self.d1 >> n
+        return "".join(str((x & signs).bit_count() & 1) for x in self.xs)
 
     # -- serialization -----------------------------------------------------
 
     def to_text(self) -> str:
-        lines = [f"n={self.n}"]
-        for r in range(2 * self.n):
+        """One line per row: tag, X and Z bit strings (qubit 0 first), sign."""
+        n = self.n
+        bits = f"0{n}b"
+        lines = [f"n={n}"]
+        for r in range(2 * n):
             row = self.row(r)
-            tag = "D" if r < self.n else "S"
+            tag = "D" if r < n else "S"
             sign = "+" if row.sign == 1 else "-"
-            lines.append(f"{tag} {row.x_string()} {row.z_string()} {sign}")
+            lines.append(f"{tag} {format(row.x_bits, bits)[::-1]} "
+                         f"{format(row.z_bits, bits)[::-1]} {sign}")
         return "\n".join(lines) + "\n"
 
 
@@ -421,7 +394,8 @@ def tableau_from_text(text: str) -> Tableau:
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or not lines[0].startswith("n="):
         raise ValueError("missing tableau header")
-    n = int(lines[0][2:]) if lines[0][2:].isdecimal() else 0
+    digits = lines[0][2:]
+    n = int(digits) if digits.isascii() and digits.isdecimal() else 0
     if n < 1:
         raise ValueError(f"bad tableau header {lines[0]!r}: needs n=<int >= 1>")
     if len(lines) != 2 * n + 1:
@@ -439,8 +413,8 @@ def tableau_from_text(text: str) -> Tableau:
         if xstr.strip("01") or zstr.strip("01") or sign not in ("+", "-"):
             raise ValueError(f"bad tableau row {r}: {ln!r} needs bit strings "
                              "of 0s and 1s and a sign + or -")
-        x = sum((int(xstr[q]) << q) for q in range(n))
-        z = sum((int(zstr[q]) << q) for q in range(n))
+        x = int(xstr[::-1], 2)
+        z = int(zstr[::-1], 2)
         delta = ((x & z).bit_count() + (0 if sign == "+" else 2)) % 4
         t.set_row(r, x, z, delta)
     if not t.symplectic_ok():
@@ -458,16 +432,16 @@ def check_bits(name: str, bits: str, n: int) -> None:
                          f"got {bits!r}")
 
 
+def _basis_signs(n: int, x: str) -> int:
+    """Sign bits of |x>'s stabilizers: bit n+q is set when x[q] is 1."""
+    check_bits("x", x, n)
+    return int(x[::-1], 2) << n
+
+
 def new_basis_state(n: int, x: str) -> Tableau:
     """Tableau of the computational basis state |x>, leftmost bit = qubit 0."""
-    if n < 1:
-        raise ValueError("need at least one qubit")
-    if len(x) != n or any(c not in "01" for c in x):
-        raise ValueError(f"x must be an n-bit string, got {x!r}")
     t = Tableau(n)
-    for q, c in enumerate(x):
-        if c == "1":
-            t.d1 |= 1 << (n + q)
+    t.d1 = _basis_signs(n, x)
     return t
 
 
@@ -563,13 +537,6 @@ class CliffordMap:
 
     def basis_state_image(self, x: str) -> Tableau:
         """Tableau of C|x>, equal to applying the map to new_basis_state."""
-        n = self.n
-        if len(x) != n:
-            raise ValueError("bit string length mismatch")
         t = self.tableau.copy()
-        flips = 0
-        for q, c in enumerate(x):
-            if c == "1":
-                flips |= 1 << (n + q)
-        t.d1 ^= flips
+        t.d1 ^= _basis_signs(self.n, x)
         return t

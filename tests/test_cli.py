@@ -154,11 +154,19 @@ class TestInputValidation:
         (f"n=2 K=1 delta=nan seed={SEED}", "field delta=nan"),
         (f"n=2 K=1 delta=2.5 seed={SEED}", "field delta=2.5"),
         ("n=2 K=1 delta=0.5 seed=zz", "field seed=zz"),
+        # int() reads these as 10, 1 and 2, and int(t, 16) takes 0x and _;
+        # n and K are ASCII decimal digits and seed ASCII hex digits
+        (f"n=2 K=1_0 delta=0.5 seed={SEED}", "field K=1_0"),
+        (f"n=2 K=+1 delta=0.5 seed={SEED}", "field K=+1"),
+        (f"n=\u0662 K=1 delta=0.5 seed={SEED}", "field n=\u0662"),
+        ("n=2 K=1 delta=0.5 seed=0xabc", "field seed=0xabc"),
+        ("n=2 K=1 delta=0.5 seed=0_abc", "field seed=0_abc"),
     ], ids=["missing", "unknown", "bare", "n-0", "K-0", "delta-nan",
-            "delta-above-1", "seed-not-hex"])
+            "delta-above-1", "seed-not-hex", "K-underscore", "K-plus-sign",
+            "n-arabic-indic-digit", "seed-0x", "seed-underscore"])
     def test_bad_codebook_header_exits_1(self, tmp_path, fields, needle):
         path = tmp_path / "cb.txt"
-        path.write_text(f"QDLCB v1 {fields}\n0: H 0\n")
+        path.write_text(f"QDLCB v1 {fields}\n0: H 0\n", encoding="utf-8")
         res = run_cli("encrypt", "--codebook", str(path), "--key", "0",
                       "--x", "00")
         assert res.returncode == 1
@@ -175,8 +183,10 @@ class TestInputValidation:
         ("QDLCT v1 n=2 n=2", "field 'n=2'"),
         ("QDLCT v1 m=2", "field 'm=2'"),
         ("QDLCT v2 n=2", "bad cipher header"),
+        ("QDLCT v1 n=+2", "field n=+2"),
+        ("QDLCT v1 n=\u0662", "field n=\u0662"),
     ], ids=["bare", "n-not-int", "n-0", "missing", "repeated", "unknown",
-            "version"])
+            "version", "n-plus-sign", "n-arabic-indic-digit"])
     def test_bad_cipher_header_exits_1(self, tmp_path, header, needle):
         res = decrypt_files(tmp_path, f"{header}\n{IDENTITY_N2}")
         assert res.returncode == 1
@@ -185,7 +195,8 @@ class TestInputValidation:
         assert res.stderr.count("\n") == 1
         assert needle in res.stderr
 
-    @pytest.mark.parametrize("line", ["n=x", "n=0", "n=-2"])
+    @pytest.mark.parametrize("line", ["n=x", "n=0", "n=-2", "n=+2",
+                                      "n=\u0662"])
     def test_bad_tableau_header_exits_1(self, tmp_path, line):
         rows = IDENTITY_N2.replace("n=2", line)
         res = decrypt_files(tmp_path, f"QDLCT v1 n=2\n{rows}")
@@ -199,6 +210,15 @@ class TestInputValidation:
         assert res.returncode == 1
         assert res.stderr.startswith("error: bad tableau row 2: 'S 0x 10 +'")
         assert res.stderr.count("\n") == 1
+
+    def test_anticommuting_destabilizers_exit_1(self, tmp_path):
+        # each destabilizer/stabilizer pair is right, but the destabilizers
+        # X0 and X1 Z0 anticommute, so these rows are no stabilizer state
+        rows = IDENTITY_N2.replace("D 01 00 +", "D 01 10 +")
+        res = decrypt_files(tmp_path, f"QDLCT v1 n=2\n{rows}")
+        assert res.returncode == 1
+        assert res.stdout == ""
+        assert res.stderr == "error: rows do not form a valid tableau\n"
 
     @pytest.mark.parametrize("body, needle", [
         ("x: H 0", "codebook line 2: expected circuit index 0, got 'x'"),
@@ -245,7 +265,7 @@ def decrypt_files(tmp_path, cipher_text):
     cb = tmp_path / "cb.txt"
     cb.write_text(f"QDLCB v1 n=2 K=1 delta=0.5 seed={SEED}\n0: H 0\n")
     ct = tmp_path / "ct.txt"
-    ct.write_text(cipher_text)
+    ct.write_text(cipher_text, encoding="utf-8")
     return run_cli("decrypt", "--codebook", str(cb), "--key", "0",
                    "--cipher", str(ct), "--seed", SEED)
 
@@ -346,6 +366,49 @@ class TestDeterminism:
         assert res.returncode == 0
         assert hashlib.sha256(path.read_bytes()).hexdigest() == (
             "b7180284ac2ad371c0aadd972a08b8aeba5da11abb1732a52d933e1652fca8a5")
+
+    @pytest.mark.parametrize("n, K, delta, key, wrong, x, cipher_sha, out", [
+        ("8", "4", "0.25", "2", "1", "10110101",
+         "67a5cf937aaf45f6ddbbeefed7032496c0419e0b586ca04df44c9b8e02df047e",
+         "11100001"),
+        ("64", "2", "0.0625", "1", "0", "10110101110010100001111010010110"
+         "00110101110010100001111010010110",
+         "52ee08940cd4059e0ba586226ebce1bab8b93b5065331b8c197e4e30f7b906bd",
+         "11100001001110101111111111111101"
+         "00111110100001010100001010110101"),
+    ], ids=["n8", "n64"])
+    def test_cipher_and_decrypt_are_pinned(self, tmp_path, n, K, delta, key,
+                                           wrong, x, cipher_sha, out):
+        # the cipher's bytes and the seeded right- and wrong-key readouts
+        cb = tmp_path / "cb.txt"
+        ct = tmp_path / "ct.txt"
+        assert run_cli("codebook", "--n", n, "--K", K, "--delta", delta,
+                       "--seed", SEED, "--out", str(cb)).returncode == 0
+        assert run_cli("encrypt", "--codebook", str(cb), "--key", key,
+                       "--x", x, "--out", str(ct)).returncode == 0
+        assert hashlib.sha256(ct.read_bytes()).hexdigest() == cipher_sha
+        for k, want in ((key, f"{x} deterministic=true\n"),
+                        (wrong, f"{out} deterministic=false\n")):
+            res = run_cli("decrypt", "--codebook", str(cb), "--key", k,
+                          "--cipher", str(ct), "--seed", SEED)
+            assert res.returncode == 0
+            assert res.stdout == want
+
+    @pytest.mark.parametrize("args, digest", [
+        (("keylen", "--n", "64", "--eps", "1e-8"),
+         "8ebe17057a75c6f50966b2266f31ad057a4f8b1e8a491a1caea4645e3ca83282"),
+        (("keylen", "--n", "32", "--eps", "1e-8", "--csv"),
+         "82a72336235ede32b031501219d0e0877faaca0e5b114a362c589005d92f9bfa"),
+        (("fig2", "--eps", "1e-8", "--hmin-frac", "1.0", "--n", "10:131:10",
+          "--csv"),
+         "1fb4dcfe8f00c9b6e51813f1a7d60de98845bce4726abd18d957bea790f06f44"),
+        (("fig2", "--n", "1:20:3", "--hmin-frac", "0.5", "--csv"),
+         "e685e9170eab30bb68db3167ac9030b67aa1bbaa5b020d703da39a017f7a35fa"),
+    ], ids=["keylen", "keylen-csv", "fig2", "fig2-hmin-half"])
+    def test_bound_outputs_are_pinned(self, args, digest):
+        res = run_cli(*args)
+        assert res.returncode == 0
+        assert hashlib.sha256(res.stdout.encode()).hexdigest() == digest
 
     @pytest.mark.parametrize("n, alpha, beta, samples, row", [
         ("2", "01", "11", "2000",

@@ -43,10 +43,13 @@ def reference_fragments(cfg, rng, count):
 
 def reference_closure(n, generators):
     """The breadth-first closure over Tableau objects that the packed
-    closure replaced: {action tableau: word as generator indices}, in
+    closure replaced: [(action tableau, word as generator indices)], in
     discovery order."""
+    def key(t):
+        return tuple(t.xs), tuple(t.zs), t.d0, t.d1
+
     start = Tableau(n)
-    words = {start: ()}
+    words = {key(start): (start, ())}
     frontier = [start]
     while frontier:
         nxt = []
@@ -54,11 +57,11 @@ def reference_closure(n, generators):
             for i, g in enumerate(generators):
                 t2 = tab.copy()
                 t2.apply(g.kind, g.qubits)
-                if t2 not in words:
-                    words[t2] = words[tab] + (i,)
+                if key(t2) not in words:
+                    words[key(t2)] = (t2, words[key(tab)][1] + (i,))
                     nxt.append(t2)
         frontier = nxt
-    return words
+    return list(words.values())
 
 
 def action_key(circuit):
@@ -102,9 +105,9 @@ class TestTables:
         # the rows (x_bits, z_bits, delta), row 0 most significant
         codes, words = _close_group(n, gens)
         ref = reference_closure(n, gens)
-        assert words == list(ref.values())
+        assert words == [word for _, word in ref]
         want = []
-        for tab in ref:
+        for tab, _ in ref:
             code = 0
             for r in range(2 * n):
                 x, z, delta = tab.row_bits(r)

@@ -236,6 +236,29 @@ class TestBounds:
         assert r1.exponent == 0 and r1.bound == 1.0
         assert r2.exponent == 0 and r2.bound == 1.0
 
+    @pytest.mark.parametrize("seed", range(20))
+    def test_bounds_equal_their_closed_forms(self, seed):
+        # the four calculators share one (a, b) pair per bound; each must
+        # equal the formula in its docstring, exactly
+        params = self.random_params(seed)
+        n, d = params.n, 1 << params.n
+        eps = Fraction(params.epsilon)
+        p_max = Fraction(params.p_max)
+        gamma = Fraction(params.gamma)
+        ln2 = Fraction(math.log(2.0))
+        ln_net = Fraction(math.log(20.0) + n * math.log(2.0)
+                          - math.log(params.epsilon))
+        ln_m = Fraction(math.log(params.M))
+        K = random.Random(seed).randrange(1, 10 ** 40)
+        assert chernoff_p1(params, K).exponent == (
+            n * ln2 - K * eps * eps / 4 / d / p_max)
+        assert maurer_p2(params, K).exponent == (
+            2 * d * ln_net + eps * ln_m / (4 * p_max)
+            - K * eps ** 3 / (128 * gamma * p_max))
+        assert chernoff_threshold(params) == 4 * n * d * p_max * ln2 / eps ** 2
+        assert maurer_threshold(params) == 128 * gamma / eps ** 3 * (
+            2 * d * p_max * ln_net + eps * ln_m / 4)
+
     def test_chernoff_monotone_in_k(self):
         params = SecurityParams(n=4, epsilon=0.1, p_max=Fraction(1, 16),
                                 M=16, gamma=2.0)

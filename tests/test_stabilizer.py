@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qlock import dense, sampling
+from qlock.protocol import build_codebook
 from qlock.stabilizer import (GATES_BY_TEXT, CliffordCircuit, CliffordMap,
                               PauliRow, Tableau, basis_overlap_prob,
                               basis_overlap_prob_exact, gate, invert_circuit,
@@ -35,6 +36,33 @@ def random_state(n, rng, depth=30):
     return t
 
 
+def reference_z_readout(t):
+    """The Gaussian elimination z_readout used before the destabilizer
+    rule: solve Z_q = +/- (product of stabilizer rows) for every q."""
+    n = t.n
+    rows = []
+    for i in range(n):
+        x, z, delta = t.row_bits(n + i)
+        if x:
+            return None
+        rows.append([z, (delta >> 1) & 1])
+    # reduce [Z | sign] to [I | bits]
+    for col in range(n):
+        pivot = next(r for r in range(col, n) if (rows[r][0] >> col) & 1)
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        for r in range(n):
+            if r != col and (rows[r][0] >> col) & 1:
+                rows[r][0] ^= rows[col][0]
+                rows[r][1] ^= rows[col][1]
+    return "".join(str(rows[q][1]) for q in range(n))
+
+
+def readout_agrees(t):
+    bits = t.z_readout()
+    assert bits == reference_z_readout(t)
+    return bits
+
+
 class TestBasisState:
     def test_single_zero(self):
         t = new_basis_state(1, "0")
@@ -57,6 +85,12 @@ class TestBasisState:
             new_basis_state(2, "0")
         with pytest.raises(ValueError):
             new_basis_state(1, "2")
+
+    @pytest.mark.parametrize("x", ["0", "012", "0 1", "1_0", "+11"])
+    def test_map_image_rejects_bad_bits(self, x):
+        m = CliffordMap(CliffordCircuit(3, [gate("H", 0)]))
+        with pytest.raises(ValueError, match="x must be a 3-bit string"):
+            m.basis_state_image(x)
 
 
 class TestGates:
@@ -282,3 +316,74 @@ class TestCliffordMap:
         t = new_basis_state(2, "00")
         t.apply("H", (0,))
         assert t.z_readout() is None
+
+
+class TestZReadout:
+    """z_readout against the elimination it replaced, on every decrypted
+    state and on the states measurement leaves behind."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 64])
+    def test_decrypted_states_match_the_elimination(self, n):
+        rng = random.Random(900 + n)
+        K = 3
+        cb = build_codebook(n, K, 0.5, master_seed=0x5EED + n,
+                            depth_factor=0.25)
+        seen = set()
+        for _ in range(4):
+            x = "".join(rng.choice("01") for _ in range(n))
+            for k in range(K):
+                cipher = cb.map(k).basis_state_image(x)
+                for guess in range(K):
+                    t = cipher.copy()
+                    cb.inverse_map(guess).apply_to(t)
+                    bits = readout_agrees(t)
+                    if guess == k:
+                        assert bits == x
+                    seen.add(bits is None)
+                    # measure half the qubits, then the rest
+                    for q in rng.sample(range(n), (n + 1) // 2):
+                        t.measure_sample(q, rng)
+                    readout_agrees(t)
+                    for q in range(n):
+                        t.measure_sample(q, rng)
+                    assert readout_agrees(t) is not None
+        # n = 1 design circuits may all map |x> to basis states
+        assert seen == {False, True} or n == 1
+
+    def test_decrypted_states_at_n256(self):
+        rng = random.Random(1256)
+        cb = build_codebook(256, 2, 0.5, master_seed=0x5EED,
+                            depth_factor=0.05)
+        x = "".join(rng.choice("01") for _ in range(256))
+        right = cb.map(0).basis_state_image(x)
+        wrong = right.copy()
+        cb.inverse_map(0).apply_to(right)
+        cb.inverse_map(1).apply_to(wrong)
+        assert readout_agrees(right) == x
+        assert readout_agrees(wrong) is None
+        for q in range(256):
+            wrong.measure_sample(q, rng)
+        assert readout_agrees(wrong) is not None
+
+    @pytest.mark.parametrize("n", [2, 5, 8, 64, 256])
+    def test_classical_circuits_keep_basis_states(self, n):
+        # CNOT, SWAP and X permute basis states; CZ, S and Z only add
+        # phases, so the readout must follow the permutation while the
+        # destabilizers pick up Z parts and the stabilizer Z block fills in
+        rng = random.Random(1000 + n)
+        x = [rng.randrange(2) for _ in range(n)]
+        t = new_basis_state(n, "".join(map(str, x)))
+        for _ in range(8 * n):
+            kind = rng.choice(["CNOT", "SWAP", "X", "CZ", "S", "Z"])
+            if kind in ("CNOT", "SWAP", "CZ"):
+                a, b = rng.sample(range(n), 2)
+                t.apply(kind, (a, b))
+                if kind == "CNOT":
+                    x[b] ^= x[a]
+                elif kind == "SWAP":
+                    x[a], x[b] = x[b], x[a]
+            else:
+                q = rng.randrange(n)
+                t.apply(kind, (q,))
+                x[q] ^= kind == "X"
+        assert readout_agrees(t) == "".join(map(str, x))
