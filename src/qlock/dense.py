@@ -223,7 +223,9 @@ class _FragmentTable:
     classes holds the 720 unitaries U_{i,0}.  code[w] = 8 p + k names the
     Pauli P_p and the phase phi_w = e^{i pi k / 4}.  A Pauli has one
     nonzero entry per column, so U_w[:, c] = U_{i,0}[:, cols[code, c]] *
-    scale[code, c], and no 4x4 matrix is stored per word.
+    scale[code, c], and no 4x4 matrix is stored per word.  The 128 codes
+    keep these as (4, 4) tables of offsets into a flattened U_{i,0} and
+    of factors, so the matrices of B words are one take and one multiply.
     """
 
     def __init__(self):
@@ -253,13 +255,19 @@ class _FragmentTable:
         entries = np.take_along_axis(_PAULIS, rows[:, None, :], axis=1)[:, 0]
         self.cols = rows.repeat(8, axis=0)
         self.scale = entries.repeat(8, axis=0) * np.tile(_EIGHTH, 16)[:, None]
+        # per code, entry (r, c) of U_w is entry offsets[code, r, c] of the
+        # flattened U_{i,0} times factors[code, r, c]
+        self.offsets = 4 * np.arange(4)[:, None] + self.cols[:, None, :]
+        self.factors = np.repeat(self.scale[:, None, :], 4, axis=1)
 
     def matrices(self, words: np.ndarray) -> np.ndarray:
         """(B, 4, 4) unitaries of the table words."""
         code = self.code[words]
-        return (np.take_along_axis(self.classes[words >> 4],
-                                   self.cols[code][:, None, :], axis=2)
-                * self.scale[code][:, None, :])
+        index = self.offsets[code]
+        index += (16 * (words >> 4))[:, None, None]
+        out = self.classes.reshape(-1).take(index)
+        out *= self.factors[code]
+        return out
 
 
 @lru_cache(maxsize=1)

@@ -11,6 +11,7 @@ ASCII with LF line endings.
 from __future__ import annotations
 
 import random
+import re
 import string
 from dataclasses import dataclass, field
 
@@ -101,10 +102,9 @@ class CipherState:
 
 def encrypt(cb: Codebook, key: SecretKey, x: str) -> CipherState:
     """Cipher state C_k|x>: the basis-state tableau pushed through circuit k."""
-    if len(x) != cb.n or any(c not in "01" for c in x):
-        raise ValueError(f"plaintext must be a {cb.n}-bit string")
     if not 0 <= key.k < cb.K:
         raise ValueError("key index out of range for this codebook")
+    # basis_state_image checks x
     return CipherState(cb.n, cb.map(key.k).basis_state_image(x))
 
 
@@ -187,6 +187,17 @@ def _decimal(t: str) -> int | None:
     return int(t) if t.isascii() and t.isdecimal() else None
 
 
+# what repr(float) prints for a finite float: ASCII digits, at most one
+# '.', and an optional exponent of two or more digits
+_REPR_FLOAT = re.compile(r"[0-9]+(\.[0-9]+)?(e[+-][0-9]{2,})?")
+
+
+def _repr_float(t: str) -> float | None:
+    """t read as a float in repr form, else None (float() also takes
+    underscores, non-ASCII digits, 'inf' and 'nan')."""
+    return float(t) if _REPR_FLOAT.fullmatch(t) else None
+
+
 def _hex(t: str) -> int | None:
     """t read as ASCII hex digits, else None (int(t, 16) also takes a 0x
     prefix and underscores)."""
@@ -199,7 +210,7 @@ def codebook_from_text(text: str) -> Codebook:
         raise ValueError("empty codebook file")
     head = _header(lines[0], ["QDLCB", "v1"], {
         "n": (_decimal, _positive), "K": (_decimal, _positive),
-        "delta": (float, lambda v: 0.0 < v < 1.0),
+        "delta": (_repr_float, lambda v: 0.0 < v < 1.0),
         "seed": (_hex, lambda v: v < 1 << 128)},
         "codebook")
     n, K = head["n"], head["K"]
@@ -209,11 +220,7 @@ def codebook_from_text(text: str) -> Codebook:
     circuits = []
     for k, (lineno, ln) in enumerate(body):
         idx, _, rest = ln.partition(":")
-        try:
-            index = int(idx)
-        except ValueError:
-            index = None
-        if index != k:
+        if _decimal(idx.strip()) != k:
             raise ValueError(f"codebook line {lineno}: expected circuit "
                              f"index {k}, got {idx.strip()!r}")
         try:

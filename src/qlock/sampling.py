@@ -61,7 +61,6 @@ from __future__ import annotations
 import hashlib
 import math
 import random
-from array import array
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -313,6 +312,18 @@ class DesignCircuit(CliffordCircuit):
         return two_qubit_table().expand(self.n, self.records)
 
 
+@lru_cache(maxsize=64)
+def _draw_plan(n: int, delta: float, depth_factor: float
+               ) -> tuple[int, bool, int, int, int]:
+    """(L, pool branch, k0, m1, k1) of the draw rule for one ensemble: the
+    fragment count, the branch of slot 2, the bit count of slot 1, and the
+    bound and bit count of slot 2."""
+    pool = n <= _POOL_MAX
+    m1 = n - 1 if pool else n
+    return (design_circuit_length(n, delta, depth_factor), pool,
+            n.bit_length(), m1, m1.bit_length())
+
+
 def sample_design_circuit(cfg: SamplerConfig, rng) -> CliffordCircuit:
     """Approximate-2-design circuit of L two-qubit fragments.
 
@@ -323,15 +334,10 @@ def sample_design_circuit(cfg: SamplerConfig, rng) -> CliffordCircuit:
     n = cfg.n
     if n == 1:
         return single_qubit_circuit(rng.randrange(24))
-    length = design_circuit_length(n, cfg.delta, cfg.depth_factor)
+    length, pool, k0, m1, k1 = _draw_plan(n, cfg.delta, cfg.depth_factor)
     bits = rng.getrandbits
-    pool = n <= _POOL_MAX
-    k0 = n.bit_length()
-    m1 = n - 1 if pool else n
-    k1 = m1.bit_length()
-    flat = array("q")
-    put = flat.extend
-    for _ in range(length):
+    flat = [0] * (3 * length)
+    for t in range(0, 3 * length, 3):
         a = bits(k0)
         while a >= n:
             a = bits(k0)
@@ -350,9 +356,10 @@ def sample_design_circuit(cfg: SamplerConfig, rng) -> CliffordCircuit:
         s = bits(5)
         while s >= 16:
             s = bits(5)
-        put((16 * i + s, a, b))
-    records = np.frombuffer(flat, dtype=np.int64).reshape(length, 3)
-    return DesignCircuit(n, records)
+        flat[t] = 16 * i + s
+        flat[t + 1] = a
+        flat[t + 2] = b
+    return DesignCircuit(n, np.array(flat, dtype=np.int64).reshape(length, 3))
 
 
 def sample_uniform_clifford(n: int, rng) -> CliffordCircuit:

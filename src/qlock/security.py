@@ -162,10 +162,12 @@ def _adversary_state(circuits: Iterable, priors: Sequence[np.ndarray]
     """rho_j = (1/K) sum_k C_k diag(p_j) C_k^dagger for each prior p_j.
 
     dense.push applies each circuit, or each batch of design circuits, to
-    the union of the priors' support columns once, and every rho_j is
-    summed circuit by circuit from its own support columns of the pushed
-    (B, d, m) stacks.  The circuits are consumed lazily, so a generator of
-    circuits is never held in memory as a whole.
+    the union of the priors' support columns once.  Each circuit's term
+    U_k diag(p_j) U_k^dagger is one matrix of a batched matmul over its
+    prior's support columns of a pushed (B, d, m) stack, and the terms
+    are added to rho_j in circuit order, left to right, so the sum does
+    not depend on the batch size.  The circuits are consumed lazily, so a
+    generator of circuits is never held in memory as a whole.
     """
     d = priors[0].shape[0]
     support = np.flatnonzero(np.any(np.stack(priors) != 0, axis=0))
@@ -175,12 +177,18 @@ def _adversary_state(circuits: Iterable, priors: Sequence[np.ndarray]
         own = np.flatnonzero(p)
         picks.append((np.searchsorted(support, own), p[own]))
     rhos = [np.zeros((d, d), dtype=complex) for _ in priors]
+    # circuits whose terms are formed at once: at most _BATCH_ENTRIES entries
+    size = max(1, dense._BATCH_ENTRIES // (d * d))
     count = 0
     for stack in dense.push(circuits, cols):
         for rho, (pos, weights) in zip(rhos, picks):
-            # one circuit at a time: a d x d sum per circuit, never B of them
-            for u in stack[:, :, pos]:
-                rho += (u * weights) @ u.conj().T
+            us = stack[:, :, pos]
+            for lo in range(0, len(us), size):
+                part = us[lo:lo + size]
+                terms = (part * weights) @ part.conj().transpose(0, 2, 1)
+                # rho + term_0 + term_1 + ..., added left to right
+                np.add.reduce(np.concatenate([rho[None], terms]), axis=0,
+                              out=rho)
         count += len(stack)
     if count == 0:
         raise ValueError("K must be >= 1")

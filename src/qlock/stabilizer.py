@@ -23,17 +23,16 @@ parities of column masks.
 
 Gates are interned: intern_gate makes one CliffordGate per (kind, qubits)
 and every circuit holds those shared objects.  Each gate carries its
-canonical text ("CNOT 0 3") and its highest qubit index, made once, so
-printing a circuit joins stored texts, parsing one looks each chunk up in
-GATES_BY_TEXT, and a circuit checks its qubit range with one attribute
-read per gate.
+canonical text ("CNOT 0 3"), its highest qubit index and its inverse
+gate, made once, so printing a circuit joins stored texts, parsing one
+looks each chunk up in GATES_BY_TEXT, a circuit checks its qubit range
+with one attribute read per gate, and inverting it reads one per gate.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 from operator import attrgetter
 from typing import Optional
 
@@ -48,12 +47,14 @@ _GATE_INVERSE = {"S": "SDG", "SDG": "S"}
 @dataclass(frozen=True)
 class CliffordGate:
     """A named Clifford gate on one or two qubit indices, with its
-    canonical text and its highest qubit index."""
+    canonical text, its highest qubit index and, once interned, its
+    inverse gate."""
 
     kind: str
     qubits: tuple[int, ...]
     text: str = field(init=False, repr=False, compare=False)
     top: int = field(init=False, repr=False, compare=False)
+    inv: "CliffordGate" = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         arity = GATE_ARITY.get(self.kind)
@@ -70,22 +71,37 @@ class CliffordGate:
         object.__setattr__(self, "top", max(self.qubits))
 
     def inverse(self) -> "CliffordGate":
-        return intern_gate(_GATE_INVERSE.get(self.kind, self.kind), self.qubits)
+        """The interned inverse gate."""
+        return self.inv
 
 
 # canonical text -> interned gate, for every gate intern_gate has made
 GATES_BY_TEXT: dict[str, CliffordGate] = {}
 
+_INTERNED: dict[tuple[str, tuple[int, ...]], CliffordGate] = {}
 
-@lru_cache(maxsize=None)
+
+def _new_gate(kind: str, qubits: tuple[int, ...]) -> CliffordGate:
+    g = CliffordGate(kind, qubits)
+    _INTERNED[kind, qubits] = GATES_BY_TEXT[g.text] = g
+    return g
+
+
 def intern_gate(kind: str, qubits: tuple[int, ...]) -> CliffordGate:
     """The one shared CliffordGate for (kind, qubits).
 
     Gates are immutable, so every circuit that samples, parses or inverts
     the same gate holds the same object instead of a copy per occurrence.
+    S and SDG on the same qubit are made together, so every interned gate
+    holds its interned inverse in inv.
     """
-    g = CliffordGate(kind, qubits)
-    GATES_BY_TEXT[g.text] = g
+    g = _INTERNED.get((kind, qubits))
+    if g is None:
+        g = _new_gate(kind, qubits)
+        partner = _GATE_INVERSE.get(kind)
+        inv = g if partner is None else _new_gate(partner, qubits)
+        object.__setattr__(g, "inv", inv)
+        object.__setattr__(inv, "inv", g)
     return g
 
 
@@ -114,9 +130,12 @@ class CliffordCircuit:
         return len(self.gates)
 
 
+_INV = attrgetter("inv")
+
+
 def invert_circuit(circuit: CliffordCircuit) -> CliffordCircuit:
     """Inverse circuit: gates reversed, each replaced by its inverse."""
-    return CliffordCircuit(circuit.n, [g.inverse() for g in reversed(circuit.gates)])
+    return CliffordCircuit(circuit.n, list(map(_INV, reversed(circuit.gates))))
 
 
 @dataclass(frozen=True)

@@ -161,9 +161,17 @@ class TestInputValidation:
         (f"n=\u0662 K=1 delta=0.5 seed={SEED}", "field n=\u0662"),
         ("n=2 K=1 delta=0.5 seed=0xabc", "field seed=0xabc"),
         ("n=2 K=1 delta=0.5 seed=0_abc", "field seed=0_abc"),
+        # float() reads these as 0.25, 0.5 and 0.5; delta is what
+        # repr(float) prints: ASCII digits, one '.', an e+-dd exponent
+        (f"n=2 K=1 delta=0.2_5 seed={SEED}", "field delta=0.2_5"),
+        (f"n=2 K=1 delta=\u0660.\u0665 seed={SEED}",
+         "field delta=\u0660.\u0665"),
+        (f"n=2 K=1 delta=+0.5 seed={SEED}", "field delta=+0.5"),
     ], ids=["missing", "unknown", "bare", "n-0", "K-0", "delta-nan",
             "delta-above-1", "seed-not-hex", "K-underscore", "K-plus-sign",
-            "n-arabic-indic-digit", "seed-0x", "seed-underscore"])
+            "n-arabic-indic-digit", "seed-0x", "seed-underscore",
+            "delta-underscore", "delta-arabic-indic-digits",
+            "delta-plus-sign"])
     def test_bad_codebook_header_exits_1(self, tmp_path, fields, needle):
         path = tmp_path / "cb.txt"
         path.write_text(f"QDLCB v1 {fields}\n0: H 0\n", encoding="utf-8")
@@ -230,9 +238,13 @@ class TestInputValidation:
         ("0: H +1", "codebook line 2, circuit 0: bad gate 'H +1'"),
         ("0: H \uff10", "codebook line 2, circuit 0: bad gate 'H \uff10'"),
         ("0: H 1_0", "codebook line 2, circuit 0: bad gate 'H 1_0'"),
+        # int() reads both as 0; a circuit index is ASCII digits too
+        ("+0: H 0", "codebook line 2: expected circuit index 0, got '+0'"),
+        ("\u0660: H 0",
+         "codebook line 2: expected circuit index 0, got '\u0660'"),
     ], ids=["index-not-int", "no-qubits", "qubit-high", "qubit-not-int",
             "unknown-gate", "qubit-plus-sign", "qubit-fullwidth-digit",
-            "qubit-underscore"])
+            "qubit-underscore", "index-plus-sign", "index-arabic-indic-digit"])
     def test_bad_codebook_body_exits_1(self, tmp_path, body, needle):
         path = tmp_path / "cb.txt"
         path.write_text(f"QDLCB v1 n=2 K=1 delta=0.5 seed={SEED}\n{body}\n",
@@ -243,6 +255,28 @@ class TestInputValidation:
         assert res.stdout == ""
         assert res.stderr.startswith(f"error: {needle}")
         assert res.stderr.count("\n") == 1
+
+    @pytest.mark.parametrize("delta", ["0.25", "1e-05", "1.5e-07"])
+    def test_codebook_delta_in_repr_form_is_read(self, tmp_path, delta):
+        path = tmp_path / "cb.txt"
+        res = run_cli("codebook", "--n", "2", "--K", "1", "--delta", delta,
+                      "--seed", SEED, "--out", str(path))
+        assert res.returncode == 0
+        assert f" delta={delta} " in path.read_text()
+        res = run_cli("encrypt", "--codebook", str(path), "--key", "0",
+                      "--x", "01")
+        assert res.returncode == 0, res.stderr
+
+    @pytest.mark.parametrize("x", ["012", "0", "0 1"])
+    def test_bad_plaintext_exits_1(self, tmp_path, x):
+        path = tmp_path / "cb.txt"
+        path.write_text(f"QDLCB v1 n=2 K=1 delta=0.5 seed={SEED}\n0: H 0\n")
+        res = run_cli("encrypt", "--codebook", str(path), "--key", "0",
+                      "--x", x)
+        assert res.returncode == 1
+        assert res.stdout == ""
+        assert res.stderr == ("error: x must be a 2-bit string of 0s and 1s, "
+                              f"got {x!r}\n")
 
     @pytest.mark.parametrize("option", [("--z", "3"), ("--vector-mode", "HAAR"),
                                         ("--alpha", "00"), ("--beta", "00")],

@@ -137,6 +137,16 @@ class TestFusedRuns:
         assert empty[0, 0] == 1.0
 
 
+def reference_matrices(table, words):
+    """(B, 4, 4) unitaries of table words by gathering each word's columns
+    of U_{i,0} and scaling them, the form matrices() had before it read
+    per-code offset and factor tables."""
+    code = table.code[words]
+    return (np.take_along_axis(table.classes[words >> 4],
+                               table.cols[code][:, None, :], axis=2)
+            * table.scale[code][:, None, :])
+
+
 def design_draws(n, K, seed):
     """K design circuits and their gate circuits, drawn from the same
     streams."""
@@ -154,6 +164,17 @@ class TestFragmentPush:
         for w in range(720 * 16):
             c = CliffordCircuit(2, table.word(w))
             assert np.max(np.abs(got[w] - circuit_unitary(c))) < 1e-12
+
+    def test_matrices_equal_the_column_gather(self):
+        # bit for bit: the same entries times the same scale factors
+        table = dense._fragment_table()
+        words = np.arange(720 * 16)
+        want = reference_matrices(table, words)
+        assert np.array_equal(table.matrices(words), want)
+        rng = np.random.default_rng(3)
+        some = rng.integers(0, 720 * 16, size=(400,))
+        assert np.array_equal(table.matrices(some), want[some])
+        assert table.matrices(words[:0]).shape == (0, 4, 4)
 
     @pytest.mark.parametrize("n", range(2, 7))
     @pytest.mark.parametrize("K", [1, 3, 7])

@@ -65,6 +65,33 @@ class TestParams:
             SecurityParams(n=2, epsilon=0.1, p_max=0.5, M=2, gamma=0.5)
 
 
+def reference_adversary_state(circuits, priors):
+    """The per-circuit sum: each rho_j gains (u * w) @ u^dagger with one
+    2-D matmul per circuit, the form _adversary_state had before it
+    formed a push batch's terms in one batched matmul."""
+    d = priors[0].shape[0]
+    support = np.flatnonzero(np.any(np.stack(priors) != 0, axis=0))
+    cols = np.eye(d, dtype=complex)[:, support]
+    picks = []
+    for p in priors:
+        own = np.flatnonzero(p)
+        picks.append((np.searchsorted(support, own), p[own]))
+    rhos = [np.zeros((d, d), dtype=complex) for _ in priors]
+    count = 0
+    for stack in dense.push(circuits, cols):
+        for rho, (pos, weights) in zip(rhos, picks):
+            for u in stack[:, :, pos]:
+                rho += (u * weights) @ u.conj().T
+        count += len(stack)
+    return [rho / count for rho in rhos]
+
+
+def sparse_prior(d):
+    p = np.zeros(d)
+    p[[0, 3, d - 3]] = [0.5, 0.25, 0.25]
+    return p
+
+
 class TestEveState:
     def test_identity_uniform_is_maximally_mixed(self):
         rho = eve_state(identity_codebook(2), PriorDistribution(n=2))
@@ -134,6 +161,33 @@ class TestEveState:
         want = _adversary_state(circuits, priors)
         for g, w in zip(got, want):
             assert np.max(np.abs(g - w)) < 1e-12
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    @pytest.mark.parametrize("kind", ["uniform", "sparse", "several"])
+    def test_batched_terms_equal_the_per_circuit_sum(self, n, kind):
+        # bit for bit, with K spanning two push batches and a part of a
+        # third; from n = 4 the terms of a batch are formed in several
+        # parts (at n = 5 of 8 circuits each), below the batch size
+        d = 1 << n
+        uniform = PriorDistribution(n=n).probability_vector()
+        skewed = np.arange(1.0, d + 1) / (d * (d + 1) / 2)
+        priors = {"uniform": [uniform], "sparse": [sparse_prior(d)],
+                  "several": [uniform, sparse_prior(d), skewed,
+                              dense.basis_vector("1" * n).real]}[kind]
+        m = np.count_nonzero(np.any(np.stack(priors) != 0, axis=0))
+        K = 2 * max(1, dense._BATCH_ENTRIES // (d * m)) + 3
+        cfg = SamplerConfig(n=n, delta=0.25)
+        rng = stream_rng(17, n)
+        designs = [sample_design_circuit(cfg, rng) for _ in range(K)]
+        got = _adversary_state(iter(designs), priors)
+        want = reference_adversary_state(iter(designs), priors)
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
+        # gate circuits, pushed one at a time, too
+        gates = [CliffordCircuit(n, list(c.gates)) for c in designs[:5]]
+        for g, w in zip(_adversary_state(gates, priors),
+                        reference_adversary_state(gates, priors)):
+            assert np.array_equal(g, w)
 
     def test_empty_codebook_circuits_rejected(self):
         prior = PriorDistribution(n=1)

@@ -7,9 +7,10 @@ from hypothesis import strategies as st
 
 from qlock import dense, sampling
 from qlock.protocol import build_codebook
-from qlock.stabilizer import (GATES_BY_TEXT, CliffordCircuit, CliffordMap,
-                              PauliRow, Tableau, basis_overlap_prob,
-                              basis_overlap_prob_exact, gate, invert_circuit,
+from qlock.stabilizer import (GATE_ARITY, GATES_BY_TEXT, CliffordCircuit,
+                              CliffordMap, PauliRow, Tableau,
+                              basis_overlap_prob, basis_overlap_prob_exact,
+                              gate, intern_gate, invert_circuit,
                               new_basis_state, tableau_from_text)
 
 GATE_POOL = [("H", 1), ("S", 1), ("SDG", 1), ("X", 1), ("Y", 1), ("Z", 1),
@@ -248,6 +249,25 @@ class TestInvert:
         for g, want in zip(invert_circuit(c).gates,
                            [gate("CZ", 0, 1), gate("S", 1), gate("SDG", 0)]):
             assert g is want
+
+    @pytest.mark.parametrize("kind", sorted(GATE_ARITY))
+    def test_gate_inverse_is_stored_once(self, kind):
+        # inverse() reads the interned partner; it makes no gate object
+        qubits = (2, 0)[:GATE_ARITY[kind]]
+        g = intern_gate(kind, qubits)
+        inv = g.inverse()
+        assert inv is g.inv
+        assert inv.inverse() is g
+        assert inv is intern_gate(inv.kind, qubits)
+        assert (inv.kind == kind) == (kind not in ("S", "SDG"))
+
+    def test_inverted_codebook_circuit_holds_interned_gates(self):
+        circuit = build_codebook(5, 1, 0.25, 0x5EED).circuits[0]
+        inverse = invert_circuit(circuit)
+        assert len(inverse) == len(circuit)
+        for g, orig in zip(inverse.gates, reversed(circuit.gates)):
+            assert g is intern_gate(g.kind, g.qubits)
+            assert g.inverse() is orig
 
     @given(st.integers(0, 2 ** 32))
     @settings(max_examples=30, deadline=None)
