@@ -1,10 +1,11 @@
 """Command-line surface: protocol demo, certification, bounds, verification.
 
-Every subcommand accepts --seed <hex> (up to 128 bits) to fix all
-randomness; identical argv with the same seed produces byte-identical
-output, independent of --jobs, because Monte-Carlo trials draw from
-per-trial seed streams.  --csv switches machine-readable output; floats
-are printed with 12 significant digits.
+Every subcommand accepts --seed <hex> (ASCII hex digits below 2^128, with
+no 0x, sign, '_' or blanks) to fix all randomness; identical argv with
+the same seed produces byte-identical output, independent of --jobs,
+because Monte-Carlo trials draw from per-trial seed streams.  --csv
+switches machine-readable output; floats are printed with 12 significant
+digits.
 
 Exit codes: 0 success, 1 validation error, 2 internal numerical failure.
 """
@@ -20,7 +21,7 @@ from functools import lru_cache
 
 from . import design, protocol, sampling, security
 from .dense import NumericalError
-from .stabilizer import check_bits
+from .stabilizer import check_bits, read_decimal, read_hex
 
 
 def _fmt(x) -> str:
@@ -59,26 +60,25 @@ def _parse_seed(text: str | None) -> int:
         seed = secrets.randbits(128)
         sys.stderr.write(f"note: generated seed {seed:032x}\n")
         return seed
-    try:
-        value = int(text, 16)
-    except ValueError:
-        value = -1
-    if not 0 <= value < 1 << 128:
+    value = read_hex(text)
+    if value is None or value >= 1 << 128:
         raise ValueError("--seed must be a hex number below 2^128, "
                          f"got {text!r}")
     return value
 
 
 def _parse_range(text: str) -> list[int]:
-    """start:stop:step, inclusive start, exclusive stop; or a single int."""
-    if ":" not in text:
-        return [int(text)]
+    """start:stop:step, inclusive start, exclusive stop; or a single int.
+    Each part is ASCII decimal digits."""
     parts = text.split(":")
     if len(parts) == 2:
         parts.append("1")
-    if len(parts) != 3:
+    values = [read_decimal(p) for p in parts]
+    if len(values) not in (1, 3) or None in values:
         raise ValueError(f"bad range {text!r}")
-    start, stop, step = (int(p) for p in parts)
+    if len(values) == 1:
+        return values
+    start, stop, step = values
     if step <= 0:
         raise ValueError("range step must be positive")
     values = list(range(start, stop, step))

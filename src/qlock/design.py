@@ -22,8 +22,7 @@ import numpy as np
 from . import dense
 from .sampling import (SamplerConfig, all_single_qubit_circuits,
                        sample_design_circuit)
-from .stabilizer import (basis_overlap_prob, basis_overlap_prob_exact,
-                         check_bits)
+from .stabilizer import basis_overlap_prob, check_bits
 
 VECTOR_MODES = ("BASIS", "HAAR")
 
@@ -168,7 +167,7 @@ def exhaustive_single_qubit_moments() -> MomentEstimate:
     The overlaps are dyadic rationals, so the returned means are exact
     Fractions (1/2 and 1/3) with zero standard error.
     """
-    vals = [basis_overlap_prob_exact(c, "0", "0")
+    vals = [Fraction(basis_overlap_prob(c, "0", "0"))
             for c in all_single_qubit_circuits()]
     mean2 = sum(vals) / 24
     mean4 = sum(v * v for v in vals) / 24

@@ -12,13 +12,13 @@ from __future__ import annotations
 
 import random
 import re
-import string
 from dataclasses import dataclass, field
 
-from .sampling import (SamplerConfig, SeedContext, circuit_from_text,
-                       circuit_to_text, derive_circuit)
+from .sampling import (SamplerConfig, circuit_from_text, circuit_to_text,
+                       derive_circuit)
 from .stabilizer import (CliffordCircuit, CliffordMap, Tableau,
-                         invert_circuit, tableau_from_text)
+                         invert_circuit, read_decimal, read_hex,
+                         tableau_from_text)
 
 
 @dataclass(frozen=True)
@@ -82,33 +82,20 @@ def build_codebook(n: int, K: int, delta: float, master_seed: int,
     if K < 1:
         raise ValueError("K must be >= 1")
     cfg = SamplerConfig(n=n, delta=delta, depth_factor=depth_factor)
-    circuits = [derive_circuit(SeedContext(master_seed, k), cfg)
-                for k in range(K)]
+    circuits = [derive_circuit(master_seed, k, cfg) for k in range(K)]
     return Codebook(n=n, K=K, delta=delta, master_seed=master_seed,
                     circuits=circuits)
 
 
-@dataclass
-class CipherState:
-    """Encrypted code word C_k|x> as a stabilizer tableau."""
-
-    n: int
-    tableau: Tableau
-
-    def __post_init__(self):
-        if self.tableau.n != self.n:
-            raise ValueError("tableau size mismatch")
-
-
-def encrypt(cb: Codebook, key: SecretKey, x: str) -> CipherState:
+def encrypt(cb: Codebook, key: SecretKey, x: str) -> Tableau:
     """Cipher state C_k|x>: the basis-state tableau pushed through circuit k."""
     if not 0 <= key.k < cb.K:
         raise ValueError("key index out of range for this codebook")
     # basis_state_image checks x
-    return CipherState(cb.n, cb.map(key.k).basis_state_image(x))
+    return cb.map(key.k).basis_state_image(x)
 
 
-def decrypt(cb: Codebook, key: SecretKey, cipher: CipherState,
+def decrypt(cb: Codebook, key: SecretKey, cipher: Tableau,
             rng=None) -> tuple[str, bool]:
     """Apply the inverse circuit and measure every qubit.
 
@@ -121,7 +108,7 @@ def decrypt(cb: Codebook, key: SecretKey, cipher: CipherState,
         raise ValueError("key index out of range for this codebook")
     if cipher.n != cb.n:
         raise ValueError("cipher size mismatch")
-    state = cipher.tableau.copy()
+    state = cipher.copy()
     cb.inverse_map(key.k).apply_to(state)
     bits = state.z_readout()
     if bits is not None:
@@ -181,12 +168,6 @@ def _positive(v: int) -> bool:
     return v >= 1
 
 
-def _decimal(t: str) -> int | None:
-    """t read as ASCII decimal digits, else None (int() also takes signs,
-    underscores and non-ASCII digits)."""
-    return int(t) if t.isascii() and t.isdecimal() else None
-
-
 # what repr(float) prints for a finite float: ASCII digits, at most one
 # '.', and an optional exponent of two or more digits
 _REPR_FLOAT = re.compile(r"[0-9]+(\.[0-9]+)?(e[+-][0-9]{2,})?")
@@ -198,20 +179,14 @@ def _repr_float(t: str) -> float | None:
     return float(t) if _REPR_FLOAT.fullmatch(t) else None
 
 
-def _hex(t: str) -> int | None:
-    """t read as ASCII hex digits, else None (int(t, 16) also takes a 0x
-    prefix and underscores)."""
-    return int(t, 16) if t and not t.strip(string.hexdigits) else None
-
-
 def codebook_from_text(text: str) -> Codebook:
     lines = text.splitlines()
     if not lines:
         raise ValueError("empty codebook file")
     head = _header(lines[0], ["QDLCB", "v1"], {
-        "n": (_decimal, _positive), "K": (_decimal, _positive),
+        "n": (read_decimal, _positive), "K": (read_decimal, _positive),
         "delta": (_repr_float, lambda v: 0.0 < v < 1.0),
-        "seed": (_hex, lambda v: v < 1 << 128)},
+        "seed": (read_hex, lambda v: v < 1 << 128)},
         "codebook")
     n, K = head["n"], head["K"]
     body = [(i + 1, ln) for i, ln in enumerate(lines) if i and ln.strip()]
@@ -220,7 +195,7 @@ def codebook_from_text(text: str) -> Codebook:
     circuits = []
     for k, (lineno, ln) in enumerate(body):
         idx, _, rest = ln.partition(":")
-        if _decimal(idx.strip()) != k:
+        if read_decimal(idx.strip()) != k:
             raise ValueError(f"codebook line {lineno}: expected circuit "
                              f"index {k}, got {idx.strip()!r}")
         try:
@@ -232,17 +207,17 @@ def codebook_from_text(text: str) -> Codebook:
                     circuits=circuits)
 
 
-def cipher_to_text(cipher: CipherState) -> str:
-    return f"QDLCT v1 n={cipher.n}\n" + cipher.tableau.to_text()
+def cipher_to_text(cipher: Tableau) -> str:
+    return f"QDLCT v1 n={cipher.n}\n" + cipher.to_text()
 
 
-def cipher_from_text(text: str) -> CipherState:
+def cipher_from_text(text: str) -> Tableau:
     lines = text.splitlines()
     if not lines:
         raise ValueError("empty cipher file")
-    n = _header(lines[0], ["QDLCT", "v1"], {"n": (_decimal, _positive)},
+    n = _header(lines[0], ["QDLCT", "v1"], {"n": (read_decimal, _positive)},
                 "cipher")["n"]
     tableau = tableau_from_text("\n".join(lines[1:]))
     if tableau.n != n:
         raise ValueError("cipher header size disagrees with tableau")
-    return CipherState(n, tableau)
+    return tableau

@@ -67,7 +67,8 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .stabilizer import (GATES_BY_TEXT, CliffordCircuit, CliffordGate,
-                         Tableau, gate, intern_gate, invert_circuit)
+                         Tableau, gate, intern_gate, invert_circuit,
+                         read_decimal)
 
 
 @dataclass
@@ -88,32 +89,17 @@ class SamplerConfig:
                              f"got {self.depth_factor}")
 
 
-@dataclass(frozen=True)
-class SeedContext:
-    """(master_seed, stream_index) pair identifying one derived circuit."""
-
-    master_seed: int
-    stream_index: int
-
-    def __post_init__(self):
-        _check_stream(self.master_seed, self.stream_index)
-
-
 def design_circuit_length(n: int, delta: float, depth_factor: float = 1.0) -> int:
     """L = ceil(c * n * (n + log2(1/delta))), the normative fragment count."""
     return math.ceil(depth_factor * n * (n + math.log2(1.0 / delta)))
 
 
-def _check_stream(master_seed: int, stream_index: int) -> None:
+def stream_rng(master_seed: int, stream_index: int) -> random.Random:
+    """Deterministic per-stream generator; streams split by SHA-256."""
     if not 0 <= master_seed < 1 << 128:
         raise ValueError(f"master_seed must lie in [0, 2^128), got {master_seed}")
     if not 0 <= stream_index < 1 << 64:
         raise ValueError(f"stream_index must lie in [0, 2^64), got {stream_index}")
-
-
-def stream_rng(master_seed: int, stream_index: int) -> random.Random:
-    """Deterministic per-stream generator; streams split by SHA-256."""
-    _check_stream(master_seed, stream_index)
     payload = (b"QLOCKv1" + master_seed.to_bytes(16, "big")
                + stream_index.to_bytes(8, "big"))
     return random.Random(int.from_bytes(hashlib.sha256(payload).digest(), "big"))
@@ -476,11 +462,11 @@ def action_to_circuit(action: Tableau) -> CliffordCircuit:
     return invert_circuit(CliffordCircuit(n, emitted))
 
 
-def derive_circuit(ctx: SeedContext, cfg: SamplerConfig) -> CliffordCircuit:
+def derive_circuit(master_seed: int, stream_index: int,
+                   cfg: SamplerConfig) -> CliffordCircuit:
     """Deterministic design circuit for (master_seed, stream_index), as a
     gate circuit: codebooks compile, print and simulate their gates."""
-    circuit = sample_design_circuit(cfg, stream_rng(ctx.master_seed,
-                                                    ctx.stream_index))
+    circuit = sample_design_circuit(cfg, stream_rng(master_seed, stream_index))
     return CliffordCircuit(circuit.n, circuit.gates)
 
 
@@ -505,13 +491,13 @@ def circuit_from_text(text: str, n: int) -> CliffordCircuit:
 
 
 def _parse_gate(chunk: str) -> CliffordGate:
-    kind, *qubits = chunk.split()
+    kind, *words = chunk.split()
     try:
-        for q in qubits:
-            # int() would also take '+1', '1_0' and non-ASCII digits
-            if not (q.isascii() and q.isdecimal()):
-                raise ValueError(f"invalid literal for int() with base 10: "
-                                 f"{q!r}")
-        return intern_gate(kind, tuple(map(int, qubits)))
+        qubits = tuple(map(read_decimal, words))
+        if None in qubits:
+            bad = words[qubits.index(None)]
+            raise ValueError("qubit index must be ASCII decimal digits, "
+                             f"got {bad!r}")
+        return intern_gate(kind, qubits)
     except ValueError as exc:
         raise ValueError(f"bad gate {chunk!r}: {exc}") from None

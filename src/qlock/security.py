@@ -64,8 +64,7 @@ class PriorDistribution:
             seen = set()
             total = 0.0
             for x, p in self.entries:
-                if len(x) != self.n or any(c not in "01" for c in x):
-                    raise ValueError(f"bad code word {x!r}")
+                check_bits("code word", x, self.n)
                 if x in seen:
                     raise ValueError(f"duplicate code word {x!r}")
                 seen.add(x)
@@ -108,9 +107,15 @@ class PriorDistribution:
         return v
 
 
+def _h_min(p_max: Real) -> float:
+    """-log2 p_max in bits; 0.0 - x rather than -x, so p_max = 1 gives 0,
+    not -0."""
+    return 0.0 - _frac_log2(Fraction(p_max))
+
+
 def min_entropy(prior: PriorDistribution) -> float:
     """H_min = -log2(max_x p(x)) in bits."""
-    return -_frac_log2(prior.p_max)
+    return _h_min(prior.p_max)
 
 
 @dataclass
@@ -150,8 +155,7 @@ class SecurityParams:
 
     @property
     def h_min(self) -> float:
-        # 0.0 - x rather than -x: p_max = 1 gives 0, not -0
-        return 0.0 - _frac_log2(Fraction(self.p_max))
+        return _h_min(self.p_max)
 
 
 # -- adversary states ---------------------------------------------------------
@@ -381,21 +385,23 @@ def key_length_bits(params: SecurityParams) -> tuple[float, float]:
 
     exact is log2 of the K threshold.  asymptotic is the leading form
     n - H_min + log2(gamma) + log2(n) + log2(1/eps) with both hidden
-    constants fixed to 1; it is an approximation, not a bound.
+    constants fixed to 1; it is an approximation, not a bound.  log2(1/eps)
+    is taken as -log2(eps), which stays finite where 1/eps overflows.
     """
     exact = _frac_log2(key_threshold(params).k_min)
     asym = (params.n - params.h_min + _frac_log2(Fraction(params.gamma))
-            + math.log2(params.n) + math.log2(1.0 / float(params.epsilon)))
+            + math.log2(params.n) - math.log2(float(params.epsilon)))
     return exact, asym
 
 
 def comparison_rows(epsilon: float, n: int) -> tuple[float, float]:
     """Key sizes of the baselines: exact pad 2n, approximate pad
-    n + log2(n) + log2(1/eps^2)."""
+    n + log2(n) + log2(1/eps^2), taken as -2 log2(eps), which stays finite
+    where eps^2 underflows."""
     if n < 1:
         raise ValueError("need at least one qubit")
     qotp = 2.0 * n
-    approx = n + math.log2(n) + math.log2(1.0 / float(epsilon) ** 2)
+    approx = n + math.log2(n) - 2.0 * math.log2(float(epsilon))
     return qotp, approx
 
 

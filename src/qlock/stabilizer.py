@@ -31,8 +31,8 @@ with one attribute read per gate, and inverting it reads one per gate.
 
 from __future__ import annotations
 
+import string
 from dataclasses import dataclass, field
-from fractions import Fraction
 from operator import attrgetter
 from typing import Optional
 
@@ -69,10 +69,6 @@ class CliffordGate:
         object.__setattr__(self, "text",
                            " ".join([self.kind, *map(str, self.qubits)]))
         object.__setattr__(self, "top", max(self.qubits))
-
-    def inverse(self) -> "CliffordGate":
-        """The interned inverse gate."""
-        return self.inv
 
 
 # canonical text -> interned gate, for every gate intern_gate has made
@@ -413,9 +409,8 @@ def tableau_from_text(text: str) -> Tableau:
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or not lines[0].startswith("n="):
         raise ValueError("missing tableau header")
-    digits = lines[0][2:]
-    n = int(digits) if digits.isascii() and digits.isdecimal() else 0
-    if n < 1:
+    n = read_decimal(lines[0][2:])
+    if n is None or n < 1:
         raise ValueError(f"bad tableau header {lines[0]!r}: needs n=<int >= 1>")
     if len(lines) != 2 * n + 1:
         raise ValueError(f"expected {2 * n} rows, got {len(lines) - 1}")
@@ -451,6 +446,18 @@ def check_bits(name: str, bits: str, n: int) -> None:
                          f"got {bits!r}")
 
 
+def read_decimal(t: str) -> int | None:
+    """t read as ASCII decimal digits, else None (int() also takes signs,
+    blanks, underscores and non-ASCII digits)."""
+    return int(t) if t.isascii() and t.isdecimal() else None
+
+
+def read_hex(t: str) -> int | None:
+    """t read as ASCII hex digits, else None (int(t, 16) also takes signs,
+    blanks, a 0x prefix and underscores)."""
+    return int(t, 16) if t and not t.strip(string.hexdigits) else None
+
+
 def _basis_signs(n: int, x: str) -> int:
     """Sign bits of |x>'s stabilizers: bit n+q is set when x[q] is 1."""
     check_bits("x", x, n)
@@ -464,32 +471,23 @@ def new_basis_state(n: int, x: str) -> Tableau:
     return t
 
 
-def basis_overlap_halvings(circuit: CliffordCircuit, x: str, y: str) -> Optional[int]:
-    """Number s with |<y|C|x>|^2 = 2^-s, or None when the overlap is zero."""
+def basis_overlap_prob(circuit: CliffordCircuit, x: str, y: str) -> float:
+    """|<y|C|x>|^2 via qubit-by-qubit postselection.
+
+    The product of the branch probabilities is exactly 0 or 2^-s, so
+    Fraction() of it is the exact rational.
+    """
     n = circuit.n
     if len(x) != n or len(y) != n:
         raise ValueError("bit string length mismatch")
     t = new_basis_state(n, x)
     t.apply_circuit(circuit)
-    s = 0
+    prob = 1.0
     for q in range(n):
-        p = t.measure_postselect(q, int(y[q]))
-        if p == 0.0:
-            return None
-        if p == 0.5:
-            s += 1
-    return s
-
-
-def basis_overlap_prob(circuit: CliffordCircuit, x: str, y: str) -> float:
-    """|<y|C|x>|^2 via qubit-by-qubit postselection; exactly 0 or 2^-s."""
-    s = basis_overlap_halvings(circuit, x, y)
-    return 0.0 if s is None else 0.5 ** s
-
-
-def basis_overlap_prob_exact(circuit: CliffordCircuit, x: str, y: str) -> Fraction:
-    s = basis_overlap_halvings(circuit, x, y)
-    return Fraction(0) if s is None else Fraction(1, 1 << s)
+        prob *= t.measure_postselect(q, int(y[q]))
+        if prob == 0.0:
+            break
+    return prob
 
 
 # -- compiled circuit actions ----------------------------------------------

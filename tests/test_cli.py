@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import io
+import math
 import subprocess
 import sys
 
@@ -82,6 +83,9 @@ class TestInputValidation:
         (("keylen", "--n", "8", "--gamma", "nan"), "gamma"),
         (("lock-probe", "--n", "2", "--K", "2", "--bases", "-1"), "bases"),
         (("fig2", "--n", "5:1"), "n range"),
+        # int() reads these as 2 and 10; a range part is decimal digits
+        (("fig2", "--n", "+2:4"), "error: bad range '+2:4'"),
+        (("fig2", "--n", "1_0"), "error: bad range '1_0'"),
         (("moments", "--n", "2", "--samples", "10", "--z", "-1"), "z"),
         (("moments", "--n", "2", "--samples", "10", "--z", "nan"), "z"),
         (("lock-probe", "--n", "2", "--K", "2", "--bases", "1",
@@ -91,6 +95,11 @@ class TestInputValidation:
         (("verify-maurer", "--n", "2", "--tau", "0.5", "--K", "2",
           "--trials", "2", "--x", "0"), "x must be a 2-bit"),
         (("keygen", "--K", "4", "--seed", "zz"), "--seed"),
+        # int(t, 16) reads these as 16, 16, 1 and 0; a seed is hex digits
+        (("keygen", "--K", "5", "--seed", "0x10"), "--seed"),
+        (("keygen", "--K", "5", "--seed", "1_0"), "--seed"),
+        (("keygen", "--K", "5", "--seed", " 1"), "--seed"),
+        (("keygen", "--K", "5", "--seed", "-0"), "--seed"),
         (("moments", "--n", "3", "--samples", "10", "--vector-mode", "HAAR",
           "--alpha", "010"), "--alpha"),
         (("moments", "--n", "3", "--samples", "10", "--vector-mode", "HAAR",
@@ -126,9 +135,12 @@ class TestInputValidation:
             "codebook-depth-inf", "codebook-depth-nan", "moments-depth-inf",
             "chernoff-depth-inf", "lock-probe-depth-inf", "keylen-gamma-inf",
             "keylen-gamma-nan", "lock-probe-bases-negative", "fig2-empty-range",
+            "fig2-range-plus-sign", "fig2-range-underscore",
             "moments-z-negative", "moments-z-nan",
             "lock-probe-eps-ref-negative", "maurer-x-not-bits",
-            "maurer-x-short", "seed-not-hex", "haar-alpha", "haar-beta",
+            "maurer-x-short", "seed-not-hex", "seed-0x-prefix",
+            "seed-underscore", "seed-blank", "seed-minus-zero",
+            "haar-alpha", "haar-beta",
             "single-qubit-n", "single-qubit-samples",
             "single-qubit-haar", "single-qubit-alpha", "single-qubit-beta",
             "single-qubit-depth", "gamma-single-qubit-n",
@@ -343,6 +355,24 @@ class TestCsvContracts:
         assert below[70]
         assert all(below[n] for n in below if n >= 70)
 
+    @pytest.mark.parametrize("args, keys", [
+        (("fig2", "--n", "2:3", "--eps", "1e-200", "--csv"),
+         ("logK_exact", "logK_asymptotic", "approx_otp")),
+        (("keylen", "--n", "4", "--eps", "1e-320", "--csv"),
+         ("log2_K_exact", "log2_K_asymptotic")),
+    ], ids=["fig2-eps-squared-underflows", "keylen-one-over-eps-overflows"])
+    def test_key_sizes_are_finite_at_tiny_eps(self, args, keys):
+        res = run_cli(*args)
+        assert res.returncode == 0, res.stderr
+        rows = parse_csv(res.stdout)
+        if args[0] == "fig2":
+            values = [float(row[rows[0].index(k)]) for row in rows[1:]
+                      for k in keys]
+        else:
+            found = dict(rows[1:])
+            values = [float(found[k]) for k in keys]
+        assert values and all(math.isfinite(v) for v in values)
+
     def test_moments_csv(self):
         res = run_cli("moments", "--ensemble", "single-qubit", "--csv")
         rows = parse_csv(res.stdout)
@@ -438,7 +468,12 @@ class TestDeterminism:
          "1fb4dcfe8f00c9b6e51813f1a7d60de98845bce4726abd18d957bea790f06f44"),
         (("fig2", "--n", "1:20:3", "--hmin-frac", "0.5", "--csv"),
          "e685e9170eab30bb68db3167ac9030b67aa1bbaa5b020d703da39a017f7a35fa"),
-    ], ids=["keylen", "keylen-csv", "fig2", "fig2-hmin-half"])
+        (("fig2", "--n", "10"),
+         "b7ed4ab8acf85b5a280c7af062531fd11f0d8355b08b1ccf7f50331adfe4d664"),
+        (("fig2", "--n", "10:30:10", "--csv"),
+         "148eb35d12e66d4f5e0017c24debdabf9224fa926b5927ba72c522069f534268"),
+    ], ids=["keylen", "keylen-csv", "fig2", "fig2-hmin-half", "fig2-single-n",
+            "fig2-two-part-range"])
     def test_bound_outputs_are_pinned(self, args, digest):
         res = run_cli(*args)
         assert res.returncode == 0
@@ -479,6 +514,68 @@ class TestDeterminism:
         assert res.stdout == ("gamma = 1.61835141295\n"
                               "gamma_exact_2_design = 1.6\n"
                               "gamma_bound = 2.06101418223\n")
+
+    @pytest.mark.parametrize("args, digest", [
+        (("--n", "1"),
+         "1864be56855b7394c16d122209c71ba8848f8231b6196076c16692806abfba6f"),
+        (("--n", "2", "--x", "01"),
+         "3f7f143f6e0f9e2fcc6a8b659030664b0474a8f5868e86527cb2f5b18f69c1a0"),
+        (("--n", "3"),
+         "1b1541cc13f84308ebb58c7b3ddced6d25c9d06fc616b2cd67bf0f1b68297335"),
+        (("--n", "3", "--jobs", "2"),
+         "1b1541cc13f84308ebb58c7b3ddced6d25c9d06fc616b2cd67bf0f1b68297335"),
+    ], ids=["n1", "n2-x01", "n3", "n3-jobs2"])
+    def test_maurer_trials_are_pinned(self, args, digest):
+        # n = 1 reads the 24-entry overlap table, n >= 2 one tableau
+        # overlap per uniform draw
+        res = run_cli("verify-maurer", *args, "--tau", "0.5", "--K", "20",
+                      "--trials", "100", "--csv", "--seed", SEED)
+        assert res.returncode == 0
+        assert hashlib.sha256(res.stdout.encode()).hexdigest() == digest
+
+    def test_uniform_moments_are_pinned(self):
+        res = run_cli("moments", "--ensemble", "uniform", "--n", "3",
+                      "--alpha", "010", "--beta", "110", "--samples", "2000",
+                      "--csv", "--seed", SEED)
+        assert res.returncode == 0
+        assert res.stdout == (
+            "ensemble,d,samples,mean2,stderr2,mean4,stderr4,gamma,"
+            "gamma_bound,pass\nuniform,8,2000,0.1251875,0.00257466282683,"
+            "0.0289296875,0.00130445112707,1.84595797268,2.06101418223,"
+            "true\n")
+
+    def test_gamma_uniform_is_pinned(self):
+        res = run_cli("gamma", "--ensemble", "uniform", "--n", "3",
+                      "--samples", "2000", "--seed", SEED)
+        assert res.returncode == 0
+        assert res.stdout == ("gamma = 1.77371283563\n"
+                              "gamma_exact_2_design = 1.77777777778\n"
+                              "gamma_bound = 2.06101418223\n")
+
+    @pytest.mark.parametrize("n, samples, values", [
+        ("1", "300", ("2", "0.511666666667", "0.0165694386235",
+                      "0.344166666667", "0.0182657212853", "1.31460280746")),
+        ("13", "20", ("8192", "0.000103759765625", "2.48301337974e-05",
+                      "2.30967998505e-08", "1.14203086569e-08",
+                      "2.14532871972")),
+    ], ids=["n1", "n13"])
+    def test_tableau_path_design_moments_are_pinned(self, n, samples, values):
+        # n = 1 and n above the dense cutoff take one tableau overlap per
+        # drawn circuit
+        d, mean2, stderr2, mean4, stderr4, gamma = values
+        res = run_cli("moments", "--ensemble", "design", "--n", n,
+                      "--samples", samples, "--seed", SEED)
+        assert res.returncode == 0
+        assert res.stdout == (
+            f"ensemble = design\nd = {d}\nsamples = {samples}\n"
+            f"mean2 = {mean2}\nstderr2 = {stderr2}\nmean4 = {mean4}\n"
+            f"stderr4 = {stderr4}\ngamma = {gamma}\n"
+            "gamma_bound = 2.06101418223\npass = true\n")
+
+    def test_keygen_is_pinned(self):
+        res = run_cli("keygen", "--K", "1000", "--seed", "abcdef")
+        assert res.returncode == 0
+        assert res.stdout == "260\n"
 
     def test_chernoff_residues_are_pinned(self):
         # every epsilon_hat residue, not just its size, is fixed by the

@@ -104,7 +104,7 @@ class TestEncryptDecrypt:
     def test_identity_circuit_cipher_is_basis_state(self):
         cb = identity_codebook(3, 2)
         cipher = encrypt(cb, SecretKey(1), "101")
-        assert cipher.tableau == new_basis_state(3, "101")
+        assert cipher == new_basis_state(3, "101")
 
     def test_round_trip_exhaustive_n4(self):
         cb = build_codebook(4, 8, 2 ** -4, master_seed=7)

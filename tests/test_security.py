@@ -47,6 +47,10 @@ class TestPrior:
     def test_point_mass(self):
         prior = PriorDistribution(n=2, entries=[("11", 1.0)])
         assert min_entropy(prior) == 0.0
+        # one expression for H_min: +0.0 from both, not -0.0
+        assert math.copysign(1, min_entropy(prior)) == 1
+        h_min = SecurityParams.from_prior(prior, 0.1).h_min
+        assert math.copysign(1, h_min) == 1
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -55,6 +59,9 @@ class TestPrior:
             PriorDistribution(n=2, entries=[("00", 0.5), ("00", 0.5)])
         with pytest.raises(ValueError):
             PriorDistribution(n=2, entries=[("0", 1.0)])
+        with pytest.raises(ValueError, match="^code word must be a 2-bit "
+                           "string of 0s and 1s, got '0x'$"):
+            PriorDistribution(n=2, entries=[("0x", 1.0)])
 
 
 class TestParams:
@@ -422,6 +429,14 @@ class TestKeyLength:
             n=n, epsilon=eps, p_max=2.0 ** (-0.6 * n), M=1 << n, gamma=2.0))
         assert abs((low - base) - 0.4 * n) < 1.0
 
+    def test_asymptotic_is_finite_where_one_over_eps_overflows(self):
+        # 1/eps is inf for a subnormal eps; -log2(eps) is not
+        params = SecurityParams(n=4, epsilon=1e-320, p_max=Fraction(1, 16),
+                                M=16, gamma=2.0)
+        exact, asym = key_length_bits(params)
+        assert math.isfinite(exact)
+        assert asym == pytest.approx(4 - 4 + 1 + 2 - math.log2(1e-320))
+
 
 class TestComparisonRows:
     def test_qotp(self):
@@ -431,6 +446,11 @@ class TestComparisonRows:
         _, approx = comparison_rows(1e-8, 10)
         assert approx == pytest.approx(10 + math.log2(10) + math.log2(1e16),
                                        abs=1e-9)
+
+    def test_approx_otp_is_finite_where_eps_squared_underflows(self):
+        # eps^2 is 0 below about 1.5e-162; -2 log2(eps) stays finite
+        _, approx = comparison_rows(1e-200, 2)
+        assert approx == pytest.approx(2 + 1 - 2 * math.log2(1e-200))
 
     def test_qotp_increment(self):
         for n in range(2, 20):
