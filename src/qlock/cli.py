@@ -20,7 +20,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import design, protocol, sampling, security
-from .dense import NumericalError
+from .dense import NumericalError, check_cutoff
 from .stabilizer import check_bits, read_decimal, read_hex
 
 
@@ -46,6 +46,15 @@ def _csv(header: list[str], rows: list[list]) -> list[str]:
     for row in rows:
         lines.append(",".join(_fmt(v) for v in row))
     return lines
+
+
+def _emit_quantities(rows: list[list], unit: str, args) -> None:
+    """[name, value] rows as CSV under quantity,<unit>, or as name = value
+    lines."""
+    if args.csv:
+        _emit(_csv(["quantity", unit], rows), args.out)
+    else:
+        _emit([f"{k} = {_fmt(v)}" for k, v in rows], args.out)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -224,10 +233,7 @@ def _cmd_gamma(args) -> None:
     rows = [["gamma", float(gamma)],
             ["gamma_exact_2_design", 2.0 * d / (d + 1.0)],
             ["gamma_bound", bound]]
-    if args.csv:
-        _emit(_csv(["quantity", "value"], rows), args.out)
-    else:
-        _emit([f"{k} = {_fmt(v)}" for k, v in rows], args.out)
+    _emit_quantities(rows, "value", args)
 
 
 def _keylen_rows(args, ns: list[int]) -> list[list]:
@@ -249,10 +255,7 @@ def _cmd_keylen(args) -> None:
             ["branch", kt.branch],
             ["P1_at_threshold", security.chernoff_p1(params, kt.k_min).bound],
             ["P2_at_threshold", security.maurer_p2(params, kt.k_min).bound]]
-    if args.csv:
-        _emit(_csv(["quantity", "value"], rows), args.out)
-    else:
-        _emit([f"{k} = {_fmt(v)}" for k, v in rows], args.out)
+    _emit_quantities(rows, "value", args)
 
 
 def _cmd_fig2(args) -> None:
@@ -310,6 +313,8 @@ def _cmd_verify_maurer(args) -> None:
 
 
 def _cmd_lock_probe(args) -> None:
+    # before any d x d basis is built: n = 13 bases take 1 GiB each
+    check_cutoff(args.n)
     if args.bases < 0:
         raise ValueError(f"bases must be >= 0, got {args.bases}")
     seed = _parse_seed(args.seed)
@@ -333,10 +338,7 @@ def _cmd_lock_probe(args) -> None:
     rows.append(["gap", report.gap])
     if report.reference_2n_eps is not None:
         rows.append(["reference_2n_eps", report.reference_2n_eps])
-    if args.csv:
-        _emit(_csv(["quantity", "bits"], rows), args.out)
-    else:
-        _emit([f"{k} = {_fmt(v)}" for k, v in rows], args.out)
+    _emit_quantities(rows, "bits", args)
 
 
 # -- parser -------------------------------------------------------------------

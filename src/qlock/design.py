@@ -178,7 +178,8 @@ def exhaustive_single_qubit_moments() -> MomentEstimate:
 def gamma_of(est: MomentEstimate):
     """Spread coefficient: fourth moment over squared second moment."""
     if est.mean2 == 0:
-        raise ZeroDivisionError("gamma undefined for mean2 = 0")
+        raise ValueError("gamma is undefined: every sampled overlap was 0 "
+                         f"({est.samples} samples)")
     return est.mean4 / (est.mean2 * est.mean2)
 
 

@@ -68,7 +68,7 @@ import numpy as np
 
 from .stabilizer import (GATES_BY_TEXT, CliffordCircuit, CliffordGate,
                          Tableau, gate, intern_gate, invert_circuit,
-                         read_decimal)
+                         negative_rows, read_decimal)
 
 
 @dataclass
@@ -451,11 +451,13 @@ def action_to_circuit(action: Tableau) -> CliffordCircuit:
         if not (t.row_bits(j)[0] >> j) & 1:
             raise AssertionError("lost the X component during reduction")
         reduce_row(j, j)
-    # symplectic part is now the identity; clear the signs
+    # symplectic part is now the identity; clear the signs.  Z_j flips
+    # only row j and X_j only row n + j, so the signs are read once
+    negative = negative_rows(t)
     for j in range(n):
-        if t.row(j).sign == -1:
+        if (negative >> j) & 1:
             do("Z", j)
-        if t.row(n + j).sign == -1:
+        if (negative >> (n + j)) & 1:
             do("X", j)
     if t != Tableau(n):
         raise AssertionError("reduction did not reach the identity tableau")

@@ -12,14 +12,17 @@ Phase convention: row r represents the operator
     i^(delta_r) * X^{x_r} Z^{z_r}
 
 with delta in {0,1,2,3} stored in two bit planes (d0 = low bit, d1 = high
-bit).  A row is Hermitian iff delta == popcount(x & z) mod 2, and its +/-
-sign is i^(delta - popcount(x & z)).  With this convention Pauli
-multiplication is
+bit).  Each rule of the convention lives in one function:
 
-    (i^a X^u Z^v)(i^b X^s Z^t) = i^(a + b + 2*(v.s)) X^(u^s) Z^(v^t)
+- hermitian_phase, the sign rule: a row is Hermitian iff delta ==
+  popcount(x & z) mod 2, and its +/- sign is i^(delta - popcount(x & z)).
+  negative_rows reads the signs back by it.
+- mult_rows, the phase rule of Pauli multiplication
 
-where v.s is the GF(2) inner product, so phase bookkeeping reduces to
-parities of column masks.
+      (i^a X^u Z^v)(i^b X^s Z^t) = i^(a + b + 2*(v.s)) X^(u^s) Z^(v^t)
+
+  where v.s is the GF(2) inner product, so phase bookkeeping reduces to
+  parities of column masks.
 
 Gates are interned: intern_gate makes one CliffordGate per (kind, qubits)
 and every circuit holds those shared objects.  Each gate carries its
@@ -134,14 +137,62 @@ def invert_circuit(circuit: CliffordCircuit) -> CliffordCircuit:
     return CliffordCircuit(circuit.n, list(map(_INV, reversed(circuit.gates))))
 
 
-@dataclass(frozen=True)
-class PauliRow:
-    """One tableau generator: packed x/z bit vectors plus a +/-1 sign."""
+def hermitian_phase(xs: list[int], zs: list[int],
+                    negative: int = 0) -> tuple[int, int]:
+    """The (d0, d1) planes of the Hermitian rows over columns xs and zs,
+    with sign - on the rows set in the plane negative.
 
-    n: int
-    x_bits: int
-    z_bits: int
-    sign: int
+    delta = popcount(x & z) + 2s mod 4, the popcount kept per row as a
+    two-bit counter over the columns; d0 alone is the parity plane.
+    """
+    lo = hi = 0
+    for x, z in zip(xs, zs):
+        y = x & z
+        hi ^= lo & y
+        lo ^= y
+    return lo, hi ^ negative
+
+
+def negative_rows(t: "Tableau") -> int:
+    """The plane of t's rows with sign -, by the rule of hermitian_phase;
+    ValueError if a row is not Hermitian."""
+    d0, d1 = hermitian_phase(t.xs, t.zs)
+    if t.d0 != d0:
+        raise ValueError("tableau has a row that is not Hermitian")
+    return t.d1 ^ d1
+
+
+def mult_rows(xs: list[int], zs: list[int], d0: int, d1: int, mask: int,
+              gx: int, gz: int, gd: int) -> tuple[int, int]:
+    """Right-multiply every row set in mask by the Pauli row
+    i^gd X^gx Z^gz, updating the columns xs and zs in place; returns the
+    new (d0, d1).
+
+    A row's phase gains gd plus 2 * parity(z_row & gx): XOR the z columns
+    where g has an X, before the z columns take g's Z part.
+    """
+    par = 0
+    g = gx
+    while g:
+        lsb = g & -g
+        j = lsb.bit_length() - 1
+        g ^= lsb
+        par ^= zs[j]
+        xs[j] ^= mask
+    d1 ^= par & mask
+    if gd & 1:
+        carry = d0 & mask
+        d0 ^= mask
+        d1 ^= carry
+    if gd & 2:
+        d1 ^= mask
+    g = gz
+    while g:
+        lsb = g & -g
+        j = lsb.bit_length() - 1
+        g ^= lsb
+        zs[j] ^= mask
+    return d0, d1
 
 
 class Tableau:
@@ -189,13 +240,6 @@ class Tableau:
             z |= ((self.zs[q] >> r) & 1) << q
         delta = ((self.d0 >> r) & 1) | (((self.d1 >> r) & 1) << 1)
         return x, z, delta
-
-    def row(self, r: int) -> PauliRow:
-        x, z, delta = self.row_bits(r)
-        herm = (delta - (x & z).bit_count()) % 4
-        if herm not in (0, 2):
-            raise ValueError(f"row {r} is not Hermitian (delta={delta})")
-        return PauliRow(self.n, x, z, 1 if herm == 0 else -1)
 
     def set_row(self, r: int, x: int, z: int, delta: int) -> None:
         bit = 1 << r
@@ -264,34 +308,6 @@ class Tableau:
 
     # -- measurement -----------------------------------------------------
 
-    def _row_mult_masked(self, p: int, mask: int) -> None:
-        """Multiply every row selected by mask (row p excluded) by row p."""
-        xs = self.xs
-        zs = self.zs
-        # i-phase of (row_r * row_p) gains 2 * parity(z_r & x_p): XOR the
-        # z columns where row p has an X, then add row p's own delta.
-        par = 0
-        xcols = []
-        zcols = []
-        for q in range(self.n):
-            if (xs[q] >> p) & 1:
-                par ^= zs[q]
-                xcols.append(q)
-            if (zs[q] >> p) & 1:
-                zcols.append(q)
-        self.d1 ^= par & mask
-        dp = ((self.d0 >> p) & 1) | (((self.d1 >> p) & 1) << 1)
-        if dp & 1:
-            carry = self.d0 & mask
-            self.d0 ^= mask
-            self.d1 ^= carry
-        if dp & 2:
-            self.d1 ^= mask
-        for q in xcols:
-            xs[q] ^= mask
-        for q in zcols:
-            zs[q] ^= mask
-
     def measure_postselect(self, qubit: int, bit: int) -> float:
         """Project qubit onto outcome bit, returning the branch probability.
 
@@ -310,11 +326,12 @@ class Tableau:
         anticommuting = xq & stab_mask
         if anticommuting:
             p = (anticommuting & -anticommuting).bit_length() - 1
+            x, z, delta = self.row_bits(p)
             others = xq & ~(1 << p)
             if others:
-                self._row_mult_masked(p, others)
+                self.d0, self.d1 = mult_rows(self.xs, self.zs, self.d0,
+                                             self.d1, others, x, z, delta)
             # old stabilizer row p becomes the destabilizer partner
-            x, z, delta = self.row_bits(p)
             self.set_row(p - n, x, z, delta)
             self.set_row(p, 0, 1 << qubit, 2 * bit)
             return 0.5
@@ -368,12 +385,7 @@ class Tableau:
                         and self.rows_commute(n + i, n + j)):
                     return False
         # pairing implies rank 2n over GF(2); also require Hermitian rows
-        try:
-            for r in range(2 * n):
-                self.row(r)
-        except ValueError:
-            return False
-        return True
+        return self.d0 == hermitian_phase(self.xs, self.zs)[0]
 
     def z_readout(self) -> Optional[str]:
         """If the state is a computational basis state, return its bits.
@@ -395,13 +407,14 @@ class Tableau:
         """One line per row: tag, X and Z bit strings (qubit 0 first), sign."""
         n = self.n
         bits = f"0{n}b"
+        negative = negative_rows(self)
         lines = [f"n={n}"]
         for r in range(2 * n):
-            row = self.row(r)
+            x, z, _ = self.row_bits(r)
             tag = "D" if r < n else "S"
-            sign = "+" if row.sign == 1 else "-"
-            lines.append(f"{tag} {format(row.x_bits, bits)[::-1]} "
-                         f"{format(row.z_bits, bits)[::-1]} {sign}")
+            sign = "-" if (negative >> r) & 1 else "+"
+            lines.append(f"{tag} {format(x, bits)[::-1]} "
+                         f"{format(z, bits)[::-1]} {sign}")
         return "\n".join(lines) + "\n"
 
 
@@ -415,6 +428,7 @@ def tableau_from_text(text: str) -> Tableau:
     if len(lines) != 2 * n + 1:
         raise ValueError(f"expected {2 * n} rows, got {len(lines) - 1}")
     t = Tableau(n)
+    negative = 0
     for r, ln in enumerate(lines[1:]):
         parts = ln.split()
         if len(parts) != 4 or parts[0] not in ("D", "S"):
@@ -427,10 +441,9 @@ def tableau_from_text(text: str) -> Tableau:
         if xstr.strip("01") or zstr.strip("01") or sign not in ("+", "-"):
             raise ValueError(f"bad tableau row {r}: {ln!r} needs bit strings "
                              "of 0s and 1s and a sign + or -")
-        x = int(xstr[::-1], 2)
-        z = int(zstr[::-1], 2)
-        delta = ((x & z).bit_count() + (0 if sign == "+" else 2)) % 4
-        t.set_row(r, x, z, delta)
+        t.set_row(r, int(xstr[::-1], 2), int(zstr[::-1], 2), 0)
+        negative |= (sign == "-") << r
+    t.d0, t.d1 = hermitian_phase(t.xs, t.zs, negative)
     if not t.symplectic_ok():
         raise ValueError("rows do not form a valid tableau")
     return t
@@ -522,30 +535,8 @@ class CliffordMap:
         rows = self.rows
         for q in range(n):
             for sel, mr in ((state.xs[q], q), (state.zs[q], n + q)):
-                if sel == 0:
-                    continue
-                gx, gz, gd = rows[mr]
-                par = 0
-                g = gx
-                while g:
-                    lsb = g & -g
-                    j = lsb.bit_length() - 1
-                    g ^= lsb
-                    par ^= new_zs[j]
-                    new_xs[j] ^= sel
-                d1 ^= par & sel
-                if gd & 1:
-                    carry = d0 & sel
-                    d0 ^= sel
-                    d1 ^= carry
-                if gd & 2:
-                    d1 ^= sel
-                g = gz
-                while g:
-                    lsb = g & -g
-                    j = lsb.bit_length() - 1
-                    g ^= lsb
-                    new_zs[j] ^= sel
+                if sel:
+                    d0, d1 = mult_rows(new_xs, new_zs, d0, d1, sel, *rows[mr])
         state.xs = new_xs
         state.zs = new_zs
         state.d0 = d0

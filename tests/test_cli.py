@@ -130,6 +130,14 @@ class TestInputValidation:
         (("keylen", "--n", "8", "--hmin-frac", "nan"), "--hmin-frac"),
         (("fig2", "--n", "4:9:2", "--hmin-frac", "1.5", "--csv"),
          "--hmin-frac"),
+        # every overlap of these 3 design circuits with |0..0> is 0
+        (("moments", "--ensemble", "design", "--n", "13", "--samples", "3",
+          "--delta", "0.5"), "every sampled overlap was 0"),
+        (("gamma", "--ensemble", "design", "--n", "13", "--samples", "3",
+          "--delta", "0.5"), "every sampled overlap was 0"),
+        # checked before the 2^13 x 2^13 bases are built
+        (("lock-probe", "--n", "13", "--K", "2", "--bases", "1"),
+         "error: n=13 exceeds the dense cutoff 12"),
     ], ids=["jobs-0", "jobs-negative", "trials-0", "chernoff-K-0",
             "maurer-K-0", "lock-probe-K-0", "maurer-n-0", "maurer-n-negative",
             "codebook-depth-inf", "codebook-depth-nan", "moments-depth-inf",
@@ -146,7 +154,9 @@ class TestInputValidation:
             "single-qubit-depth", "gamma-single-qubit-n",
             "gamma-single-qubit-samples", "alpha-not-bits",
             "uniform-beta-short", "keylen-hmin-above-1", "keylen-hmin-inf",
-            "keylen-hmin-negative", "keylen-hmin-nan", "fig2-hmin-above-1"])
+            "keylen-hmin-negative", "keylen-hmin-nan", "fig2-hmin-above-1",
+            "moments-all-overlaps-0", "gamma-all-overlaps-0",
+            "lock-probe-above-cutoff"])
     def test_bad_count_exits_1_with_one_line(self, args, needle):
         seed = () if args[0] in ("keylen", "fig2") or "--seed" in args \
             else ("--seed", SEED)

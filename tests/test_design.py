@@ -173,7 +173,7 @@ class TestGamma:
     def test_zero_mean(self):
         est = MomentEstimate(d=2, mean2=0.0, mean4=0.0, stderr2=0.0,
                              stderr4=0.0, samples=1)
-        with pytest.raises(ZeroDivisionError):
+        with pytest.raises(ValueError, match="every sampled overlap"):
             gamma_of(est)
 
 

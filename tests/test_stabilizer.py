@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,9 +9,9 @@ from hypothesis import strategies as st
 from qlock import dense, sampling
 from qlock.protocol import build_codebook
 from qlock.stabilizer import (GATE_ARITY, GATES_BY_TEXT, CliffordCircuit,
-                              CliffordMap, PauliRow, Tableau,
-                              basis_overlap_prob, gate, intern_gate,
-                              invert_circuit, new_basis_state,
+                              CliffordMap, Tableau, basis_overlap_prob, gate,
+                              hermitian_phase, intern_gate, invert_circuit,
+                              negative_rows, new_basis_state,
                               tableau_from_text)
 
 GATE_POOL = [("H", 1), ("S", 1), ("SDG", 1), ("X", 1), ("Y", 1), ("Z", 1),
@@ -67,19 +68,18 @@ def readout_agrees(t):
 class TestBasisState:
     def test_single_zero(self):
         t = new_basis_state(1, "0")
-        assert t.row(1) == PauliRow(1, 0, 1, 1)   # stabilizer +Z
-        assert t.row(0) == PauliRow(1, 1, 0, 1)   # destabilizer +X
+        assert t.row_bits(1) == (0, 1, 0)   # stabilizer +Z
+        assert t.row_bits(0) == (1, 0, 0)   # destabilizer +X
 
     def test_ten_signs(self):
         t = new_basis_state(2, "10")
-        assert t.row(2).sign == -1                 # -Z on qubit 0
-        assert t.row(3).sign == 1                  # +Z on qubit 1
+        assert t.row_bits(2) == (0, 0b01, 2)   # -Z on qubit 0
+        assert t.row_bits(3) == (0, 0b10, 0)   # +Z on qubit 1
 
     def test_three_zeros(self):
         t = new_basis_state(3, "000")
         for i in range(3):
-            row = t.row(3 + i)
-            assert (row.x_bits, row.z_bits, row.sign) == (0, 1 << i, 1)
+            assert t.row_bits(3 + i) == (0, 1 << i, 0)
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
@@ -98,18 +98,18 @@ class TestGates:
     def test_h_on_z(self):
         t = new_basis_state(1, "0")
         t.apply("H", (0,))
-        assert t.row(1) == PauliRow(1, 1, 0, 1)    # +X
+        assert t.row_bits(1) == (1, 0, 0)    # +X
 
     def test_s_on_x(self):
         t = new_basis_state(1, "0")
         t.apply("H", (0,))
         t.apply("S", (0,))
-        assert t.row(1) == PauliRow(1, 1, 1, 1)    # +Y
+        assert t.row_bits(1) == (1, 1, 1)    # +Y
 
     def test_cnot_propagates_x(self):
         t = Tableau(2)
         t.apply("CNOT", (0, 1))
-        assert t.row(0) == PauliRow(2, 0b11, 0, 1)  # X0 -> X0 X1
+        assert t.row_bits(0) == (0b11, 0, 0)  # X0 -> X0 X1
 
     def test_out_of_range(self):
         t = Tableau(2)
@@ -151,7 +151,7 @@ class TestMeasurement:
     def test_deterministic_match(self):
         t = new_basis_state(1, "0")
         prob = t.measure_postselect(0, 0)
-        assert prob == 1.0 and t.row(1) == PauliRow(1, 0, 1, 1)
+        assert prob == 1.0 and t.row_bits(1) == (0, 1, 0)
 
     def test_deterministic_mismatch(self):
         t = new_basis_state(1, "0")
@@ -178,6 +178,94 @@ class TestMeasurement:
         p2 = t.measure_postselect(q, 0)
         assert p2 == 1.0
         assert t.symplectic_ok()
+
+
+_X = np.array([[0, 1], [1, 0]], dtype=complex)
+_Z = np.diag([1, -1]).astype(complex)
+
+
+def row_matrix(t, r):
+    """Dense i^delta X^x Z^z of row r, qubit 0 the most significant."""
+    x, z, delta = t.row_bits(r)
+    m = np.eye(1, dtype=complex)
+    for q in range(t.n):
+        m = np.kron(m, np.linalg.matrix_power(_X, (x >> q) & 1)
+                    @ np.linalg.matrix_power(_Z, (z >> q) & 1))
+    return 1j ** delta * m
+
+
+def stabilizer_projector(t):
+    """Product of (I + S_i) / 2 over the stabilizer rows: |psi><psi|."""
+    eye = np.eye(1 << t.n, dtype=complex)
+    proj = eye
+    for i in range(t.n):
+        proj = proj @ (eye + row_matrix(t, t.n + i)) / 2
+    return proj
+
+
+class TestMeasurementOracle:
+    """measure_postselect against the dense projection (I +/- Z_q) / 2."""
+
+    def test_matches_dense_projection(self):
+        seen = set()
+        for seed in range(12):
+            rng = random.Random(1300 + seed)
+            n = rng.randrange(1, 6)
+            x = "".join(rng.choice("01") for _ in range(n))
+            c = random_circuit(n, 30, rng)
+            t = new_basis_state(n, x)
+            t.apply_circuit(c)
+            psi = dense.circuit_unitary(c) @ dense.basis_vector(x)
+            assert np.allclose(stabilizer_projector(t),
+                               np.outer(psi, psi.conj()))
+            for q in rng.sample(range(n), n):
+                bit = rng.randrange(2)
+                # random branch: stabilizer p anticommutes with Z_q, and
+                # every other row that does is multiplied by row p
+                stab = t.xs[q] >> n << n
+                if stab and t.xs[q] ^ (stab & -stab):
+                    seen.add("multiply")
+                before = t.copy()
+                prob = t.measure_postselect(q, bit)
+                seen.add(prob)
+                z_q = np.kron(np.kron(np.eye(1 << q), _Z),
+                              np.eye(1 << (n - q - 1)))
+                projected = (psi + (-1) ** bit * (z_q @ psi)) / 2
+                assert prob == pytest.approx(np.vdot(projected, projected).real,
+                                             abs=1e-12)
+                if prob == 0.0:
+                    assert t == before
+                    continue
+                psi = projected / np.sqrt(prob)
+                assert np.allclose(stabilizer_projector(t),
+                                   np.outer(psi, psi.conj()))
+                assert t.symplectic_ok()
+        assert seen == {"multiply", 0.5, 0.0, 1.0}
+
+
+class TestSymplecticRejects:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_flipped_d0_bit_is_not_hermitian(self, seed):
+        rng = random.Random(1400 + seed)
+        n = rng.randrange(1, 7)
+        t = random_state(n, rng)
+        assert t.symplectic_ok()
+        t.d0 ^= 1 << rng.randrange(2 * n)
+        assert not t.symplectic_ok()
+
+    def test_anticommuting_stabilizers(self):
+        # S1 = X0 Z1 anticommutes with S0 = Z0; every destabilizer pairs
+        t = Tableau(2)
+        assert t.symplectic_ok()
+        t.set_row(3, 0b01, 0b10, 0)
+        assert not t.symplectic_ok()
+
+    def test_destabilizer_commuting_with_its_stabilizer(self):
+        # D1 = Z1 commutes with S1 = Z1, and with every other row
+        t = Tableau(2)
+        assert t.symplectic_ok()
+        t.set_row(1, 0, 0b10, 0)
+        assert not t.symplectic_ok()
 
 
 class TestOverlap:
@@ -293,6 +381,26 @@ class TestSerialization:
         back = tableau_from_text(text)
         assert back == t
         assert back.to_text() == text
+
+    def test_sign_planes_match_the_row_rule(self):
+        # the per-row rule: a Hermitian row's sign is i^(delta - popcount)
+        counts = set()
+        for seed in range(6):
+            rng = random.Random(1500 + seed)
+            n = rng.randrange(2, 8)
+            t = random_state(n, rng, depth=60)
+            negative = negative_rows(t)
+            for r in range(2 * n):
+                x, z, delta = t.row_bits(r)
+                counts.add((x & z).bit_count() % 4)
+                assert (delta - (x & z).bit_count()) % 4 \
+                    == 2 * ((negative >> r) & 1)
+            assert hermitian_phase(t.xs, t.zs, negative) == (t.d0, t.d1)
+            t.d0 ^= 1 << rng.randrange(2 * n)
+            with pytest.raises(ValueError, match="not Hermitian"):
+                negative_rows(t)
+        # rows with two and three Y factors carry into the high bit
+        assert counts == {0, 1, 2, 3}
 
     def test_header_required(self):
         with pytest.raises(ValueError):
