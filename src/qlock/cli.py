@@ -57,6 +57,16 @@ def _emit_quantities(rows: list[list], unit: str, args) -> None:
         _emit([f"{k} = {_fmt(v)}" for k, v in rows], args.out)
 
 
+def _emit_trials(header: list[str], rows: list[list], summary: list[str],
+                 args) -> None:
+    """The summary fields, one per line; with --csv, the per-trial table
+    followed by the summary as one comma-joined line."""
+    if args.csv:
+        _emit(_csv(header, rows) + [",".join(summary)], args.out)
+    else:
+        _emit(summary, args.out)
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -153,9 +163,14 @@ def _cmd_decrypt(args) -> None:
           args.out)
 
 
-def _ensemble_options(args) -> None:
-    """Reject the sampling options --ensemble single-qubit ignores; give
-    the sampled ensembles their defaults."""
+def _estimate(args) -> tuple[design.MomentEstimate, str]:
+    """The moments of --ensemble and their label, for moments and gamma.
+
+    single-qubit enumerates the 24 Cliffords exactly and rejects the
+    sampling options it would ignore; design and uniform draw --samples
+    circuits, with the vectors of --vector-mode for moments and |0...0>
+    on both sides for gamma.
+    """
     sampling_options = {"--n": args.n, "--samples": args.samples,
                         "--depth-factor": args.depth_factor,
                         "--alpha": getattr(args, "alpha", None),
@@ -172,44 +187,35 @@ def _ensemble_options(args) -> None:
     for name, default in (("n", 2), ("samples", 10000), ("depth_factor", 1.0)):
         if getattr(args, name) is None:
             setattr(args, name, default)
-
-
-def _make_sampler(args):
-    if args.ensemble == "design":
-        return sampling.SamplerConfig(n=args.n, delta=args.delta,
-                                      depth_factor=args.depth_factor), "design"
-    if args.ensemble == "uniform":
-        return (lambda rng: sampling.sample_uniform_clifford(args.n, rng),
-                "uniform")
-    raise ValueError(f"unknown ensemble {args.ensemble!r}")
-
-
-def _check_z(z: float) -> None:
-    if not 0 <= z < math.inf:
-        raise ValueError(f"z must be a finite number >= 0, got {z}")
+    rng = sampling.stream_rng(_parse_seed(args.seed), 0)
+    if args.ensemble == "single-qubit":
+        return (design.exhaustive_single_qubit_moments(),
+                "single-qubit-exhaustive")
+    sampler = (sampling.SamplerConfig(args.n, args.delta, args.depth_factor)
+               if args.ensemble == "design" else
+               lambda r: sampling.sample_uniform_clifford(args.n, r))
+    if args.command == "gamma":
+        mode, alpha, beta = "BASIS", "0" * args.n, "0" * args.n
+    elif args.vector_mode == "HAAR":
+        mode, alpha, beta = "HAAR", None, None
+        for name in ("alpha", "beta"):
+            if getattr(args, name) is not None:
+                raise ValueError(f"--{name} needs --vector-mode BASIS; "
+                                 "HAAR draws its vectors at random")
+    else:
+        mode = "BASIS"
+        alpha = args.alpha if args.alpha else "0" * args.n
+        beta = args.beta if args.beta else "0" * args.n
+        check_bits("--alpha", alpha, args.n)
+        check_bits("--beta", beta, args.n)
+    return (design.estimate_moments(sampler, mode, alpha, beta, args.samples,
+                                    rng), args.ensemble)
 
 
 def _cmd_moments(args) -> None:
-    _check_z(args.z)
-    _ensemble_options(args)
-    rng = sampling.stream_rng(_parse_seed(args.seed), 0)
-    if args.ensemble == "single-qubit":
-        est = design.exhaustive_single_qubit_moments()
-        label = "single-qubit-exhaustive"
-    else:
-        sampler, label = _make_sampler(args)
-        alpha = beta = None
-        for name in ("alpha", "beta"):
-            if args.vector_mode == "HAAR" and getattr(args, name) is not None:
-                raise ValueError(f"--{name} needs --vector-mode BASIS; "
-                                 "HAAR draws its vectors at random")
-        if args.vector_mode == "BASIS":
-            alpha = args.alpha if args.alpha else "0" * args.n
-            beta = args.beta if args.beta else "0" * args.n
-            check_bits("--alpha", alpha, args.n)
-            check_bits("--beta", beta, args.n)
-        est = design.estimate_moments(sampler, args.vector_mode, alpha, beta,
-                                      args.samples, rng)
+    if not 0 <= args.z < math.inf:
+        raise ValueError(f"z must be a finite number >= 0, got {args.z}")
+    est, label = _estimate(args)
     row = design.moments_csv_row(label, est, args.delta, args.z)
     header = list(row)
     if args.csv:
@@ -219,14 +225,7 @@ def _cmd_moments(args) -> None:
 
 
 def _cmd_gamma(args) -> None:
-    _ensemble_options(args)
-    rng = sampling.stream_rng(_parse_seed(args.seed), 0)
-    if args.ensemble == "single-qubit":
-        est = design.exhaustive_single_qubit_moments()
-    else:
-        sampler, _ = _make_sampler(args)
-        est = design.estimate_moments(sampler, "BASIS", "0" * args.n,
-                                      "0" * args.n, args.samples, rng)
+    est, _ = _estimate(args)
     gamma = design.gamma_of(est)
     bound = design.gamma_bound(args.delta)
     d = est.d
@@ -283,15 +282,11 @@ def _cmd_verify_chernoff(args) -> None:
                                          args.eps, delta=args.delta,
                                          depth_factor=args.depth_factor,
                                          jobs=args.jobs)
-    header = ["trial", "lambda_max", "epsilon_hat", "violated"]
     rows = [[i, t.lambda_max, t.epsilon_hat, t.violated]
             for i, t in enumerate(report.trials)]
-    summary = [f"K={K}", f"violation_freq={_fmt(report.violation_freq)}",
-               f"p1_bound={_fmt(report.p1_bound)}"]
-    if args.csv:
-        _emit(_csv(header, rows) + [",".join(summary)], args.out)
-    else:
-        _emit(summary, args.out)
+    _emit_trials(["trial", "lambda_max", "epsilon_hat", "violated"], rows,
+                 [f"K={K}", f"violation_freq={_fmt(report.violation_freq)}",
+                  f"p1_bound={_fmt(report.p1_bound)}"], args)
 
 
 def _cmd_verify_maurer(args) -> None:
@@ -300,16 +295,12 @@ def _cmd_verify_maurer(args) -> None:
     report = security.empirical_maurer(args.n, args.K, x, "0" * args.n,
                                        args.trials, seed, args.tau,
                                        gamma=args.gamma, jobs=args.jobs)
-    summary = [f"K={args.K}", f"tau={_fmt(args.tau)}",
-               f"gamma={_fmt(report.gamma)}",
-               f"tail_freq={_fmt(report.tail_freq)}",
-               f"bound={_fmt(report.bound)}"]
-    if args.csv:
-        rows = [[i, m, m < report.cut] for i, m in enumerate(report.means)]
-        _emit(_csv(["trial", "mean_overlap", "tail"], rows)
-              + [",".join(summary)], args.out)
-    else:
-        _emit(summary, args.out)
+    rows = [[i, m, m < report.cut] for i, m in enumerate(report.means)]
+    _emit_trials(["trial", "mean_overlap", "tail"], rows,
+                 [f"K={args.K}", f"tau={_fmt(args.tau)}",
+                  f"gamma={_fmt(report.gamma)}",
+                  f"tail_freq={_fmt(report.tail_freq)}",
+                  f"bound={_fmt(report.bound)}"], args)
 
 
 def _cmd_lock_probe(args) -> None:

@@ -200,18 +200,18 @@ _BATCH_ENTRIES = 1 << 13
 _TABLE_CHUNK = 240
 
 
-def _word_products(words) -> np.ndarray:
-    """(len(words), 4, 4) unitaries of two-qubit table words, all words
+def _word_products(templates) -> np.ndarray:
+    """(len(templates), 4, 4) unitaries of two-qubit table templates, all
     multiplied together one gate position at a time."""
-    keys = list(_PAIR_MATRICES)
-    index = {key: i + 1 for i, key in enumerate(keys)}
+    gens = two_qubit_table().gens
+    # index 0 is the identity that pads the shorter templates
     mats = np.stack([np.eye(4, dtype=complex)]
-                    + [_PAIR_MATRICES[key] for key in keys])
-    lengths = np.array([len(word) for word in words])
-    steps = np.zeros((len(words), lengths.max()), dtype=np.intp)
-    steps[np.arange(steps.shape[1]) < lengths[:, None]] = [
-        index[g.kind, g.qubits] for word in words for g in word]
-    out = np.broadcast_to(mats[0], (len(words), 4, 4))
+                    + [_PAIR_MATRICES[g.kind, g.qubits] for g in gens])
+    lengths = np.array([len(t) for t in templates])
+    steps = np.zeros((len(templates), lengths.max()), dtype=np.intp)
+    steps[np.arange(steps.shape[1]) < lengths[:, None]] = np.frombuffer(
+        b"".join(templates), dtype=np.uint8) + 1
+    out = np.broadcast_to(mats[0], (len(templates), 4, 4))
     for step in steps.T:
         out = mats[step] @ out
     return out
@@ -229,19 +229,19 @@ class _FragmentTable:
     """
 
     def __init__(self):
-        word = two_qubit_table().word
+        templates = two_qubit_table().templates
         self.classes = np.empty((720, 4, 4), dtype=complex)
         self.code = np.empty(720 * 16, dtype=np.uint8)
         # a few classes at a time keeps every temporary array small
         for lo in range(0, 720, _TABLE_CHUNK):
             hi = lo + _TABLE_CHUNK
             chunk = range(lo, min(hi, 720))
-            self.classes[lo:hi] = _word_products([word(16 * i) for i in chunk])
+            self.classes[lo:hi] = _word_products(templates[16 * lo:16 * hi:16])
             adjoints = self.classes[lo:hi].conj().transpose(0, 2, 1)
             for j in range(16):
                 # U_{i,0}^dagger U_{i,j} = phi P for one Pauli P per class
-                rel = adjoints @ _word_products([word(16 * i + j)
-                                                 for i in chunk])
+                rel = adjoints @ _word_products(
+                    templates[16 * lo + j:16 * hi:16])
                 coef = np.einsum("pab,iab->ip", _PAULIS.conj(), rel) / 4
                 p = np.argmax(np.abs(coef), axis=1)
                 phase = coef[np.arange(len(chunk)), p]

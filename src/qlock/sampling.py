@@ -87,11 +87,18 @@ class SamplerConfig:
         if not 0 < self.depth_factor < math.inf:
             raise ValueError("depth_factor must be a positive finite number, "
                              f"got {self.depth_factor}")
+        # ValueError unless the fragment count L is finite
+        design_circuit_length(self.n, self.delta, self.depth_factor)
 
 
 def design_circuit_length(n: int, delta: float, depth_factor: float = 1.0) -> int:
-    """L = ceil(c * n * (n + log2(1/delta))), the normative fragment count."""
-    return math.ceil(depth_factor * n * (n + math.log2(1.0 / delta)))
+    """L = ceil(c * n * (n + log2(1/delta))), the normative fragment count;
+    ValueError when it overflows to infinity."""
+    length = depth_factor * n * (n + math.log2(1.0 / delta))
+    if length == math.inf:
+        raise ValueError(f"delta={delta} and depth_factor={depth_factor} "
+                         f"give an infinite circuit length at n={n}")
+    return math.ceil(length)
 
 
 def stream_rng(master_seed: int, stream_index: int) -> random.Random:

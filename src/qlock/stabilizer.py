@@ -17,6 +17,8 @@ bit).  Each rule of the convention lives in one function:
 - hermitian_phase, the sign rule: a row is Hermitian iff delta ==
   popcount(x & z) mod 2, and its +/- sign is i^(delta - popcount(x & z)).
   negative_rows reads the signs back by it.
+- add_phase, the Z4 add: delta += k mod 4 on a mask of rows, a carry
+  from d0 into d1.  Tableau.apply writes it inline once, for S and SDG.
 - mult_rows, the phase rule of Pauli multiplication
 
       (i^a X^u Z^v)(i^b X^s Z^t) = i^(a + b + 2*(v.s)) X^(u^s) Z^(v^t)
@@ -162,6 +164,17 @@ def negative_rows(t: "Tableau") -> int:
     return t.d1 ^ d1
 
 
+def add_phase(d0: int, d1: int, mask: int, k: int) -> tuple[int, int]:
+    """The (d0, d1) planes with k added to delta mod 4 on the rows set in
+    mask."""
+    if k & 1:
+        d1 ^= d0 & mask
+        d0 ^= mask
+    if k & 2:
+        d1 ^= mask
+    return d0, d1
+
+
 def mult_rows(xs: list[int], zs: list[int], d0: int, d1: int, mask: int,
               gx: int, gz: int, gd: int) -> tuple[int, int]:
     """Right-multiply every row set in mask by the Pauli row
@@ -179,13 +192,7 @@ def mult_rows(xs: list[int], zs: list[int], d0: int, d1: int, mask: int,
         g ^= lsb
         par ^= zs[j]
         xs[j] ^= mask
-    d1 ^= par & mask
-    if gd & 1:
-        carry = d0 & mask
-        d0 ^= mask
-        d1 ^= carry
-    if gd & 2:
-        d1 ^= mask
+    d0, d1 = add_phase(d0, d1 ^ (par & mask), mask, gd)
     g = gz
     while g:
         lsb = g & -g
@@ -263,19 +270,15 @@ class Tableau:
             q = qubits[0]
             self.d1 ^= xs[q] & zs[q]
             xs[q], zs[q] = zs[q], xs[q]
-        elif kind == "S":
+        elif kind == "S" or kind == "SDG":
+            # X -> +Y (S) or -Y (SDG): add_phase of 1 or 3 on the rows
+            # with X on q, inline because a call per gate slows compile;
+            # 3 is 1 plus 2, so SDG's carry is the flipped one
             q = qubits[0]
             x = xs[q]
-            carry = self.d0 & x
-            self.d0 ^= x
-            self.d1 ^= carry
-            zs[q] ^= x
-        elif kind == "SDG":
-            q = qubits[0]
-            x = xs[q]
-            borrow = x & ~self.d0
-            self.d0 ^= x
-            self.d1 ^= borrow
+            d0 = self.d0
+            self.d1 ^= d0 & x if kind == "S" else x & ~d0
+            self.d0 = d0 ^ x
             zs[q] ^= x
         elif kind == "CNOT":
             c, t = qubits
@@ -335,23 +338,22 @@ class Tableau:
             self.set_row(p - n, x, z, delta)
             self.set_row(p, 0, 1 << qubit, 2 * bit)
             return 0.5
-        # deterministic: Z_qubit is (up to sign) a product of stabilizers,
-        # selected by the destabilizer rows that anticommute with it
-        sel = xq & ((1 << n) - 1)
-        acc_z = 0
-        acc_delta = 0
-        s = sel
+        # deterministic: Z_qubit is (up to sign) the product of the
+        # stabilizers n+i whose destabilizer i anticommutes with it,
+        # multiplied into one accumulator row: columns of a single bit
+        acc_xs = [0] * n
+        acc_zs = [0] * n
+        d0 = d1 = 0
+        s = xq & ((1 << n) - 1)
         while s:
             lsb = s & -s
-            i = lsb.bit_length() - 1
             s ^= lsb
-            x, z, delta = self.row_bits(n + i)
-            acc_delta = (acc_delta + delta + 2 * ((acc_z & x).bit_count() & 1)) % 4
-            acc_z ^= z
-        if acc_z != 1 << qubit:
+            d0, d1 = mult_rows(acc_xs, acc_zs, d0, d1, 1,
+                               *self.row_bits(n + lsb.bit_length() - 1))
+        if any(acc_xs) or acc_zs != [int(q == qubit) for q in range(n)]:
             raise AssertionError("stabilizer product is not Z on the measured qubit")
-        outcome = 0 if acc_delta == 0 else 1
-        return 1.0 if outcome == bit else 0.0
+        # the product is +Z_qubit or -Z_qubit: d0 is 0 and d1 the outcome
+        return 1.0 if d0 | d1 == bit else 0.0
 
     def measure_sample(self, qubit: int, rng) -> int:
         """Measure qubit, drawing the outcome from rng when it is random."""
@@ -398,7 +400,7 @@ class Tableau:
         n = self.n
         if any(x >> n for x in self.xs):
             return None
-        signs = self.d1 >> n
+        signs = negative_rows(self) >> n
         return "".join(str((x & signs).bit_count() & 1) for x in self.xs)
 
     # -- serialization -----------------------------------------------------
@@ -491,9 +493,8 @@ def basis_overlap_prob(circuit: CliffordCircuit, x: str, y: str) -> float:
     Fraction() of it is the exact rational.
     """
     n = circuit.n
-    if len(x) != n or len(y) != n:
-        raise ValueError("bit string length mismatch")
     t = new_basis_state(n, x)
+    check_bits("y", y, n)
     t.apply_circuit(circuit)
     prob = 1.0
     for q in range(n):

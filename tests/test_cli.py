@@ -138,6 +138,22 @@ class TestInputValidation:
         # checked before the 2^13 x 2^13 bases are built
         (("lock-probe", "--n", "13", "--K", "2", "--bases", "1"),
          "error: n=13 exceeds the dense cutoff 12"),
+        # 1 / delta overflows to inf, or depth_factor * n * (...) does, so
+        # the fragment count L is not finite
+        (("codebook", "--n", "2", "--K", "1", "--delta", "1e-320"),
+         "delta=1e-320 and depth_factor=1.0 give an infinite"),
+        (("moments", "--n", "2", "--samples", "10", "--delta", "1e-320"),
+         "delta=1e-320 and depth_factor=1.0 give an infinite"),
+        (("gamma", "--n", "2", "--samples", "10", "--delta", "1e-320"),
+         "delta=1e-320 and depth_factor=1.0 give an infinite"),
+        (("verify-chernoff", "--n", "2", "--eps", "0.1", "--K", "2",
+          "--trials", "1", "--delta", "1e-320"),
+         "delta=1e-320 and depth_factor=1.0 give an infinite"),
+        (("lock-probe", "--n", "2", "--K", "2", "--bases", "0",
+          "--delta", "1e-320"),
+         "delta=1e-320 and depth_factor=0.05 give an infinite"),
+        (("codebook", "--n", "2", "--K", "1", "--depth-factor", "1e308"),
+         "delta=0.0625 and depth_factor=1e+308 give an infinite"),
     ], ids=["jobs-0", "jobs-negative", "trials-0", "chernoff-K-0",
             "maurer-K-0", "lock-probe-K-0", "maurer-n-0", "maurer-n-negative",
             "codebook-depth-inf", "codebook-depth-nan", "moments-depth-inf",
@@ -156,7 +172,9 @@ class TestInputValidation:
             "uniform-beta-short", "keylen-hmin-above-1", "keylen-hmin-inf",
             "keylen-hmin-negative", "keylen-hmin-nan", "fig2-hmin-above-1",
             "moments-all-overlaps-0", "gamma-all-overlaps-0",
-            "lock-probe-above-cutoff"])
+            "lock-probe-above-cutoff", "codebook-delta-tiny",
+            "moments-delta-tiny", "gamma-delta-tiny", "chernoff-delta-tiny",
+            "lock-probe-delta-tiny", "codebook-depth-huge"])
     def test_bad_count_exits_1_with_one_line(self, args, needle):
         seed = () if args[0] in ("keylen", "fig2") or "--seed" in args \
             else ("--seed", SEED)

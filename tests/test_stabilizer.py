@@ -278,6 +278,13 @@ class TestOverlap:
         c = CliffordCircuit(1, [gate("H", 0)])
         assert basis_overlap_prob(c, "0", "1") == 0.5
 
+    @pytest.mark.parametrize("x, y", [("000", "1a0"), ("010", "0a0"),
+                                      ("000", "00")])
+    def test_rejects_bad_y(self, x, y):
+        c = CliffordCircuit(3, [])
+        with pytest.raises(ValueError, match="y must be a 3-bit string"):
+            basis_overlap_prob(c, x, y)
+
     def test_single_qubit_fourth_moment(self):
         # independent oracle: dense enumeration of the 24 unitaries
         circs = sampling.all_single_qubit_circuits()
