@@ -191,6 +191,8 @@ def _estimate(args) -> tuple[design.MomentEstimate, str]:
     if args.ensemble == "single-qubit":
         return (design.exhaustive_single_qubit_moments(),
                 "single-qubit-exhaustive")
+    if args.n < 1:
+        raise ValueError(f"need at least one qubit, got --n {args.n}")
     sampler = (sampling.SamplerConfig(args.n, args.delta, args.depth_factor)
                if args.ensemble == "design" else
                lambda r: sampling.sample_uniform_clifford(args.n, r))

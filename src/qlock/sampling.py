@@ -141,7 +141,7 @@ def _row_tables(n: int, generators: list[CliffordGate]) -> np.ndarray:
 
 
 def _close_group(n: int, generators: list[CliffordGate]
-                 ) -> tuple[np.ndarray, list[tuple[int, ...]]]:
+                 ) -> tuple[np.ndarray, list[bytes]]:
     """BFS closure of the group the generators make.
 
     An element is its conjugation-action tableau packed as one integer:
@@ -150,7 +150,7 @@ def _close_group(n: int, generators: list[CliffordGate]
     expanded in numpy; an element keeps its first occurrence in
     (frontier, generator) order, which gives every element a shortest
     word.  Returns the codes in discovery order and each element's word
-    as generator indices.  A code has 2n(2n+2) bits, so n <= 3.
+    as bytes of generator indices.  A code has 2n(2n+2) bits, so n <= 3.
     """
     width = 2 * n + 2
     shifts = width * np.arange(2 * n - 1, -1, -1, dtype=np.int64)
@@ -177,10 +177,10 @@ def _close_group(n: int, generators: list[CliffordGate]
         frontier = cand[first]
         layers.append(frontier)
         seen = np.sort(np.concatenate([seen, frontier]))
-    words: list[tuple[int, ...]] = [()]
+    words = [b""]
     for p, g in zip(np.concatenate(parents).tolist(),
                     np.concatenate(moves).tolist()):
-        words.append(words[p] + (g,))
+        words.append(words[p] + bytes((g,)))
     return np.concatenate(layers), words
 
 
@@ -212,8 +212,7 @@ class _TwoQubitTable:
             raise AssertionError(f"{len(classes)} symplectic classes")
         if np.any(counts != 16):
             raise AssertionError("sign classes are not 16 per symplectic class")
-        self.templates = [bytes(paths[k])
-                          for k in np.lexsort((signs, sym)).tolist()]
+        self.templates = [paths[k] for k in np.lexsort((signs, sym)).tolist()]
 
     def word(self, w: int) -> list[CliffordGate]:
         """The gates of table word w = 16 i + j on qubits 0 and 1."""

@@ -11,7 +11,6 @@ quantities are reported in bits.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
@@ -426,6 +425,8 @@ def _run_trials(worker, payload: tuple, trials: int, jobs: int) -> list:
     if len(payloads) == 1:
         chunks = [worker(payloads[0])]
     else:
+        # imported here so a one-chunk run never loads the process pool
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=len(payloads)) as pool:
             chunks = list(pool.map(worker, payloads))
     return [row for chunk in chunks for row in chunk]

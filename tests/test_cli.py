@@ -51,6 +51,17 @@ class TestBasics:
         monkeypatch.setitem(cli.build_parser.__globals__, "_cmd_keygen", boom)
         assert cli.main(["keygen", "--K", "4", "--seed", SEED]) == 2
 
+    def test_import_does_not_load_the_process_pool(self):
+        # only a run of two or more --jobs chunks imports the pool modules
+        res = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, qlock.cli; print(sorted(m for m in "
+             "('concurrent.futures.process', 'multiprocessing') "
+             "if m in sys.modules))"],
+            capture_output=True, text=True)
+        assert res.returncode == 0, res.stderr
+        assert res.stdout == "[]\n"
+
 
 class TestInputValidation:
     @pytest.mark.parametrize("args, needle", [
@@ -154,6 +165,14 @@ class TestInputValidation:
          "delta=1e-320 and depth_factor=0.05 give an infinite"),
         (("codebook", "--n", "2", "--K", "1", "--depth-factor", "1e308"),
          "delta=0.0625 and depth_factor=1e+308 give an infinite"),
+        (("moments", "--ensemble", "uniform", "--n", "-1", "--samples", "3"),
+         "need at least one qubit, got --n -1"),
+        (("moments", "--ensemble", "uniform", "--n", "0", "--samples", "3"),
+         "need at least one qubit, got --n 0"),
+        (("gamma", "--ensemble", "uniform", "--n", "-1", "--samples", "3"),
+         "need at least one qubit, got --n -1"),
+        (("gamma", "--ensemble", "uniform", "--n", "0", "--samples", "3"),
+         "need at least one qubit, got --n 0"),
     ], ids=["jobs-0", "jobs-negative", "trials-0", "chernoff-K-0",
             "maurer-K-0", "lock-probe-K-0", "maurer-n-0", "maurer-n-negative",
             "codebook-depth-inf", "codebook-depth-nan", "moments-depth-inf",
@@ -174,7 +193,9 @@ class TestInputValidation:
             "moments-all-overlaps-0", "gamma-all-overlaps-0",
             "lock-probe-above-cutoff", "codebook-delta-tiny",
             "moments-delta-tiny", "gamma-delta-tiny", "chernoff-delta-tiny",
-            "lock-probe-delta-tiny", "codebook-depth-huge"])
+            "lock-probe-delta-tiny", "codebook-depth-huge",
+            "moments-uniform-n-negative", "moments-uniform-n-0",
+            "gamma-uniform-n-negative", "gamma-uniform-n-0"])
     def test_bad_count_exits_1_with_one_line(self, args, needle):
         seed = () if args[0] in ("keylen", "fig2") or "--seed" in args \
             else ("--seed", SEED)

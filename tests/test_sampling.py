@@ -103,7 +103,7 @@ class TestTables:
         # the rows (x_bits, z_bits, delta), row 0 most significant
         codes, words = _close_group(n, gens)
         ref = reference_closure(n, gens)
-        assert words == [word for _, word in ref]
+        assert words == [bytes(word) for _, word in ref]
         want = []
         for tab, _ in ref:
             code = 0
