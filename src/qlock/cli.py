@@ -33,7 +33,11 @@ def _fmt(x) -> str:
 
 
 def _emit(lines: list[str], out_path: str | None) -> None:
-    payload = "\n".join(lines) + "\n"
+    _write("\n".join(lines) + "\n", out_path)
+
+
+def _write(payload: str, out_path: str | None) -> None:
+    """payload, which ends in a newline, to out_path or stdout."""
     if out_path:
         with open(out_path, "w", newline="\n") as fh:
             fh.write(payload)
@@ -139,7 +143,7 @@ def _cmd_codebook(args) -> None:
     cb = protocol.build_codebook(args.n, args.K, args.delta,
                                  _parse_seed(args.seed),
                                  depth_factor=args.depth_factor)
-    _emit(protocol.codebook_to_text(cb).splitlines(), args.out)
+    _write(protocol.codebook_to_text(cb), args.out)
 
 
 def _read(path: str) -> str:
@@ -150,7 +154,7 @@ def _read(path: str) -> str:
 def _cmd_encrypt(args) -> None:
     cb = protocol.codebook_from_text(_read(args.codebook))
     cipher = protocol.encrypt(cb, protocol.SecretKey(args.key), args.x)
-    _emit(protocol.cipher_to_text(cipher).splitlines(), args.out)
+    _write(protocol.cipher_to_text(cipher), args.out)
 
 
 def _cmd_decrypt(args) -> None:

@@ -78,7 +78,10 @@ class Codebook:
 
 def build_codebook(n: int, K: int, delta: float, master_seed: int,
                    depth_factor: float = 1.0) -> Codebook:
-    """Derive the K codebook circuits deterministically from the seed."""
+    """Derive the K codebook circuits deterministically from the seed.
+
+    Each circuit is held as the DesignCircuit of its fragment records; its
+    gates are expanded only while it is compiled or printed."""
     if K < 1:
         raise ValueError("K must be >= 1")
     cfg = SamplerConfig(n=n, delta=delta, depth_factor=depth_factor)
@@ -125,12 +128,13 @@ def decrypt(cb: Codebook, key: SecretKey, cipher: Tableau,
 
 
 def codebook_to_text(cb: Codebook) -> str:
-    lines = [f"QDLCB v1 n={cb.n} K={cb.K} delta={cb.delta!r} "
-             f"seed={cb.master_seed:032x}"]
+    # one join over every part, so the whole file is made once
+    parts = [f"QDLCB v1 n={cb.n} K={cb.K} delta={cb.delta!r} "
+             f"seed={cb.master_seed:032x}\n"]
     for k, circuit in enumerate(cb.circuits):
         body = circuit_to_text(circuit)
-        lines.append(f"{k}: {body}" if body else f"{k}:")
-    return "\n".join(lines) + "\n"
+        parts += (f"{k}: " if body else f"{k}:", body, "\n")
+    return "".join(parts)
 
 
 def _header(line: str, magic: list[str], fields: dict, what: str) -> dict:

@@ -23,11 +23,14 @@ of all 2^(2n+2) rows, made by one Tableau.apply, so the gate semantics
 are the tableau's own.
 
 sample_design_circuit draws a design circuit as its L fragment records
-(word, a, b), word = 16 i + j, and returns them as a DesignCircuit.
-dense.push applies the records without expanding them into gates; every
-other consumer reads the gate list, which is expanded from the records on
-first use by relabelling each word's template of generator indices onto
-(a, b), so one seed gives the same circuit in either form.
+(word, a, b), word = 16 i + j, and returns them as a DesignCircuit;
+derive_circuit returns that DesignCircuit as it is, so a seed-built
+codebook holds only records.  dense.push applies the records without
+expanding them into gates; every other consumer reads the gate list,
+which is expanded from the records on each read by relabelling each
+word's template of generator indices onto (a, b) and is not kept, so one
+seed gives the same circuit in either form and a consumer holds one
+circuit's gates at a time.
 
 The circuit text form is 'H 0; SDG 2; CNOT 0 3'.  Printing joins the
 texts the interned gates carry, and parsing looks each stripped chunk up
@@ -62,7 +65,7 @@ import hashlib
 import math
 import random
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -87,18 +90,33 @@ class SamplerConfig:
         if not 0 < self.depth_factor < math.inf:
             raise ValueError("depth_factor must be a positive finite number, "
                              f"got {self.depth_factor}")
-        # ValueError unless the fragment count L is finite
+        # ValueError unless the fragment count L is finite and at most
+        # MAX_FRAGMENTS, before any circuit is drawn
         design_circuit_length(self.n, self.delta, self.depth_factor)
+
+
+# The largest fragment count L of one design circuit.  Drawing a circuit
+# takes about 80 bytes per fragment and printing it about 200, so a
+# circuit of 2^22 fragments already needs about 0.3 GB to draw and 0.9 GB
+# to print.  That is about 60 times the paper-scale circuit (L = 66 560 at
+# n = 256 and the default delta = 1/16), so a larger L comes from a
+# mistyped depth factor or delta, not from a circuit that can be held.
+MAX_FRAGMENTS = 1 << 22
 
 
 def design_circuit_length(n: int, delta: float, depth_factor: float = 1.0) -> int:
     """L = ceil(c * n * (n + log2(1/delta))), the normative fragment count;
-    ValueError when it overflows to infinity."""
+    ValueError when it overflows to infinity or exceeds MAX_FRAGMENTS."""
     length = depth_factor * n * (n + math.log2(1.0 / delta))
     if length == math.inf:
         raise ValueError(f"delta={delta} and depth_factor={depth_factor} "
                          f"give an infinite circuit length at n={n}")
-    return math.ceil(length)
+    length = math.ceil(length)
+    if length > MAX_FRAGMENTS:
+        raise ValueError(f"delta={delta} and depth_factor={depth_factor} "
+                         f"give L={length} fragments at n={n}, above the "
+                         f"cap of {MAX_FRAGMENTS} per circuit")
+    return length
 
 
 def stream_rng(master_seed: int, stream_index: int) -> random.Random:
@@ -287,7 +305,7 @@ class DesignCircuit(CliffordCircuit):
     word 16 i + j of class i and sign class j, acting with its local qubit 0
     on qubit a and local qubit 1 on qubit b.  dense.push applies the
     records directly; the gate list is their word-by-word expansion, made
-    on first use.
+    afresh on each read of gates and not kept.
     """
 
     def __init__(self, n: int, records: np.ndarray):
@@ -299,7 +317,7 @@ class DesignCircuit(CliffordCircuit):
         self.n = n
         self.records = records
 
-    @cached_property
+    @property
     def gates(self) -> list[CliffordGate]:
         return two_qubit_table().expand(self.n, self.records)
 
@@ -472,10 +490,11 @@ def action_to_circuit(action: Tableau) -> CliffordCircuit:
 
 def derive_circuit(master_seed: int, stream_index: int,
                    cfg: SamplerConfig) -> CliffordCircuit:
-    """Deterministic design circuit for (master_seed, stream_index), as a
-    gate circuit: codebooks compile, print and simulate their gates."""
-    circuit = sample_design_circuit(cfg, stream_rng(master_seed, stream_index))
-    return CliffordCircuit(circuit.n, circuit.gates)
+    """Deterministic design circuit for (master_seed, stream_index): the
+    DesignCircuit of its fragment records (a single-qubit Clifford at
+    n = 1), whose gates are expanded afresh each time a codebook compiles
+    or prints it."""
+    return sample_design_circuit(cfg, stream_rng(master_seed, stream_index))
 
 
 # -- circuit text form -------------------------------------------------------

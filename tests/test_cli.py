@@ -206,6 +206,24 @@ class TestInputValidation:
         assert res.stderr.count("\n") == 1
         assert needle in res.stderr
 
+    def test_fragment_cap_exits_before_any_draw(self, monkeypatch, capsys):
+        # L = 1.2e11 at n = 2 would ask the draw for a list of 3L slots;
+        # the cap rejects it before any circuit is drawn
+        from qlock import cli, protocol, sampling
+
+        def no_draw(*args):
+            raise AssertionError("a circuit was drawn")
+
+        monkeypatch.setattr(sampling, "sample_design_circuit", no_draw)
+        monkeypatch.setattr(protocol, "derive_circuit", no_draw)
+        assert cli.main(["codebook", "--n", "2", "--K", "1", "--depth-factor",
+                         "1e10", "--seed", SEED]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == ("error: delta=0.0625 and depth_factor=10000000000.0 "
+                       "give L=120000000000 fragments at n=2, above the cap "
+                       "of 4194304 per circuit\n")
+
     @pytest.mark.parametrize("fields, needle", [
         (f"K=1 delta=0.5 seed={SEED}", "no n= field"),
         (f"n=2 K=1 delta=0.5 seed={SEED} m=1", "field 'm=1'"),

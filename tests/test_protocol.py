@@ -1,6 +1,7 @@
 import hashlib
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,8 @@ from qlock.protocol import (Codebook, SecretKey, build_codebook,
                             cipher_from_text, cipher_to_text,
                             codebook_from_text, codebook_to_text, decrypt,
                             encrypt, key_bits, keygen)
-from qlock.sampling import design_circuit_length
+from qlock.sampling import (DesignCircuit, design_circuit_length,
+                            two_qubit_table)
 from qlock.stabilizer import CliffordCircuit, new_basis_state
 
 
@@ -98,6 +100,35 @@ class TestCodebook:
             build_codebook(2, 0, 0.5, master_seed=1)
         with pytest.raises(ValueError):
             build_codebook(2, 1, 1.5, master_seed=1)
+
+
+class TestCodebookMemory:
+    @pytest.fixture(scope="class")
+    def built(self):
+        return build_codebook(64, 8, 0.0625, master_seed=0x5EED)
+
+    def test_printing_holds_the_text_about_twice(self, built):
+        # printing holds each circuit's text and the one joined file: about
+        # twice the text, plus one circuit's gate list
+        parsed = codebook_from_text(codebook_to_text(built))
+        tracemalloc.start()
+        try:
+            text = codebook_to_text(parsed)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(text) > 1_500_000
+        assert peak < 2.2 * len(text), f"peak {peak / len(text):.2f}x the text"
+
+    def test_seed_built_circuits_keep_only_their_records(self, built):
+        table = two_qubit_table()
+        for circuit in built.circuits:
+            assert type(circuit) is DesignCircuit
+            gates = circuit.gates
+            assert gates == table.expand(64, circuit.records)
+            # the gates are expanded afresh on each read, never kept
+            assert circuit.gates is not gates
+            assert set(vars(circuit)) == {"n", "records"}
 
 
 class TestEncryptDecrypt:

@@ -9,8 +9,9 @@ import numpy as np
 import pytest
 
 from qlock import sampling
-from qlock.sampling import (DesignCircuit, SamplerConfig, _close_group,
-                            action_to_circuit, all_single_qubit_circuits,
+from qlock.sampling import (MAX_FRAGMENTS, DesignCircuit, SamplerConfig,
+                            _close_group, action_to_circuit,
+                            all_single_qubit_circuits,
                             circuit_from_text, circuit_to_text,
                             derive_circuit, design_circuit_length,
                             sample_design_circuit,
@@ -193,6 +194,14 @@ class TestDesignSampler:
         assert design_circuit_length(2, 0.01, 1.0) == 18
         assert design_circuit_length(1, 0.5, 1.0) == 2
 
+    def test_length_is_capped(self):
+        # L = 8 c at n = 2, delta = 1/4: the cap is reached at c = 2^19
+        assert design_circuit_length(2, 0.25, 2 ** 19) == MAX_FRAGMENTS
+        with pytest.raises(ValueError, match=r"L=4194305 fragments at n=2"):
+            design_circuit_length(2, 0.25, 2 ** 19 + 1 / 8)
+        with pytest.raises(ValueError, match=r"L=120000000000 fragments"):
+            SamplerConfig(n=2, delta=0.0625, depth_factor=1e10)
+
     def test_fragment_count(self, rng):
         cfg = SamplerConfig(n=4, delta=2 ** -4)
         assert sample_design_circuit(cfg, rng).records.shape == (32, 3)
@@ -216,8 +225,11 @@ class TestDesignSampler:
                     for g in table.word(word)]
             assert circuit.gates == want
             assert len(circuit) == len(want)
+            # derive_circuit keeps the draw's records, and expands them to
+            # the same gates
             derived = derive_circuit(0x1234, k, cfg)
-            assert type(derived) is CliffordCircuit
+            assert type(derived) is DesignCircuit
+            assert derived.records.tolist() == records
             assert derived.gates == want
 
     def test_fragments_need_two_qubits(self):

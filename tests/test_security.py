@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from qlock import dense
-from qlock.protocol import Codebook, build_codebook
+from qlock.protocol import (Codebook, build_codebook, codebook_from_text,
+                            codebook_to_text)
 from qlock.sampling import (SamplerConfig, all_single_qubit_circuits,
                             sample_design_circuit, stream_rng)
 from qlock.security import (Measurement,
@@ -131,25 +132,43 @@ class TestEveState:
         assert np.max(np.abs(mix - want)) < 1e-12
 
     def test_several_priors_push_each_circuit_once(self, monkeypatch):
-        cb = build_codebook(3, 5, 0.25, master_seed=21)
+        # a seed-built codebook holds design circuits, which are pushed as
+        # one batch of records; the same codebook parsed from text holds
+        # gate circuits, which are pushed one by one.  Either way every
+        # circuit is pushed once, on the union of the priors' columns
+        built = build_codebook(3, 5, 0.25, master_seed=21)
+        parsed = codebook_from_text(codebook_to_text(built))
         xs = ["000", "011", "101", "110"]
         uniform = PriorDistribution(n=3)
+        priors = ([dense.basis_vector(x).real for x in xs]
+                  + [uniform.probability_vector()])
         pushes = []
+        batches = []
         push = dense.apply_circuit_to_vector
+        push_records = dense._push_fragments
 
         def counting_push(circuit, vec):
             pushes.append(vec.shape)
             return push(circuit, vec)
 
+        def counting_batch(recs, cols):
+            batches.append((recs.shape, cols.shape))
+            return push_records(recs, cols)
+
         monkeypatch.setattr(dense, "apply_circuit_to_vector", counting_push)
-        states = _adversary_state(
-            cb.circuits, [dense.basis_vector(x).real for x in xs]
-            + [uniform.probability_vector()])
-        assert pushes == [(8, 8)] * cb.K
-        monkeypatch.undo()
-        for x, rho in zip(xs, states):
-            assert np.max(np.abs(rho - conditional_state(cb, x))) < 1e-12
-        assert np.max(np.abs(states[-1] - eve_state(cb, uniform))) < 1e-12
+        monkeypatch.setattr(dense, "_push_fragments", counting_batch)
+        length = len(built.circuits[0].records)
+        for cb, want_pushes, want_batches in (
+                (built, [], [((5, length, 3), (8, 8))]),
+                (parsed, [(8, 8)] * 5, [])):
+            pushes.clear()
+            batches.clear()
+            states = _adversary_state(cb.circuits, priors)
+            assert pushes == want_pushes
+            assert batches == want_batches
+            for x, rho in zip(xs, states):
+                assert np.max(np.abs(rho - conditional_state(cb, x))) < 1e-12
+            assert np.max(np.abs(states[-1] - eve_state(cb, uniform))) < 1e-12
 
     @pytest.mark.parametrize("n, K", [(2, 5), (3, 600), (4, 9)])
     def test_fragments_match_gate_circuits(self, n, K):
