@@ -17,8 +17,7 @@ from dataclasses import dataclass, field
 from .sampling import (SamplerConfig, circuit_from_text, circuit_to_text,
                        derive_circuit)
 from .stabilizer import (CliffordCircuit, CliffordMap, Tableau,
-                         invert_circuit, read_decimal, read_hex,
-                         tableau_from_text)
+                         read_decimal, read_hex, tableau_from_text)
 
 
 @dataclass(frozen=True)
@@ -56,7 +55,6 @@ class Codebook:
     master_seed: int
     circuits: list[CliffordCircuit]
     _maps: dict = field(default_factory=dict, repr=False, compare=False)
-    _inv_maps: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.circuits) != self.K:
@@ -66,14 +64,16 @@ class Codebook:
                 raise ValueError("circuit qubit count mismatch")
 
     def map(self, k: int) -> CliffordMap:
+        """The compiled action of circuit k, made on first use."""
         if k not in self._maps:
+            if not 0 <= k < self.K:
+                raise ValueError("key index out of range for this codebook")
             self._maps[k] = CliffordMap(self.circuits[k])
         return self._maps[k]
 
     def inverse_map(self, k: int) -> CliffordMap:
-        if k not in self._inv_maps:
-            self._inv_maps[k] = CliffordMap(invert_circuit(self.circuits[k]))
-        return self._inv_maps[k]
+        """The action of circuit k's inverse, read off its compiled map."""
+        return self.map(k).inverse
 
 
 def build_codebook(n: int, K: int, delta: float, master_seed: int,
@@ -92,9 +92,7 @@ def build_codebook(n: int, K: int, delta: float, master_seed: int,
 
 def encrypt(cb: Codebook, key: SecretKey, x: str) -> Tableau:
     """Cipher state C_k|x>: the basis-state tableau pushed through circuit k."""
-    if not 0 <= key.k < cb.K:
-        raise ValueError("key index out of range for this codebook")
-    # basis_state_image checks x
+    # map checks the key index and basis_state_image x
     return cb.map(key.k).basis_state_image(x)
 
 
@@ -107,12 +105,10 @@ def decrypt(cb: Codebook, key: SecretKey, cipher: Tableau,
     are sampled from rng (a fresh seeded generator when omitted) and the
     deterministic flag is False.
     """
-    if not 0 <= key.k < cb.K:
-        raise ValueError("key index out of range for this codebook")
+    inverse = cb.inverse_map(key.k)
     if cipher.n != cb.n:
         raise ValueError("cipher size mismatch")
-    state = cipher.copy()
-    cb.inverse_map(key.k).apply_to(state)
+    state = inverse.apply_to(cipher.copy())
     bits = state.z_readout()
     if bits is not None:
         return bits, True

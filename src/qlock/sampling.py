@@ -70,8 +70,8 @@ from functools import lru_cache
 import numpy as np
 
 from .stabilizer import (GATES_BY_TEXT, CliffordCircuit, CliffordGate,
-                         Tableau, gate, intern_gate, invert_circuit,
-                         negative_rows, read_decimal)
+                         Tableau, gate, intern_gate, negative_rows,
+                         read_decimal)
 
 
 @dataclass
@@ -437,7 +437,8 @@ def action_to_circuit(action: Tableau) -> CliffordCircuit:
     """Synthesize a gate list whose conjugation action equals `action`.
 
     Works by reducing a copy of the action tableau to the identity with a
-    column sweep (the emitted gate list, inverted, is the circuit).  For
+    column sweep; the circuit is the inverse of each gate applied, S as
+    SDG and every other gate as itself, in reverse order.  For
     qubit j the stabilizer image is first brought to X_j and flipped to
     Z_j by a Hadamard; the destabilizer image then necessarily has an X_j
     component and is cleaned with CNOT/S/CZ, none of which disturb Z_j.
@@ -448,7 +449,7 @@ def action_to_circuit(action: Tableau) -> CliffordCircuit:
 
     def do(kind, *qubits):
         t.apply(kind, qubits)
-        emitted.append(intern_gate(kind, qubits))
+        emitted.append(intern_gate("SDG" if kind == "S" else kind, qubits))
 
     def reduce_row(r, j):
         """Bring row r, with X_j set, to X_j by CNOTs, S and CZs from qubit j."""
@@ -485,7 +486,7 @@ def action_to_circuit(action: Tableau) -> CliffordCircuit:
             do("X", j)
     if t != Tableau(n):
         raise AssertionError("reduction did not reach the identity tableau")
-    return invert_circuit(CliffordCircuit(n, emitted))
+    return CliffordCircuit(n, emitted[::-1])
 
 
 def derive_circuit(master_seed: int, stream_index: int,

@@ -26,18 +26,19 @@ bit).  Each rule of the convention lives in one function:
   where v.s is the GF(2) inner product, so phase bookkeeping reduces to
   parities of column masks.
 
-Gates are interned: intern_gate makes one CliffordGate per (kind, qubits)
-and every circuit holds those shared objects.  Each gate carries its
-canonical text ("CNOT 0 3"), its highest qubit index and its inverse
-gate, made once, so printing a circuit joins stored texts, parsing one
-looks each chunk up in GATES_BY_TEXT, a circuit checks its qubit range
-with one attribute read per gate, and inverting it reads one per gate.
+Gates are interned: intern_gate makes one CliffordGate per (kind, qubits),
+with its canonical text ("CNOT 0 3") and highest qubit index, and every
+circuit holds those shared objects, so printing a circuit joins stored
+texts, parsing one looks each chunk up in GATES_BY_TEXT and its qubit
+range check reads one attribute per gate.  CliffordMap compiles a circuit
+once; the map of its inverse is read off that compile.
 """
 
 from __future__ import annotations
 
 import string
 from dataclasses import dataclass, field
+from functools import cached_property
 from operator import attrgetter
 from typing import Optional
 
@@ -46,20 +47,16 @@ GATE_ARITY = {
     "CZ": 2, "SWAP": 2, "CNOT": 2,
 }
 
-_GATE_INVERSE = {"S": "SDG", "SDG": "S"}
-
 
 @dataclass(frozen=True)
 class CliffordGate:
     """A named Clifford gate on one or two qubit indices, with its
-    canonical text, its highest qubit index and, once interned, its
-    inverse gate."""
+    canonical text and its highest qubit index."""
 
     kind: str
     qubits: tuple[int, ...]
     text: str = field(init=False, repr=False, compare=False)
     top: int = field(init=False, repr=False, compare=False)
-    inv: "CliffordGate" = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         arity = GATE_ARITY.get(self.kind)
@@ -82,27 +79,13 @@ GATES_BY_TEXT: dict[str, CliffordGate] = {}
 _INTERNED: dict[tuple[str, tuple[int, ...]], CliffordGate] = {}
 
 
-def _new_gate(kind: str, qubits: tuple[int, ...]) -> CliffordGate:
-    g = CliffordGate(kind, qubits)
-    _INTERNED[kind, qubits] = GATES_BY_TEXT[g.text] = g
-    return g
-
-
 def intern_gate(kind: str, qubits: tuple[int, ...]) -> CliffordGate:
-    """The one shared CliffordGate for (kind, qubits).
-
-    Gates are immutable, so every circuit that samples, parses or inverts
-    the same gate holds the same object instead of a copy per occurrence.
-    S and SDG on the same qubit are made together, so every interned gate
-    holds its interned inverse in inv.
-    """
+    """The one shared CliffordGate for (kind, qubits): gates are immutable,
+    so every circuit holding a gate holds the same object."""
     g = _INTERNED.get((kind, qubits))
     if g is None:
-        g = _new_gate(kind, qubits)
-        partner = _GATE_INVERSE.get(kind)
-        inv = g if partner is None else _new_gate(partner, qubits)
-        object.__setattr__(g, "inv", inv)
-        object.__setattr__(inv, "inv", g)
+        g = CliffordGate(kind, qubits)
+        _INTERNED[kind, qubits] = GATES_BY_TEXT[g.text] = g
     return g
 
 
@@ -129,14 +112,6 @@ class CliffordCircuit:
 
     def __len__(self):
         return len(self.gates)
-
-
-_INV = attrgetter("inv")
-
-
-def invert_circuit(circuit: CliffordCircuit) -> CliffordCircuit:
-    """Inverse circuit: gates reversed, each replaced by its inverse."""
-    return CliffordCircuit(circuit.n, list(map(_INV, reversed(circuit.gates))))
 
 
 def hermitian_phase(xs: list[int], zs: list[int],
@@ -523,6 +498,29 @@ class CliffordMap:
         t.apply_circuit(circuit)
         self.tableau = t
         self.rows = [t.row_bits(r) for r in range(2 * circuit.n)]
+
+    @cached_property
+    def inverse(self) -> "CliffordMap":
+        """The map of the inverse circuit, read off this map's tableau.
+
+        Its row q is column zs[q] and row n+q column xs[q], X part in the
+        high n bits (Aaronson-Gottesman).  Taken with sign +, those rows
+        send this map's rows to +/-X_q, +/-Z_q with sign plane e; the
+        signs s solve S s = e, S the inverse's own bit matrix.
+        """
+        n = self.n
+        inv = object.__new__(CliffordMap)
+        inv.n = n
+        inv.rows = [(c >> n, c & ((1 << n) - 1), (c >> n & c).bit_count() % 4)
+                    for c in self.tableau.zs + self.tableau.xs]
+        probe = inv.apply_to(self.tableau.copy())
+        if probe.xs + probe.zs != [1 << r for r in range(2 * n)]:
+            raise AssertionError("inverse rows do not undo the map")
+        e = negative_rows(probe)
+        inv.rows = [(x, z, (d + 2 * ((x & e) ^ (z & e >> n)).bit_count()) % 4)
+                    for x, z, d in inv.rows]
+        inv.tableau = inv.apply_to(Tableau(n))
+        return inv
 
     def apply_to(self, state: Tableau) -> Tableau:
         """Replace state's rows by their images under this map, in place."""

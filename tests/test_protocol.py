@@ -12,7 +12,7 @@ from qlock.protocol import (Codebook, SecretKey, build_codebook,
                             encrypt, key_bits, keygen)
 from qlock.sampling import (DesignCircuit, design_circuit_length,
                             two_qubit_table)
-from qlock.stabilizer import CliffordCircuit, new_basis_state
+from qlock.stabilizer import CliffordCircuit, CliffordMap, new_basis_state
 
 
 def identity_codebook(n, K):
@@ -193,6 +193,49 @@ class TestEncryptDecrypt:
             k = rng.randrange(4)
             bits, det = decrypt(cb, SecretKey(k), encrypt(cb, SecretKey(k), x))
             assert det and bits == x
+
+
+class TestCodebookMaps:
+    @pytest.mark.parametrize("k", [-1, 2, 3])
+    def test_key_index_is_checked_by_map(self, k):
+        cb = identity_codebook(2, 2)
+        for lookup in (cb.map, cb.inverse_map):
+            with pytest.raises(ValueError, match="^key index out of range "
+                                                 "for this codebook$"):
+                lookup(k)
+        assert cb._maps == {}
+
+    def test_key_is_checked_before_the_cipher_size(self):
+        cb = identity_codebook(2, 2)
+        with pytest.raises(ValueError, match="^key index out of range"):
+            decrypt(cb, SecretKey(2), new_basis_state(3, "000"))
+        with pytest.raises(ValueError, match="^cipher size mismatch$"):
+            decrypt(cb, SecretKey(1), new_basis_state(3, "000"))
+
+    @pytest.mark.parametrize("parsed", [False, True])
+    def test_round_trip_compiles_each_key_once(self, parsed, monkeypatch):
+        # right- and wrong-key decrypts of every key, K = 4: the inverse
+        # maps are read off the forward compiles
+        cb = build_codebook(5, 4, 0.25, master_seed=0x5EED)
+        if parsed:
+            cb = codebook_from_text(codebook_to_text(cb))
+        compiled = []
+        compile_ = CliffordMap.__init__
+
+        def counting(self, circuit):
+            compiled.append(circuit)
+            compile_(self, circuit)
+
+        monkeypatch.setattr(CliffordMap, "__init__", counting)
+        rng = random.Random(17)
+        for k in range(4):
+            for x in ("00000", "10110"):
+                cipher = encrypt(cb, SecretKey(k), x)
+                assert decrypt(cb, SecretKey(k), cipher) == (x, True)
+                for guess in range(4):
+                    decrypt(cb, SecretKey(guess), cipher, rng)
+        assert len(compiled) == 4
+        assert all(c is cb.circuits[k] for k, c in enumerate(compiled))
 
 
 class TestCipherFiles:

@@ -18,9 +18,9 @@ from qlock.sampling import (MAX_FRAGMENTS, DesignCircuit, SamplerConfig,
                             sample_two_qubit_clifford, sample_uniform_clifford,
                             single_qubit_table, stream_rng, two_qubit_table)
 from qlock.stabilizer import (CliffordCircuit, CliffordGate, Tableau,
-                              basis_overlap_prob, gate, invert_circuit)
+                              basis_overlap_prob, gate)
 
-from test_stabilizer import random_circuit
+from test_stabilizer import random_circuit, reference_inverse
 
 
 def reference_fragments(cfg, rng, count):
@@ -163,7 +163,7 @@ class TestTwoQubitSampler:
             c = sample_two_qubit_clifford(rng)
             t = Tableau(2)
             t.apply_circuit(c)
-            t.apply_circuit(invert_circuit(c))
+            t.apply_circuit(reference_inverse(c))
             assert t == Tableau(2)
 
     def test_uniformity_chi_square(self):
@@ -317,6 +317,23 @@ class TestUniformClifford:
             "CNOT 2 4; H 2; CZ 2 3; SDG 2; SWAP 2 3; CZ 1 2; CNOT 1 4; "
             "CNOT 1 3; H 1; CZ 1 3; CZ 1 2; CNOT 1 4; CZ 0 4; CZ 0 3; CZ 0 2; "
             "CZ 0 1; SDG 0; CNOT 0 2; CNOT 0 1; H 0; CZ 0 4; CZ 0 3; SWAP 0 2")
+
+    @pytest.mark.parametrize("n, digest", [
+        (3, "3e779afd5edf81c3ff27b9f2a7082cad9cc15d2e96b13fc6a3b563e4782ce703"),
+        (4, "68e51bd203fd3a1762789787a371856091d61745567ae305eceaa898f34d8188"),
+        (5, "ff89340e563c9967e067470b6f97d73962a07fe79498d428973e41833b680a54"),
+        (6, "7c5a72840e4d6d4100a806c97db232769217014ef3ce1843ae5c1c51d6503781"),
+        (7, "2ba82831c2889d880d1f396497b1ce3904a57fb67170d7f1bc7b9e750adc72b3"),
+        (8, "dd792d80df318b4867f35e2c0b550a5b62d09e7e2b05e64759f5fdd6cccec3fa"),
+    ])
+    def test_synthesized_gate_lists_are_pinned(self, n, digest):
+        # eight seeded draws per n, one text per line: gate synthesis fixes
+        # the seeded output of verify-maurer, lock-probe and the uniform
+        # ensemble of moments and gamma
+        rng = stream_rng(0xABC, n)
+        text = "\n".join(circuit_to_text(sample_uniform_clifford(n, rng))
+                         for _ in range(8))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_synthesis_round_trip(self, n):

@@ -8,11 +8,10 @@ from hypothesis import strategies as st
 
 from qlock import dense, sampling
 from qlock.protocol import build_codebook
-from qlock.stabilizer import (GATE_ARITY, GATES_BY_TEXT, CliffordCircuit,
-                              CliffordMap, Tableau, basis_overlap_prob, gate,
-                              hermitian_phase, intern_gate, invert_circuit,
-                              negative_rows, new_basis_state,
-                              tableau_from_text)
+from qlock.stabilizer import (GATES_BY_TEXT, CliffordCircuit, CliffordMap,
+                              Tableau, basis_overlap_prob, gate,
+                              hermitian_phase, negative_rows,
+                              new_basis_state, tableau_from_text)
 
 GATE_POOL = [("H", 1), ("S", 1), ("SDG", 1), ("X", 1), ("Y", 1), ("Z", 1),
              ("CZ", 2), ("SWAP", 2), ("CNOT", 2)]
@@ -30,6 +29,13 @@ def random_circuit(n, length, rng):
             a, b = rng.sample(range(n), 2)
             gates.append(gate(kind, a, b))
     return CliffordCircuit(n, gates)
+
+
+def reference_inverse(circuit):
+    """The inverse circuit: gates reversed, S and SDG swapped."""
+    swap = {"S": "SDG", "SDG": "S"}
+    return CliffordCircuit(circuit.n, [gate(swap.get(g.kind, g.kind), *g.qubits)
+                                       for g in reversed(circuit.gates)])
 
 
 def random_state(n, rng, depth=30):
@@ -332,37 +338,47 @@ class TestGateText:
 
 class TestInvert:
     def test_examples(self):
-        assert invert_circuit(CliffordCircuit(1, [gate("H", 0)])).gates == [gate("H", 0)]
-        assert invert_circuit(CliffordCircuit(1, [gate("S", 0)])).gates == [gate("SDG", 0)]
-        c = CliffordCircuit(2, [gate("H", 0), gate("S", 1), gate("CNOT", 0, 1)])
-        assert invert_circuit(c).gates == [gate("CNOT", 0, 1), gate("SDG", 1),
-                                           gate("H", 0)]
+        # the inverse map equals the compile of the hand-inverted circuit
+        cases = [
+            (CliffordCircuit(1, [gate("H", 0)]), [gate("H", 0)]),
+            (CliffordCircuit(1, [gate("S", 0)]), [gate("SDG", 0)]),
+            (CliffordCircuit(2, [gate("H", 0), gate("S", 1), gate("CNOT", 0, 1)]),
+             [gate("CNOT", 0, 1), gate("SDG", 1), gate("H", 0)]),
+        ]
+        for c, inverse in cases:
+            assert reference_inverse(c).gates == inverse
+            got = CliffordMap(c).inverse
+            want = CliffordMap(CliffordCircuit(c.n, inverse))
+            assert (got.rows, got.tableau) == (want.rows, want.tableau)
 
-    def test_inverse_gates_are_interned(self):
-        # inverting a codebook circuit makes no new gate objects
-        c = CliffordCircuit(2, [gate("S", 0), gate("SDG", 1), gate("CZ", 0, 1)])
-        for g, want in zip(invert_circuit(c).gates,
-                           [gate("CZ", 0, 1), gate("S", 1), gate("SDG", 0)]):
-            assert g is want
+    @pytest.mark.parametrize("n", range(1, 31))
+    def test_inverse_map_is_the_compiled_inverse(self, n):
+        # every gate kind, including empty circuits
+        rng = random.Random(4000 + n)
+        for length in (0, 1, 5, 40, 200):
+            c = random_circuit(n, length, rng)
+            m = CliffordMap(c)
+            want = CliffordMap(reference_inverse(c))
+            got = m.inverse
+            assert got.rows == want.rows
+            assert got.tableau == want.tableau
+            assert m.inverse is got
 
-    @pytest.mark.parametrize("kind", sorted(GATE_ARITY))
-    def test_gate_inverse_is_stored_once(self, kind):
-        # inv is the interned partner; reading it makes no gate object
-        qubits = (2, 0)[:GATE_ARITY[kind]]
-        g = intern_gate(kind, qubits)
-        inv = g.inv
-        assert inv is g.inv
-        assert inv.inv is g
-        assert inv is intern_gate(inv.kind, qubits)
-        assert (inv.kind == kind) == (kind not in ("S", "SDG"))
+    def test_inverse_map_of_the_protocol_codebook(self):
+        # the n = 64 codebook of the protocol benchmark
+        cb = build_codebook(64, 2, 0.0625, 0x5EED)
+        for k in range(2):
+            got = cb.inverse_map(k)
+            want = CliffordMap(reference_inverse(cb.circuits[k]))
+            assert got.rows == want.rows
+            assert got.tableau == want.tableau
 
-    def test_inverted_codebook_circuit_holds_interned_gates(self):
-        circuit = build_codebook(5, 1, 0.25, 0x5EED).circuits[0]
-        inverse = invert_circuit(circuit)
-        assert len(inverse) == len(circuit)
-        for g, orig in zip(inverse.gates, reversed(circuit.gates)):
-            assert g is intern_gate(g.kind, g.qubits)
-            assert g.inv is orig
+    def test_broken_map_is_rejected(self):
+        m = CliffordMap(random_circuit(3, 30, random.Random(43)))
+        m.tableau = m.tableau.copy()
+        m.tableau.xs[0] ^= 1 << 4
+        with pytest.raises(AssertionError, match="do not undo the map"):
+            m.inverse
 
     @given(st.integers(0, 2 ** 32))
     @settings(max_examples=30, deadline=None)
@@ -370,11 +386,11 @@ class TestInvert:
         rng = random.Random(seed)
         n = rng.randrange(1, 6)
         c = random_circuit(n, 20, rng)
-        assert invert_circuit(invert_circuit(c)).gates == c.gates
+        assert reference_inverse(reference_inverse(c)).gates == c.gates
         t = random_state(n, rng)
         ref = t.copy()
         t.apply_circuit(c)
-        t.apply_circuit(invert_circuit(c))
+        t.apply_circuit(reference_inverse(c))
         assert t == ref
 
 
@@ -444,7 +460,7 @@ class TestCliffordMap:
             c = random_circuit(n, 50, rng)
             t = new_basis_state(n, x)
             t.apply_circuit(c)
-            t.apply_circuit(invert_circuit(c))
+            t.apply_circuit(reference_inverse(c))
             assert t.z_readout() == x
 
     def test_z_readout_none_when_superposed(self):
