@@ -46,10 +46,7 @@ def _write(payload: str, out_path: str | None) -> None:
 
 
 def _csv(header: list[str], rows: list[list]) -> list[str]:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    return lines
+    return [",".join(header)] + [",".join(map(_fmt, row)) for row in rows]
 
 
 def _emit_quantities(rows: list[list], unit: str, args) -> None:
@@ -271,10 +268,8 @@ def _cmd_fig2(args) -> None:
     if args.csv:
         _emit(_csv(header, rows), args.out)
     else:
-        lines = ["  ".join(f"{h:>16s}" for h in header)]
-        for row in rows:
-            lines.append("  ".join(f"{_fmt(v):>16s}" for v in row))
-        _emit(lines, args.out)
+        _emit(["  ".join(f"{_fmt(v):>16s}" for v in row)
+               for row in [header, *rows]], args.out)
 
 
 def _cmd_verify_chernoff(args) -> None:
@@ -320,10 +315,8 @@ def _cmd_lock_probe(args) -> None:
     measurements = [security.Measurement.computational_basis(d)]
     rng = sampling.stream_rng(seed, 1)
     for i in range(args.bases):
-        if i % 2 == 0:
-            m = security.Measurement.clifford_basis(args.n, rng)
-        else:
-            m = security.Measurement.haar_basis(args.n, rng)
+        m = (security.Measurement.clifford_basis(args.n, rng) if i % 2 == 0
+             else security.Measurement.haar_basis(args.n, rng))
         m.label = f"{m.label}-{i}"
         measurements.append(m)
     report = security.locking_probe(args.n, args.K, prior, measurements,

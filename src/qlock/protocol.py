@@ -53,7 +53,7 @@ class Codebook:
     K: int
     delta: float
     master_seed: int
-    circuits: list[CliffordCircuit]
+    circuits: list[CliffordCircuit] = field(repr=False)
     _maps: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
@@ -114,10 +114,8 @@ def decrypt(cb: Codebook, key: SecretKey, cipher: Tableau,
         return bits, True
     if rng is None:
         rng = random.Random(0)
-    out = []
-    for q in range(cb.n):
-        out.append(str(state.measure_sample(q, rng)))
-    return "".join(out), False
+    return "".join([str(state.measure_sample(q, rng))
+                    for q in range(cb.n)]), False
 
 
 # -- file formats ------------------------------------------------------------
@@ -199,7 +197,7 @@ def codebook_from_text(text: str) -> Codebook:
             raise ValueError(f"codebook line {lineno}: expected circuit "
                              f"index {k}, got {idx.strip()!r}")
         try:
-            circuits.append(circuit_from_text(rest.strip(), n))
+            circuits.append(circuit_from_text(rest, n))
         except ValueError as exc:
             raise ValueError(f"codebook line {lineno}, circuit {k}: {exc}"
                              ) from None

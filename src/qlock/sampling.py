@@ -244,7 +244,7 @@ class _TwoQubitTable:
         s = [intern_gate("S", (q,)) for q in range(n)]
         pairs: dict[int, tuple] = {}
         gates: list[CliffordGate] = []
-        for word, a, b in records.tolist():
+        for word, a, b in zip(*records.T.tolist()):  # three lists, not L
             local = pairs.get(a * n + b)
             if local is None:
                 local = pairs[a * n + b] = (
@@ -289,9 +289,8 @@ def all_single_qubit_circuits() -> list[CliffordCircuit]:
 
 def sample_two_qubit_clifford(rng) -> CliffordCircuit:
     """Uniform draw from the 11,520-element two-qubit Clifford group."""
-    i = rng.randrange(720)
-    j = rng.randrange(16)
-    return CliffordCircuit(2, two_qubit_table().word(16 * i + j))
+    w = 16 * rng.randrange(720) + rng.randrange(16)
+    return CliffordCircuit(2, two_qubit_table().word(w))
 
 
 # random.sample takes its pool branch up to this population size for k = 2
@@ -320,6 +319,9 @@ class DesignCircuit(CliffordCircuit):
     @property
     def gates(self) -> list[CliffordGate]:
         return two_qubit_table().expand(self.n, self.records)
+
+    def __repr__(self):
+        return f"DesignCircuit(n={self.n}, fragments={len(self.records)})"
 
 
 @lru_cache(maxsize=64)

@@ -26,12 +26,12 @@ bit).  Each rule of the convention lives in one function:
   where v.s is the GF(2) inner product, so phase bookkeeping reduces to
   parities of column masks.
 
-Gates are interned: intern_gate makes one CliffordGate per (kind, qubits),
-with its canonical text ("CNOT 0 3") and highest qubit index, and every
-circuit holds those shared objects, so printing a circuit joins stored
-texts, parsing one looks each chunk up in GATES_BY_TEXT and its qubit
-range check reads one attribute per gate.  CliffordMap compiles a circuit
-once; the map of its inverse is read off that compile.
+Gates are interned in one table, GATES_BY_TEXT, keyed by canonical text
+("CNOT 0 3"), as slotted CliffordGates carrying that text and their highest
+qubit.  Every circuit holds those shared objects, so printing a circuit
+joins stored texts, parsing one looks each chunk up in GATES_BY_TEXT and
+its range check reads one attribute per gate.  CliffordMap compiles a
+circuit once; the map of its inverse is read off that compile.
 """
 
 from __future__ import annotations
@@ -48,7 +48,14 @@ GATE_ARITY = {
 }
 
 
-@dataclass(frozen=True)
+def _gate_text(kind: str, qubits: tuple[int, ...]) -> str:
+    """The canonical text of a gate: its kind and qubits, one blank apart.
+    One % format, cheaper than joining str() calls, as intern_gate builds
+    it on every call."""
+    return kind + " %s" * len(qubits) % qubits
+
+
+@dataclass(frozen=True, slots=True)
 class CliffordGate:
     """A named Clifford gate on one or two qubit indices, with its
     canonical text and its highest qubit index."""
@@ -68,24 +75,22 @@ class CliffordGate:
             raise ValueError(f"{self.kind} requires distinct qubits")
         if any(q < 0 for q in self.qubits):
             raise ValueError("negative qubit index")
-        object.__setattr__(self, "text",
-                           " ".join([self.kind, *map(str, self.qubits)]))
+        object.__setattr__(self, "text", _gate_text(self.kind, self.qubits))
         object.__setattr__(self, "top", max(self.qubits))
 
 
-# canonical text -> interned gate, for every gate intern_gate has made
+# canonical text -> interned gate: the one gate table
 GATES_BY_TEXT: dict[str, CliffordGate] = {}
-
-_INTERNED: dict[tuple[str, tuple[int, ...]], CliffordGate] = {}
 
 
 def intern_gate(kind: str, qubits: tuple[int, ...]) -> CliffordGate:
-    """The one shared CliffordGate for (kind, qubits): gates are immutable,
-    so every circuit holding a gate holds the same object."""
-    g = _INTERNED.get((kind, qubits))
-    if g is None:
-        g = CliffordGate(kind, qubits)
-        _INTERNED[kind, qubits] = GATES_BY_TEXT[g.text] = g
+    """The one shared CliffordGate for (kind, qubits), found by its text.
+    A gate is made, and so validated, only on a miss or on a lookalike such
+    as ("CNOT 0", (1,)), whose text is "CNOT 0 1" and which is rejected."""
+    g = GATES_BY_TEXT.get(_gate_text(kind, qubits))
+    if g is None or g.kind != kind or g.qubits != qubits:
+        new = CliffordGate(kind, qubits)
+        g = GATES_BY_TEXT.setdefault(new.text, new)
     return g
 
 

@@ -12,7 +12,8 @@ from qlock.protocol import (Codebook, SecretKey, build_codebook,
                             encrypt, key_bits, keygen)
 from qlock.sampling import (DesignCircuit, design_circuit_length,
                             two_qubit_table)
-from qlock.stabilizer import CliffordCircuit, CliffordMap, new_basis_state
+from qlock.stabilizer import (GATES_BY_TEXT, CliffordCircuit, CliffordMap,
+                              new_basis_state)
 
 
 def identity_codebook(n, K):
@@ -89,6 +90,37 @@ class TestCodebook:
         for parsed, sampled in zip(back.circuits, cb.circuits):
             assert len(parsed.gates) == len(sampled.gates)
             assert all(p is g for p, g in zip(parsed.gates, sampled.gates))
+
+    def test_every_parsed_gate_is_the_interned_one(self):
+        cb = build_codebook(5, 3, 0.25, master_seed=8)
+        # blanks and leading zeros send chunks through the full parse
+        text = codebook_to_text(cb).replace(" 1;", "  01;")
+        assert text != codebook_to_text(cb)
+        back = codebook_from_text(text)
+        assert codebook_to_text(back) == codebook_to_text(cb)
+        for circuit in back.circuits:
+            assert all(GATES_BY_TEXT[g.text] is g for g in circuit.gates)
+
+    def test_blank_padded_lines_parse_to_the_canonical_circuits(self):
+        sampled = build_codebook(4, 3, 0.25, master_seed=9)
+        cb = Codebook(n=4, K=3, delta=0.25, master_seed=9,
+                      circuits=[sampled.circuits[0], CliffordCircuit(4, []),
+                                sampled.circuits[2]])
+        text = codebook_to_text(cb)
+        head, *lines = text.splitlines()
+        padded = [head] + [
+            " \t" + ln.replace(":", ": \t", 1).replace("; ", " \t;\t ")
+            + "\t " for ln in lines]
+        assert padded[2] == " \t1: \t\t "
+        back = codebook_from_text("\n".join(padded) + "\n")
+        assert codebook_to_text(back) == text
+        for parsed, want in zip(back.circuits, cb.circuits):
+            assert parsed.gates == want.gates
+
+    def test_repr_leaves_out_the_circuits(self):
+        cb = build_codebook(64, 2, 0.0625, master_seed=1)
+        assert repr(cb) == ("Codebook(n=64, K=2, delta=0.0625, "
+                            "master_seed=1)")
 
     def test_header_line(self):
         cb = build_codebook(2, 1, 0.5, master_seed=1)

@@ -2,7 +2,9 @@ import hashlib
 import math
 import random
 import re
+import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -61,6 +63,25 @@ def reference_closure(n, generators):
                     nxt.append(t2)
         frontier = nxt
     return list(words.values())
+
+
+# chi-square critical values at p = 0.001, by degrees of freedom
+CHI2_999 = {1: 10.828, 2: 13.816, 3: 16.266, 4: 18.467, 5: 20.515,
+            6: 22.458, 7: 24.322}
+
+
+def basis_overlap_law(n):
+    """Exact law of |<0..0|S>|^2 for a uniform n-qubit stabilizer state S:
+    {k: P(2^-k)} for k = 0..n, and {None: P(0)}.  Of the N(n) = 2^n
+    prod_j (2^j + 1) states, [n k]_2 2^(k(k+3)/2) have overlap 2^-k."""
+    total = 2 ** n * math.prod(2 ** j + 1 for j in range(1, n + 1))
+    law = {}
+    for k in range(n + 1):
+        gauss = math.prod(Fraction(2 ** (n - i) - 1, 2 ** (i + 1) - 1)
+                          for i in range(k))
+        law[k] = Fraction(gauss * 2 ** (k * (k + 3) // 2), total)
+    law[None] = 1 - sum(law.values())
+    return law
 
 
 def action_key(circuit):
@@ -232,6 +253,39 @@ class TestDesignSampler:
             assert derived.records.tolist() == records
             assert derived.gates == want
 
+    def test_repr_names_the_size_without_expanding(self, monkeypatch):
+        def fail(*args):
+            raise AssertionError("repr expanded the records")
+
+        circuit = derive_circuit(0x5EED, 0, SamplerConfig(64, 0.0625))
+        monkeypatch.setattr(sampling._TwoQubitTable, "expand", fail)
+        text = repr(circuit)
+        assert text == "DesignCircuit(n=64, fragments=4352)"
+        assert len(text) < 100
+
+    def test_expansion_keeps_under_300_bytes_per_new_gate(self):
+        # in a fresh interpreter every gate the expansion holds on to is
+        # newly interned: the gate object, its qubits and text, and its
+        # GATES_BY_TEXT entry
+        code = (
+            "import tracemalloc\n"
+            "from qlock.sampling import (SamplerConfig, derive_circuit,\n"
+            "                            two_qubit_table)\n"
+            "from qlock.stabilizer import GATES_BY_TEXT\n"
+            "circuit = derive_circuit(0x5EED, 0, SamplerConfig(64, 0.0625))\n"
+            "two_qubit_table()\n"
+            "before = len(GATES_BY_TEXT)\n"
+            "tracemalloc.start()\n"
+            "circuit.gates\n"
+            "held = tracemalloc.get_traced_memory()[0]\n"
+            "print(len(GATES_BY_TEXT) - before, held)\n")
+        res = subprocess.run([sys.executable, "-c", code],
+                             capture_output=True, text=True)
+        assert res.returncode == 0, res.stderr
+        gates, held = map(int, res.stdout.split())
+        assert gates > 3000
+        assert held <= 300 * gates, f"{held / gates:.0f} bytes per gate"
+
     def test_fragments_need_two_qubits(self):
         with pytest.raises(ValueError, match="two qubits"):
             DesignCircuit(1, np.zeros((2, 3), dtype=np.int64))
@@ -347,6 +401,50 @@ class TestUniformClifford:
             t2 = Tableau(n)
             t2.apply_circuit(c2)
             assert t2 == t
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_basis_overlap_law_is_the_group_count(self, n):
+        # the law against every element of the n = 1 and n = 2 groups
+        circuits = (all_single_qubit_circuits() if n == 1 else
+                    [CliffordCircuit(2, two_qubit_table().word(w))
+                     for w in range(11520)])
+        zeros = "0" * n
+        counts = Counter(Fraction(basis_overlap_prob(c, zeros, zeros))
+                         for c in circuits)
+        law = basis_overlap_law(n)
+        assert {Fraction(1, 2 ** k) if k is not None else 0:
+                p * len(circuits) for k, p in law.items()} == counts
+
+    @pytest.mark.parametrize("n, draws", [(3, 4000), (5, 2000)])
+    def test_basis_overlap_law(self, n, draws):
+        # C|0..0> is a uniform stabilizer state: its overlap with |0..0> is
+        # 2^-k with probability [n k]_2 2^(k(k+3)/2) / N(n), and 0 else
+        law = basis_overlap_law(n)
+        assert all(type(p) is Fraction and p > 0 for p in law.values())
+        assert sum(law.values()) == 1
+        assert sum(p * Fraction(1, 2 ** k) for k, p in law.items()
+                   if k is not None) == Fraction(1, 2 ** n)
+        counts = dict.fromkeys(law, 0)
+        rng = stream_rng(0x0C1, n)
+        zeros = "0" * n
+        for _ in range(draws):
+            p = basis_overlap_prob(sample_uniform_clifford(n, rng), zeros,
+                                   zeros)
+            counts[round(-math.log2(p)) if p else None] += 1
+        # bins in law order, each merged onward until it expects 5 draws
+        bins = []
+        expected = observed = 0.0
+        for k, p in law.items():
+            expected += float(p) * draws
+            observed += counts[k]
+            if expected >= 5:
+                bins.append((expected, observed))
+                expected = observed = 0.0
+        if expected:
+            e, o = bins.pop()
+            bins.append((e + expected, o + observed))
+        chi2 = sum((o - e) ** 2 / e for e, o in bins)
+        assert chi2 < CHI2_999[len(bins) - 1], (chi2, bins)
 
     def test_n3_first_moment(self):
         # uniform Clifford is an exact 2-design: E|<0|C|0>|^2 = 1/8 at n=3

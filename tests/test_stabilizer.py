@@ -10,7 +10,7 @@ from qlock import dense, sampling
 from qlock.protocol import build_codebook
 from qlock.stabilizer import (GATES_BY_TEXT, CliffordCircuit, CliffordMap,
                               Tableau, basis_overlap_prob, gate,
-                              hermitian_phase, negative_rows,
+                              hermitian_phase, intern_gate, negative_rows,
                               new_basis_state, tableau_from_text)
 
 GATE_POOL = [("H", 1), ("S", 1), ("SDG", 1), ("X", 1), ("Y", 1), ("Z", 1),
@@ -328,6 +328,29 @@ class TestGateText:
         g = gate("CNOT", 3, 1)
         assert (g.text, g.top) == ("CNOT 3 1", 3)
         assert GATES_BY_TEXT["CNOT 3 1"] is g
+
+    def test_the_text_table_is_the_only_gate_table(self):
+        # a gate dropped from GATES_BY_TEXT is made afresh and put back:
+        # no second table still holds the old object
+        old = gate("SWAP", 1000, 1001)
+        del GATES_BY_TEXT["SWAP 1000 1001"]
+        new = gate("SWAP", 1000, 1001)
+        assert new is not old and new == old
+        assert GATES_BY_TEXT["SWAP 1000 1001"] is new
+        assert gate("SWAP", 1000, 1001) is new
+
+    def test_gates_are_slotted(self):
+        assert not hasattr(gate("H", 0), "__dict__")
+
+    @pytest.mark.parametrize("kind, qubits, message", [
+        ("CNOT 0", (1,), "unknown gate kind 'CNOT 0'"),
+        ("CNOT", ("0 1",), r"CNOT takes 2 qubit\(s\)"),
+    ])
+    def test_a_lookalike_text_is_not_a_hit(self, kind, qubits, message):
+        # ("CNOT 0", (1,)) reads as "CNOT 0 1", an interned gate's text
+        gate("CNOT", 0, 1)
+        with pytest.raises(ValueError, match=message):
+            intern_gate(kind, qubits)
 
     def test_out_of_range_gate_is_named(self):
         with pytest.raises(ValueError,
