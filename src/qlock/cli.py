@@ -107,15 +107,36 @@ def _parse_range(text: str) -> list[int]:
     return values
 
 
+def _reject_unused(args, setting: str, flags: list[str], reason: str) -> None:
+    """With setting given, ValueError naming the first of flags that is
+    given too: it has no effect with setting, for reason.  "--name" is
+    given when its value is not None, "--name VALUE" when it is VALUE."""
+    def given(flag):
+        name, _, value = flag.partition(" ")
+        got = getattr(args, name[2:].replace("-", "_"), None)
+        return got is not None and (not value or got == value)
+    unused = [flag for flag in flags if given(flag)]
+    if unused and given(setting):
+        raise ValueError(f"{unused[0]} has no effect with {setting}, {reason}")
+
+
+def _hmin_frac(args) -> float:
+    """--hmin-frac, which defaults to 1.0, the uniform prior."""
+    return 1.0 if args.hmin_frac is None else args.hmin_frac
+
+
 def _params_for(args, n: int) -> security.SecurityParams:
-    if not 0.0 <= args.hmin_frac <= 1.0:
-        raise ValueError("--hmin-frac must be a number in [0, 1], "
-                         f"got {args.hmin_frac}")
+    """The bound inputs of keylen and fig2 at n; ValueError for an unused
+    option, or for p_max and M that no prior on n-bit words can have."""
+    _reject_unused(args, "--gamma", ["--delta"], "which sets gamma itself")
+    _reject_unused(args, "--pmax", ["--hmin-frac"], "which sets p_max itself")
+    frac = _hmin_frac(args)
+    if not 0.0 <= frac <= 1.0:
+        raise ValueError(f"--hmin-frac must be a number in [0, 1], got {frac}")
     if args.pmax is not None:
         p_max = args.pmax
     else:
-        p_max = Fraction(1, 1 << n) if args.hmin_frac >= 1.0 \
-            else 2.0 ** (-args.hmin_frac * n)
+        p_max = Fraction(1, 1 << n) if frac >= 1.0 else 2.0 ** (-frac * n)
     M = args.M if args.M is not None else 1 << n
     if args.gamma is not None:
         gamma = args.gamma
@@ -123,8 +144,15 @@ def _params_for(args, n: int) -> security.SecurityParams:
         gamma = design.gamma_bound(args.delta)
     else:
         gamma = 2.0
-    return security.SecurityParams(n=n, epsilon=args.eps, p_max=p_max,
-                                   M=M, gamma=gamma)
+    params = security.SecurityParams(n=n, epsilon=args.eps, p_max=p_max,
+                                     M=M, gamma=gamma)
+    if M > 1 << n:
+        raise ValueError(f"--M must be at most 2^n = {1 << n} code words "
+                         f"of n = {n} bits, got {M}")
+    if Fraction(p_max) * M < 1:  # the largest of M probabilities is >= 1/M
+        raise ValueError(f"p_max = {_fmt(float(p_max))} (--pmax, --hmin-frac)"
+                         f" is below 1/M for M = {M} (--M) code words")
+    return params
 
 
 # -- subcommand bodies ---------------------------------------------------------
@@ -167,24 +195,19 @@ def _cmd_decrypt(args) -> None:
 def _estimate(args) -> tuple[design.MomentEstimate, str]:
     """The moments of --ensemble and their label, for moments and gamma.
 
-    single-qubit enumerates the 24 Cliffords exactly and rejects the
-    sampling options it would ignore; design and uniform draw --samples
-    circuits, with the vectors of --vector-mode for moments and |0...0>
-    on both sides for gamma.
+    single-qubit enumerates the 24 Cliffords exactly; design and uniform
+    draw --samples circuits, with the vectors of --vector-mode for moments
+    and |0...0> on both sides for gamma.  Each rejects the options it
+    would ignore.
     """
-    sampling_options = {"--n": args.n, "--samples": args.samples,
-                        "--depth-factor": args.depth_factor,
-                        "--alpha": getattr(args, "alpha", None),
-                        "--beta": getattr(args, "beta", None)}
-    if args.ensemble == "single-qubit":
-        given = [name for name, value in sampling_options.items()
-                 if value is not None]
-        if getattr(args, "vector_mode", None) == "HAAR":
-            given.append("--vector-mode HAAR")
-        if given:
-            raise ValueError(f"{given[0]} has no effect with --ensemble "
-                             "single-qubit, which enumerates the 24 "
-                             "single-qubit Cliffords exactly")
+    _reject_unused(args, "--ensemble single-qubit",
+                   ["--n", "--samples", "--depth-factor", "--alpha", "--beta",
+                    "--vector-mode HAAR"],
+                   "which enumerates the 24 single-qubit Cliffords exactly")
+    _reject_unused(args, "--ensemble uniform", ["--depth-factor"],
+                   "which draws exactly uniform Cliffords")
+    _reject_unused(args, "--vector-mode HAAR", ["--alpha", "--beta"],
+                   "which draws its vectors at random")
     for name, default in (("n", 2), ("samples", 10000), ("depth_factor", 1.0)):
         if getattr(args, name) is None:
             setattr(args, name, default)
@@ -201,10 +224,6 @@ def _estimate(args) -> tuple[design.MomentEstimate, str]:
         mode, alpha, beta = "BASIS", "0" * args.n, "0" * args.n
     elif args.vector_mode == "HAAR":
         mode, alpha, beta = "HAAR", None, None
-        for name in ("alpha", "beta"):
-            if getattr(args, name) is not None:
-                raise ValueError(f"--{name} needs --vector-mode BASIS; "
-                                 "HAAR draws its vectors at random")
     else:
         mode = "BASIS"
         alpha = args.alpha if args.alpha else "0" * args.n
@@ -238,16 +257,6 @@ def _cmd_gamma(args) -> None:
     _emit_quantities(rows, "value", args)
 
 
-def _keylen_rows(args, ns: list[int]) -> list[list]:
-    rows = []
-    for n in ns:
-        params = _params_for(args, n)
-        exact, asym = security.key_length_bits(params)
-        qotp, approx = security.comparison_rows(args.eps, n)
-        rows.append([n, exact, asym, qotp, approx, args.hmin_frac, args.eps])
-    return rows
-
-
 def _cmd_keylen(args) -> None:
     params = _params_for(args, args.n)
     exact, asym = security.key_length_bits(params)
@@ -261,10 +270,11 @@ def _cmd_keylen(args) -> None:
 
 
 def _cmd_fig2(args) -> None:
-    ns = _parse_range(args.n)
     header = ["n", "logK_exact", "logK_asymptotic", "qotp", "approx_otp",
               "hmin_frac", "epsilon"]
-    rows = _keylen_rows(args, ns)
+    rows = [[n, *security.key_length_bits(_params_for(args, n)),
+             *security.comparison_rows(args.eps, n), _hmin_frac(args),
+             args.eps] for n in _parse_range(args.n)]
     if args.csv:
         _emit(_csv(header, rows), args.out)
     else:
@@ -390,7 +400,7 @@ def build_parser() -> _Parser:
 
     def bound_args(p):
         p.add_argument("--eps", type=float, default=1e-8)
-        p.add_argument("--hmin-frac", type=float, default=1.0)
+        p.add_argument("--hmin-frac", type=float, help="default 1.0")
         p.add_argument("--pmax", type=float)
         p.add_argument("--M", type=int)
         p.add_argument("--gamma", type=float)

@@ -22,7 +22,7 @@ import numpy as np
 from . import dense
 from .sampling import (SamplerConfig, all_single_qubit_circuits,
                        sample_design_circuit)
-from .stabilizer import basis_overlap_prob, check_bits
+from .stabilizer import CliffordCircuit, basis_overlap_prob, check_bits
 
 VECTOR_MODES = ("BASIS", "HAAR")
 
@@ -83,15 +83,24 @@ def snap_overlaps(probs: np.ndarray, n: int) -> np.ndarray:
     return exact
 
 
-def _pushed_overlaps(cfg: SamplerConfig, alpha: str, beta: str,
-                     samples: int, rng) -> Iterator[float]:
-    """|<alpha|C|beta>|^2 of samples design circuits, |beta> pushed through
-    them by dense.push."""
-    n = cfg.n
+def overlap(circuit: CliffordCircuit, alpha, beta) -> float:
+    """|<alpha|C|beta>|^2.  Two bit strings give the tableau's exact 0 or
+    2^-s (stabilizer.basis_overlap_prob); otherwise the overlap is dense,
+    with a bit string on either side read as its basis vector."""
+    if isinstance(alpha, str) and isinstance(beta, str):
+        return basis_overlap_prob(circuit, beta, alpha)
+    alpha, beta = (dense.basis_vector(v) if isinstance(v, str) else v
+                   for v in (alpha, beta))
+    return dense.overlap_prob(alpha, circuit, beta)
+
+
+def _pushed_overlaps(circuits: Iterator[CliffordCircuit], n: int, alpha: str,
+                     beta: str) -> Iterator[float]:
+    """|<alpha|C|beta>|^2 of the n-qubit design circuits, |beta> pushed
+    through them by dense.push."""
     col = np.zeros((1 << n, 1), dtype=complex)
     col[dense.basis_index(beta), 0] = 1.0
     row = dense.basis_index(alpha)
-    circuits = (sample_design_circuit(cfg, rng) for _ in range(samples))
     for stack in dense.push(circuits, col):
         yield from snap_overlaps(np.abs(stack[:, row, 0]) ** 2, n).tolist()
 
@@ -104,43 +113,37 @@ def estimate_moments(sampler, vector_mode: str, alpha, beta,
         sampler: the ensemble: a SamplerConfig for design circuits, or a
             callable(rng) -> CliffordCircuit drawn fresh per sample.
         vector_mode: "BASIS" gives exact overlaps between the given bit
-            strings (any n); "HAAR" uses dense overlaps, drawing fresh
-            Haar-random alpha/beta each sample when they are None.
+            strings (any n), checked against the first circuit's n for
+            every sampler; "HAAR" uses dense overlaps, drawing fresh
+            Haar-random alpha and then beta each sample when they are None.
         alpha, beta: bit strings (BASIS) or dense vectors / None (HAAR).
 
     BASIS overlaps of design circuits at 2 <= n <= dense.DENSE_CUTOFF come
     from pushing |beta> through batches of their fragment records, snapped
-    to their exact values; all others from the tableau, circuit by
-    circuit.  Either way the draws and the estimate are the same.
+    to their exact values; all others from overlap, circuit by circuit.
+    Either way the draws and the estimate are the same.
     """
     if samples <= 0:
         raise ValueError("samples must be positive")
     if vector_mode not in VECTOR_MODES:
         raise ValueError(f"vector_mode must be one of {VECTOR_MODES}")
-    if isinstance(sampler, SamplerConfig):
-        cfg = sampler
-        if vector_mode == "BASIS":
-            check_bits("alpha", alpha, cfg.n)
-            check_bits("beta", beta, cfg.n)
-            if 2 <= cfg.n <= dense.DENSE_CUTOFF:
-                values = _pushed_overlaps(cfg, alpha, beta, samples, rng)
-                return _estimate(values, 1 << cfg.n, samples)
-
-        def sampler(r):
-            return sample_design_circuit(cfg, r)
-    if vector_mode == "BASIS":
-        def overlap(circuit):
-            return basis_overlap_prob(circuit, beta, alpha)
-    else:
-        def overlap(circuit):
-            a = dense.random_state_vector(circuit.n, rng) if alpha is None else alpha
-            b = dense.random_state_vector(circuit.n, rng) if beta is None else beta
-            return dense.overlap_prob(a, circuit, b)
+    draw = ((lambda r: sample_design_circuit(sampler, r))
+            if isinstance(sampler, SamplerConfig) else sampler)
     # each circuit's overlap is taken before the next circuit is drawn
-    first = sampler(rng)
-    rest = (sampler(rng) for _ in range(samples - 1))
-    return _estimate(map(overlap, chain([first], rest)), 1 << first.n,
-                     samples)
+    first = draw(rng)
+    n = first.n
+    circuits = chain([first], (draw(rng) for _ in range(samples - 1)))
+    if vector_mode == "BASIS":
+        check_bits("alpha", alpha, n)
+        check_bits("beta", beta, n)
+        if isinstance(sampler, SamplerConfig) and 2 <= n <= dense.DENSE_CUTOFF:
+            return _estimate(_pushed_overlaps(circuits, n, alpha, beta),
+                             1 << n, samples)
+
+    def given_or_haar(v):
+        return dense.random_state_vector(n, rng) if v is None else v
+    return _estimate((overlap(c, given_or_haar(alpha), given_or_haar(beta))
+                      for c in circuits), 1 << n, samples)
 
 
 def _estimate(values, d: int, samples: int) -> MomentEstimate:

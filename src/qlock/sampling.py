@@ -71,7 +71,7 @@ import numpy as np
 
 from .stabilizer import (GATES_BY_TEXT, CliffordCircuit, CliffordGate,
                          Tableau, gate, intern_gate, negative_rows,
-                         read_decimal)
+                         read_decimal, set_bits)
 
 
 @dataclass
@@ -238,7 +238,8 @@ class _TwoQubitTable:
 
     def expand(self, n: int, records: np.ndarray) -> list[CliffordGate]:
         """The gates of fragment records (word, a, b) on n qubits: each
-        word's template with local qubit 0 on a and local qubit 1 on b."""
+        word's template with local qubit 0 on a and local qubit 1 on b.
+        The pairs (a, b) and (b, a) share their two CNOT gates."""
         templates = self.templates
         h = [intern_gate("H", (q,)) for q in range(n)]
         s = [intern_gate("S", (q,)) for q in range(n)]
@@ -247,9 +248,10 @@ class _TwoQubitTable:
         for word, a, b in zip(*records.T.tolist()):  # three lists, not L
             local = pairs.get(a * n + b)
             if local is None:
-                local = pairs[a * n + b] = (
-                    h[a], h[b], s[a], s[b], intern_gate("CNOT", (a, b)),
-                    intern_gate("CNOT", (b, a)))
+                rev = pairs.get(b * n + a)
+                cnots = (rev[5], rev[4]) if rev else (
+                    intern_gate("CNOT", (a, b)), intern_gate("CNOT", (b, a)))
+                local = pairs[a * n + b] = (h[a], h[b], s[a], s[b], *cnots)
             gates += map(local.__getitem__, templates[word])
         return gates
 
@@ -426,15 +428,6 @@ def sample_uniform_clifford(n: int, rng) -> CliffordCircuit:
     return action_to_circuit(action)
 
 
-def _set_bits(v: int, lo: int):
-    """Indices of the set bits of v at or above lo, lowest first."""
-    v >>= lo
-    while v:
-        low = v & -v
-        yield lo + low.bit_length() - 1
-        v ^= low
-
-
 def action_to_circuit(action: Tableau) -> CliffordCircuit:
     """Synthesize a gate list whose conjugation action equals `action`.
 
@@ -455,11 +448,11 @@ def action_to_circuit(action: Tableau) -> CliffordCircuit:
 
     def reduce_row(r, j):
         """Bring row r, with X_j set, to X_j by CNOTs, S and CZs from qubit j."""
-        for q in _set_bits(t.row_bits(r)[0], j + 1):
+        for q in set_bits(t.row_bits(r)[0], j + 1):
             do("CNOT", j, q)
         if (t.row_bits(r)[1] >> j) & 1:
             do("S", j)
-        for q in _set_bits(t.row_bits(r)[1], j + 1):
+        for q in set_bits(t.row_bits(r)[1], j + 1):
             do("CZ", j, q)
 
     for j in range(n):
@@ -468,10 +461,10 @@ def action_to_circuit(action: Tableau) -> CliffordCircuit:
         if (x | z) >> j == 0:
             raise AssertionError("no set bit at or above the cursor")
         if x >> j == 0:
-            do("H", next(_set_bits(z, j)))
+            do("H", next(set_bits(z, j)))
             x, z, _ = t.row_bits(n + j)
         if not (x >> j) & 1:
-            do("SWAP", j, next(_set_bits(x, j)))
+            do("SWAP", j, next(set_bits(x, j)))
         reduce_row(n + j, j)
         do("H", j)  # X_j -> Z_j
         # destabilizer image -> X_j; it anticommutes with Z_j so x_j is set

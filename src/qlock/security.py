@@ -22,7 +22,8 @@ from .protocol import Codebook
 from .sampling import (SamplerConfig, all_single_qubit_circuits,
                        sample_design_circuit, sample_uniform_clifford,
                        stream_rng)
-from .stabilizer import CliffordCircuit, basis_overlap_prob, check_bits
+from .design import overlap
+from .stabilizer import CliffordCircuit, check_bits
 
 Real = Union[int, float, Fraction]
 
@@ -67,10 +68,10 @@ class PriorDistribution:
                 if x in seen:
                     raise ValueError(f"duplicate code word {x!r}")
                 seen.add(x)
-                if p <= 0:
-                    raise ValueError("probabilities must be positive")
+                if not p > 0:  # NaN fails this check and the sum's
+                    raise ValueError(f"probabilities must be positive, got {p}")
                 total += p
-            if abs(total - 1.0) > 1e-9:
+            if not abs(total - 1.0) <= 1e-9:
                 raise ValueError(f"prior sums to {total}, not 1")
 
     @property
@@ -250,7 +251,7 @@ class Measurement:
         if self.vectors.shape != (d, d):
             raise ValueError("a measurement needs d basis vectors of dimension d")
         gram = self.vectors @ self.vectors.conj().T
-        if np.max(np.abs(gram - np.eye(d))) > 1e-8:
+        if not np.max(np.abs(gram - np.eye(d))) <= 1e-8:  # NaN fails it
             raise ValueError("measurement vectors are not an orthonormal basis")
 
     @classmethod
@@ -407,28 +408,35 @@ def comparison_rows(epsilon: float, n: int) -> tuple[float, float]:
 # -- empirical verification ---------------------------------------------------
 
 
-def _run_trials(worker, payload: tuple, trials: int, jobs: int) -> list:
-    """Concatenated worker(payload + (lo, hi)) results over trials [0, trials).
+def _chunk(payload: tuple) -> list:
+    """The rows of trials lo..hi-1; trial t draws from stream t of seed."""
+    trial, args, seed, lo, hi = payload
+    return [trial(*args, stream_rng(seed, t)) for t in range(lo, hi)]
+
+
+def _run_trials(trial, args: tuple, seed: int, trials: int, jobs: int) -> list:
+    """The rows trial(*args, rng) of trials 0..trials-1, in order, trial t
+    drawing from seed stream t (_chunk).
 
     The trials are cut into at most jobs contiguous chunks; two or more
-    chunks run in that many worker processes.  Every trial draws from its
-    own seed stream (stream index = trial number), so the results do not
-    depend on jobs.
+    chunks run in that many worker processes, so trial is a module-level
+    function.  Every trial draws from its own seed stream, so the rows do
+    not depend on jobs.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
     size = -(-trials // jobs)
-    payloads = [payload + (lo, min(lo + size, trials))
+    payloads = [(trial, args, seed, lo, min(lo + size, trials))
                 for lo in range(0, trials, size)]
     if len(payloads) == 1:
-        chunks = [worker(payloads[0])]
+        chunks = [_chunk(payloads[0])]
     else:
         # imported here so a one-chunk run never loads the process pool
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=len(payloads)) as pool:
-            chunks = list(pool.map(worker, payloads))
+            chunks = list(pool.map(_chunk, payloads))
     return [row for chunk in chunks for row in chunk]
 
 
@@ -449,18 +457,13 @@ class ChernoffReport:
     p1_bound: float
 
 
-def _chernoff_chunk(payload) -> list[ChernoffTrial]:
-    cfg, K, p, seed, threshold, lo, hi = payload
-    rows = []
-    for t in range(lo, hi):
-        rng = stream_rng(seed, t)
-        circuits = (sample_design_circuit(cfg, rng) for _ in range(K))
-        rho = _adversary_state(circuits, [p])[0]
-        lam = float(dense.eigvalsh(rho)[0])
-        rows.append(ChernoffTrial(lambda_max=lam,
-                                  epsilon_hat=lam * 2.0 ** cfg.n - 1.0,
-                                  violated=lam > threshold))
-    return rows
+def _chernoff_trial(cfg: SamplerConfig, K: int, p: np.ndarray,
+                    threshold: float, rng) -> ChernoffTrial:
+    """lambda_max of rho_E over K design circuits drawn from rng."""
+    circuits = (sample_design_circuit(cfg, rng) for _ in range(K))
+    lam = float(dense.eigvalsh(_adversary_state(circuits, [p])[0])[0])
+    return ChernoffTrial(lambda_max=lam, epsilon_hat=lam * 2.0 ** cfg.n - 1.0,
+                         violated=lam > threshold)
 
 
 def empirical_chernoff(n: int, K: int, prior: PriorDistribution, trials: int,
@@ -470,7 +473,7 @@ def empirical_chernoff(n: int, K: int, prior: PriorDistribution, trials: int,
     """Sample codebooks and test lambda_max(rho_E) against (1+eps) 2^-n.
 
     Each trial draws K fresh design circuits from its own seed stream
-    (stream index = trial number), so results are independent of jobs.
+    (_run_trials), so results are independent of jobs.
     """
     dense.check_cutoff(n)
     if K < 1:
@@ -478,8 +481,8 @@ def empirical_chernoff(n: int, K: int, prior: PriorDistribution, trials: int,
     params = SecurityParams.from_prior(prior, epsilon)
     cfg = SamplerConfig(n=n, delta=delta, depth_factor=depth_factor)
     threshold = (1.0 + epsilon) * 2.0 ** (-n)
-    rows = _run_trials(_chernoff_chunk,
-                       (cfg, K, prior.probability_vector(), seed, threshold),
+    rows = _run_trials(_chernoff_trial,
+                       (cfg, K, prior.probability_vector(), threshold), seed,
                        trials, jobs)
     freq = sum(r.violated for r in rows) / len(rows)
     return ChernoffReport(n=n, K=K, epsilon=epsilon, trials=rows,
@@ -500,26 +503,15 @@ class MaurerReport:
     cut: float
 
 
-def _overlap(circuit: CliffordCircuit, x: str, phi) -> float:
-    """|<phi| C |x>|^2: exactly 0 or 2^-s from the tableau for a basis
-    string phi, from dense vectors for a vector phi."""
-    if isinstance(phi, str):
-        return basis_overlap_prob(circuit, x, phi)
-    return dense.overlap_prob(phi, circuit, dense.basis_vector(x))
-
-
-def _maurer_chunk(payload) -> list[float]:
-    n, K, x, phi, table, seed, lo, hi = payload
-    means = []
-    for t in range(lo, hi):
-        rng = stream_rng(seed, t)
-        if table is not None:
-            draws = (table[rng.randrange(24)] for _ in range(K))
-        else:
-            draws = (_overlap(sample_uniform_clifford(n, rng), x, phi)
-                     for _ in range(K))
-        means.append(sum(draws) / K)
-    return means
+def _maurer_trial(n: int, K: int, x: str, phi, table, rng) -> float:
+    """The mean of |<phi|C|x>|^2 over K uniform Cliffords drawn from rng,
+    or over K draws from table, the 24 single-qubit overlaps."""
+    if table is not None:
+        draws = (table[rng.randrange(24)] for _ in range(K))
+    else:
+        draws = (overlap(sample_uniform_clifford(n, rng), phi, x)
+                 for _ in range(K))
+    return sum(draws) / K
 
 
 def empirical_maurer(n: int, K: int, x: str, phi, trials: int, seed: int,
@@ -529,15 +521,15 @@ def empirical_maurer(n: int, K: int, x: str, phi, trials: int, seed: int,
 
     Counts trials whose K-draw average of |<phi|C|x>|^2 falls below the
     cut (1 - tau) 2^-n and compares against exp(-K tau^2 / (2 gamma)).
-    gamma defaults to the exact 2-design value 2d/(d+1).  A basis-string
-    phi gives exact overlaps (0 or 2^-s) from the tableau, so a mean on
-    the cut is never pushed across it by round-off; a vector phi is
-    evaluated densely.  At n = 1 the draws index a table of the 24
-    single-qubit Clifford overlaps.
+    gamma defaults to the exact 2-design value 2d/(d+1).  Overlaps come
+    from design.overlap: a basis-string phi gives exact overlaps (0 or
+    2^-s) from the tableau at any n, so a mean on the cut is never pushed
+    across it by round-off; a vector phi is evaluated densely, so only up
+    to dense.DENSE_CUTOFF qubits.  At n = 1 the draws index a table of the
+    24 single-qubit Clifford overlaps.
     """
     if n < 1:
         raise ValueError(f"need at least one qubit, got n={n}")
-    dense.check_cutoff(n)
     if not 0 <= tau <= 1:
         raise ValueError("tau must lie in [0, 1]")
     if K < 1:
@@ -554,9 +546,9 @@ def empirical_maurer(n: int, K: int, x: str, phi, trials: int, seed: int,
         raise ValueError(f"gamma must be a positive finite number, got {gamma}")
     table = None
     if n == 1:
-        table = [_overlap(c, x, phi) for c in all_single_qubit_circuits()]
-    means = _run_trials(_maurer_chunk, (n, K, x, phi, table, seed),
-                        trials, jobs)
+        table = [overlap(c, phi, x) for c in all_single_qubit_circuits()]
+    means = _run_trials(_maurer_trial, (n, K, x, phi, table), seed, trials,
+                        jobs)
     # tau = 0 is a degenerate threshold: the bound is vacuous and no trial
     # counts as a tail event; raw means are still reported.
     cut = (1.0 - tau) * 2.0 ** (-n) if tau > 0 else -math.inf

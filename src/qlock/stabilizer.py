@@ -155,6 +155,15 @@ def add_phase(d0: int, d1: int, mask: int, k: int) -> tuple[int, int]:
     return d0, d1
 
 
+def set_bits(v: int, lo: int = 0):
+    """Indices of the set bits of v at or above lo, lowest first."""
+    v >>= lo
+    while v:
+        low = v & -v
+        yield lo + low.bit_length() - 1
+        v ^= low
+
+
 def mult_rows(xs: list[int], zs: list[int], d0: int, d1: int, mask: int,
               gx: int, gz: int, gd: int) -> tuple[int, int]:
     """Right-multiply every row set in mask by the Pauli row
@@ -165,19 +174,11 @@ def mult_rows(xs: list[int], zs: list[int], d0: int, d1: int, mask: int,
     where g has an X, before the z columns take g's Z part.
     """
     par = 0
-    g = gx
-    while g:
-        lsb = g & -g
-        j = lsb.bit_length() - 1
-        g ^= lsb
+    for j in set_bits(gx):
         par ^= zs[j]
         xs[j] ^= mask
     d0, d1 = add_phase(d0, d1 ^ (par & mask), mask, gd)
-    g = gz
-    while g:
-        lsb = g & -g
-        j = lsb.bit_length() - 1
-        g ^= lsb
+    for j in set_bits(gz):
         zs[j] ^= mask
     return d0, d1
 
@@ -308,7 +309,7 @@ class Tableau:
         xq = self.xs[qubit]
         anticommuting = xq & stab_mask
         if anticommuting:
-            p = (anticommuting & -anticommuting).bit_length() - 1
+            p = next(set_bits(anticommuting))
             x, z, delta = self.row_bits(p)
             others = xq & ~(1 << p)
             if others:
@@ -324,12 +325,9 @@ class Tableau:
         acc_xs = [0] * n
         acc_zs = [0] * n
         d0 = d1 = 0
-        s = xq & ((1 << n) - 1)
-        while s:
-            lsb = s & -s
-            s ^= lsb
+        for i in set_bits(xq & ((1 << n) - 1)):
             d0, d1 = mult_rows(acc_xs, acc_zs, d0, d1, 1,
-                               *self.row_bits(n + lsb.bit_length() - 1))
+                               *self.row_bits(n + i))
         if any(acc_xs) or acc_zs != [int(q == qubit) for q in range(n)]:
             raise AssertionError("stabilizer product is not Z on the measured qubit")
         # the product is +Z_qubit or -Z_qubit: d0 is 0 and d1 the outcome

@@ -173,6 +173,34 @@ class TestInputValidation:
          "need at least one qubit, got --n -1"),
         (("gamma", "--ensemble", "uniform", "--n", "0", "--samples", "3"),
          "need at least one qubit, got --n 0"),
+        # options the command would ignore; the depth factor is not read
+        # at all, so even a bad one is rejected as unused
+        (("moments", "--ensemble", "uniform", "--n", "2", "--samples", "3",
+          "--depth-factor", "2"), "--depth-factor has no effect with "
+         "--ensemble uniform"),
+        (("moments", "--ensemble", "uniform", "--depth-factor", "-3"),
+         "--depth-factor has no effect with --ensemble uniform"),
+        (("gamma", "--ensemble", "uniform", "--depth-factor", "nan"),
+         "--depth-factor has no effect with --ensemble uniform"),
+        (("keylen", "--n", "8", "--gamma", "3", "--delta", "0.1"),
+         "--delta has no effect with --gamma"),
+        (("fig2", "--n", "4:9:2", "--gamma", "3", "--delta", "0.1"),
+         "--delta has no effect with --gamma"),
+        (("keylen", "--n", "8", "--pmax", "0.01", "--hmin-frac", "0.5"),
+         "--hmin-frac has no effect with --pmax"),
+        (("fig2", "--n", "4:9:2", "--pmax", "0.1", "--hmin-frac", "1"),
+         "--hmin-frac has no effect with --pmax"),
+        # no prior over M words has p_max < 1/M, and n bits give M <= 2^n
+        (("keylen", "--n", "8", "--pmax", "0.001"),
+         "p_max = 0.001 (--pmax, --hmin-frac) is below 1/M for M = 256"),
+        (("keylen", "--n", "8", "--M", "16"),
+         "p_max = 0.00390625 (--pmax, --hmin-frac) is below 1/M for M = 16"),
+        (("fig2", "--n", "4:9:2", "--pmax", "0.01"),
+         "p_max = 0.01 (--pmax, --hmin-frac) is below 1/M for M = 16"),
+        (("keylen", "--n", "8", "--M", "1000"),
+         "--M must be at most 2^n = 256 code words of n = 8 bits, got 1000"),
+        (("keylen", "--n", "8", "--M", "257", "--pmax", "0.5"),
+         "--M must be at most 2^n = 256"),
     ], ids=["jobs-0", "jobs-negative", "trials-0", "chernoff-K-0",
             "maurer-K-0", "lock-probe-K-0", "maurer-n-0", "maurer-n-negative",
             "codebook-depth-inf", "codebook-depth-nan", "moments-depth-inf",
@@ -195,7 +223,13 @@ class TestInputValidation:
             "moments-delta-tiny", "gamma-delta-tiny", "chernoff-delta-tiny",
             "lock-probe-delta-tiny", "codebook-depth-huge",
             "moments-uniform-n-negative", "moments-uniform-n-0",
-            "gamma-uniform-n-negative", "gamma-uniform-n-0"])
+            "gamma-uniform-n-negative", "gamma-uniform-n-0",
+            "uniform-depth", "uniform-depth-negative", "gamma-uniform-depth-nan",
+            "keylen-delta-with-gamma", "fig2-delta-with-gamma",
+            "keylen-hmin-with-pmax", "fig2-hmin-with-pmax",
+            "keylen-pmax-below-1-over-M", "keylen-M-above-pmax-inverse",
+            "fig2-pmax-below-1-over-M", "keylen-M-above-2-to-n",
+            "keylen-M-above-2-to-n-with-pmax"])
     def test_bad_count_exits_1_with_one_line(self, args, needle):
         seed = () if args[0] in ("keylen", "fig2") or "--seed" in args \
             else ("--seed", SEED)
@@ -205,6 +239,19 @@ class TestInputValidation:
         assert res.stderr.startswith("error: ")
         assert res.stderr.count("\n") == 1
         assert needle in res.stderr
+
+    @pytest.mark.parametrize("args", [
+        ("--n", "4", "--pmax", "0.0625", "--M", "16"),
+        ("--n", "8", "--pmax", "0.00390625", "--M", "256"),
+        ("--n", "8", "--hmin-frac", "0.5", "--M", "200"),
+        ("--n", "8", "--gamma", "3"),
+        ("--n", "8", "--delta", "0.1"),
+    ], ids=["pmax-times-M-is-1", "uniform-prior", "hmin-frac-with-M",
+            "gamma", "delta"])
+    def test_possible_bound_inputs_are_accepted(self, args):
+        res = run_cli("keylen", *args)
+        assert res.returncode == 0, res.stderr
+        assert res.stderr == ""
 
     def test_fragment_cap_exits_before_any_draw(self, monkeypatch, capsys):
         # L = 1.2e11 at n = 2 would ask the draw for a list of 3L slots;
@@ -599,6 +646,15 @@ class TestDeterminism:
                       "--trials", "100", "--csv", "--seed", SEED)
         assert res.returncode == 0
         assert hashlib.sha256(res.stdout.encode()).hexdigest() == digest
+
+    def test_maurer_runs_above_the_dense_cutoff(self):
+        # bit-string overlaps come from the tableau, which has no cutoff
+        res = run_cli("verify-maurer", "--n", "13", "--tau", "0.25", "--K",
+                      "4", "--trials", "3", "--seed", "01")
+        assert res.returncode == 0, res.stderr
+        assert res.stdout == ("K=4\ntau=0.25\ngamma=1.99975588917\n"
+                              "tail_freq=0.333333333333\n"
+                              "bound=0.939405895688\n")
 
     def test_uniform_moments_are_pinned(self):
         res = run_cli("moments", "--ensemble", "uniform", "--n", "3",

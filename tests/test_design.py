@@ -10,9 +10,9 @@ from qlock.dense import NumericalError
 from qlock.design import (DesignReport, MomentEstimate, check_design,
                           estimate_moments, exhaustive_single_qubit_moments,
                           gamma_bound, gamma_of, haar_moment, moments_csv_row,
-                          snap_overlaps)
+                          overlap, snap_overlaps)
 from qlock.sampling import SamplerConfig, sample_design_circuit, sample_uniform_clifford
-from qlock.stabilizer import CliffordCircuit
+from qlock.stabilizer import CliffordCircuit, gate
 
 
 def identity_sampler(n):
@@ -66,6 +66,40 @@ class TestEstimateMoments:
     def test_zero_samples(self, rng):
         with pytest.raises(ValueError):
             estimate_moments(identity_sampler(1), "BASIS", "0", "0", 0, rng)
+
+    @pytest.mark.parametrize("sampler", [
+        identity_sampler(2), lambda r: sample_uniform_clifford(2, r),
+        SamplerConfig(n=2, delta=0.25)], ids=["identity", "uniform", "design"])
+    def test_every_sampler_checks_the_basis_strings(self, sampler, rng):
+        with pytest.raises(ValueError, match="^alpha must be a 2-bit string"):
+            estimate_moments(sampler, "BASIS", "0x", "00", 5, rng)
+        with pytest.raises(ValueError, match="^beta must be a 2-bit string"):
+            estimate_moments(sampler, "BASIS", "00", "012", 5, rng)
+
+
+class TestOverlap:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_bit_strings_equal_their_basis_vectors(self, n, rng):
+        # two bit strings take the tableau's exact value; a bit string
+        # beside a vector is read as its basis vector
+        for _ in range(10):
+            circuit = sample_uniform_clifford(n, rng)
+            alpha, beta = (format(rng.getrandbits(n), f"0{n}b")
+                           for _ in range(2))
+            exact = overlap(circuit, alpha, beta)
+            assert exact in {0.0} | {2.0 ** -s for s in range(n + 1)}
+            for a, b in ((dense.basis_vector(alpha), beta),
+                         (alpha, dense.basis_vector(beta)),
+                         (dense.basis_vector(alpha), dense.basis_vector(beta))):
+                assert overlap(circuit, a, b) == pytest.approx(exact, abs=1e-12)
+
+    def test_a_vector_is_dense(self):
+        # |<+|H|0>|^2 = 1 and |<0|H|+>|^2 = 1
+        plus = np.array([1.0, 1.0]) / math.sqrt(2)
+        h = CliffordCircuit(1, [gate("H", 0)])
+        assert overlap(h, plus, "0") == pytest.approx(1.0)
+        assert overlap(h, "0", plus) == pytest.approx(1.0)
+        assert overlap(h, "1", plus) == pytest.approx(0.0, abs=1e-15)
 
 
 class TestPushedBasisMoments:

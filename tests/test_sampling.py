@@ -20,7 +20,7 @@ from qlock.sampling import (MAX_FRAGMENTS, DesignCircuit, SamplerConfig,
                             sample_two_qubit_clifford, sample_uniform_clifford,
                             single_qubit_table, stream_rng, two_qubit_table)
 from qlock.stabilizer import (CliffordCircuit, CliffordGate, Tableau,
-                              basis_overlap_prob, gate)
+                              basis_overlap_prob, gate, intern_gate)
 
 from test_stabilizer import random_circuit, reference_inverse
 
@@ -252,6 +252,27 @@ class TestDesignSampler:
             assert type(derived) is DesignCircuit
             assert derived.records.tolist() == records
             assert derived.gates == want
+
+    def test_reverse_pairs_share_their_cnot_gates(self, monkeypatch):
+        # intern_gate is asked for H and S on each qubit and for the two
+        # CNOTs of each unordered pair once, not once per ordered pair
+        circuit = derive_circuit(0xABC, 0, SamplerConfig(64, 0.0625))
+        table = two_qubit_table()
+        want = [CliffordGate(g.kind, tuple((a, b)[q] for q in g.qubits))
+                for word, a, b in circuit.records.tolist()
+                for g in table.word(word)]
+        calls = []
+
+        def counting(kind, qubits):
+            calls.append((kind, qubits))
+            return intern_gate(kind, qubits)
+
+        monkeypatch.setattr(sampling, "intern_gate", counting)
+        assert circuit.gates == want
+        ordered = {(a, b) for a, b in circuit.records[:, 1:].tolist()}
+        unordered = {frozenset(pair) for pair in ordered}
+        assert (len(ordered), len(unordered)) == (2643, 1776)
+        assert len(calls) == 2 * 64 + 2 * len(unordered) == 3680
 
     def test_repr_names_the_size_without_expanding(self, monkeypatch):
         def fail(*args):

@@ -1,5 +1,6 @@
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -20,6 +21,26 @@ from qlock.security import (Measurement,
                             maurer_p2, maurer_threshold, measured_mi,
                             min_entropy)
 from qlock.stabilizer import CliffordCircuit
+
+from test_sampling import basis_overlap_law
+
+
+def exact_maurer_tail(n, K, tau):
+    """P(the mean of K overlaps |<0..0|C|0..0>|^2 < (1 - tau) 2^-n) over
+    uniform Cliffords C, exactly.  Scaled by 2^n an overlap is the integer
+    0 or 2^(n-k), so the tail is P(sum of K such integers < K (1 - tau)),
+    by K convolutions of the law."""
+    law = {0 if k is None else 2 ** (n - k): p
+           for k, p in basis_overlap_law(n).items()}
+    sums = {0: Fraction(1)}
+    for _ in range(K):
+        step = Counter()
+        for total, p in sums.items():
+            for v, q in law.items():
+                step[total + v] += p * q
+        sums = step
+    cut = K * (1 - Fraction(tau))
+    return sum(p for total, p in sums.items() if total < cut)
 
 
 def all24_codebook():
@@ -63,6 +84,14 @@ class TestPrior:
         with pytest.raises(ValueError, match="^code word must be a 2-bit "
                            "string of 0s and 1s, got '0x'$"):
             PriorDistribution(n=2, entries=[("0x", 1.0)])
+
+    @pytest.mark.parametrize("entries", [
+        [("0", math.nan), ("1", 1.0)], [("0", 0.5), ("1", math.nan)],
+        [("0", math.nan)]])
+    def test_nan_probability_is_rejected(self, entries):
+        with pytest.raises(ValueError, match="probabilities must be positive, "
+                           "got nan"):
+            PriorDistribution(1, entries)
 
 
 class TestParams:
@@ -255,6 +284,16 @@ class TestHolevo:
         avg = sum(conds) / len(conds)
         assert chi >= dense.von_neumann_entropy(avg) - 4 - 1e-8
         assert chi >= 0.0
+
+
+class TestMeasurement:
+    @pytest.mark.parametrize("entries", [np.s_[:, :], np.s_[2, 1]],
+                             ids=["all-nan", "one-nan"])
+    def test_nan_vectors_are_rejected(self, entries):
+        vectors = np.eye(4, dtype=complex)
+        vectors[entries] = math.nan
+        with pytest.raises(ValueError, match="not an orthonormal basis"):
+            Measurement(vectors)
 
 
 class TestMeasuredMI:
@@ -564,6 +603,26 @@ class TestEmpiricalMaurer:
     def test_rejects_bad_bit_strings(self, x, phi):
         with pytest.raises(ValueError, match="2-bit string"):
             empirical_maurer(2, 2, x, phi, trials=2, seed=0, tau=0.5)
+
+    @pytest.mark.parametrize("n, K, tau, trials, tail", [
+        (2, 6, 0.5, 2000, 0.02121), (3, 6, 0.25, 1000, 0.2467)])
+    def test_tail_freq_matches_the_exact_tail(self, n, K, tau, trials, tail):
+        exact = exact_maurer_tail(n, K, tau)
+        assert float(exact) == pytest.approx(tail, abs=5e-5)
+        rep = empirical_maurer(n, K, "0" * n, "0" * n, trials=trials,
+                               seed=0x51, tau=tau)
+        z = (rep.tail_freq - exact) / math.sqrt(exact * (1 - exact) / trials)
+        assert abs(z) <= 4
+
+    def test_bit_strings_run_above_the_dense_cutoff(self):
+        # a bit-string phi takes tableau overlaps at any n; a vector phi
+        # needs the dense simulator
+        rep = empirical_maurer(13, 2, "0" * 13, "1" * 13, trials=2, seed=0,
+                               tau=0.5)
+        assert rep.trials == 2
+        with pytest.raises(ValueError, match="n=13 exceeds the dense cutoff"):
+            empirical_maurer(13, 2, "0" * 13, dense.basis_vector("1" * 13),
+                             trials=2, seed=0, tau=0.5)
 
     def test_tail_freq_counts_means_below_cut(self):
         rep = empirical_maurer(2, 3, "00", "00", trials=40, seed=6, tau=0.5,
