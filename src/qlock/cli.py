@@ -136,20 +136,24 @@ def _params_for(args, n: int) -> security.SecurityParams:
     if args.pmax is not None:
         p_max = args.pmax
     else:
-        p_max = Fraction(1, 1 << n) if frac >= 1.0 else 2.0 ** (-frac * n)
+        # 2^-e as 2^-(e - k) / 2^k: 2^-(e - k) > 2^-1001 is a normal float,
+        # where the float 2^-e may be subnormal or 0
+        e = frac * n
+        k = max(0, math.floor(e) - 1000)
+        p_max = Fraction(2.0 ** -(e - k)) / (1 << k)
     M = args.M if args.M is not None else 1 << n
     if args.gamma is not None:
         gamma = args.gamma
     elif args.delta is not None:
         gamma = design.gamma_bound(args.delta)
     else:
-        gamma = 2.0
+        gamma = design.gamma_bound()
     params = security.SecurityParams(n=n, epsilon=args.eps, p_max=p_max,
                                      M=M, gamma=gamma)
     if M > 1 << n:
         raise ValueError(f"--M must be at most 2^n = {1 << n} code words "
                          f"of n = {n} bits, got {M}")
-    if Fraction(p_max) * M < 1:  # the largest of M probabilities is >= 1/M
+    if params.p_max * M < 1:  # the largest of M probabilities is >= 1/M
         raise ValueError(f"p_max = {_fmt(float(p_max))} (--pmax, --hmin-frac)"
                          f" is below 1/M for M = {M} (--M) code words")
     return params
@@ -249,11 +253,9 @@ def _cmd_moments(args) -> None:
 def _cmd_gamma(args) -> None:
     est, _ = _estimate(args)
     gamma = design.gamma_of(est)
-    bound = design.gamma_bound(args.delta)
-    d = est.d
     rows = [["gamma", float(gamma)],
-            ["gamma_exact_2_design", 2.0 * d / (d + 1.0)],
-            ["gamma_bound", bound]]
+            ["gamma_exact_2_design", design.gamma_2_design(est.d)],
+            ["gamma_bound", design.gamma_bound(args.delta)]]
     _emit_quantities(rows, "value", args)
 
 

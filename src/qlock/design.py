@@ -186,11 +186,17 @@ def gamma_of(est: MomentEstimate):
     return est.mean4 / (est.mean2 * est.mean2)
 
 
-def gamma_bound(delta: float) -> float:
-    """Upper bound 2(1+delta)/(1-delta)^2 for a delta-approximate 2-design."""
+def gamma_bound(delta: float = 0.0) -> float:
+    """Upper bound 2(1+delta)/(1-delta)^2 for a delta-approximate 2-design;
+    the default delta = 0 gives 2, the gamma of bounds that set none."""
     if not 0 <= delta < 1:
         raise ValueError("delta must lie in [0, 1)")
     return 2.0 * (1.0 + delta) / ((1.0 - delta) ** 2)
+
+
+def gamma_2_design(d: int) -> float:
+    """gamma = 2d/(d+1) of an exact 2-design in dimension d."""
+    return 2.0 * d / (d + 1.0)
 
 
 @dataclass

@@ -22,7 +22,7 @@ from .protocol import Codebook
 from .sampling import (SamplerConfig, all_single_qubit_circuits,
                        sample_design_circuit, sample_uniform_clifford,
                        stream_rng)
-from .design import overlap
+from .design import gamma_2_design, gamma_bound, overlap
 from .stabilizer import CliffordCircuit, check_bits
 
 Real = Union[int, float, Fraction]
@@ -46,10 +46,10 @@ def _frac_log2(x: Fraction) -> float:
 
 @dataclass
 class PriorDistribution:
-    """Plaintext prior: either uniform over all 2^n strings or a sparse list.
-
-    entries maps n-bit strings to positive probabilities summing to one;
-    None means the uniform prior.
+    """Plaintext prior: n-bit strings with positive probabilities summing
+    to one.  Without entries it is uniform, all 2^n strings at 1/2^n in
+    index order; every consumer of a prior is dense, so that needs
+    n <= dense.DENSE_CUTOFF.
     """
 
     n: int
@@ -58,59 +58,49 @@ class PriorDistribution:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("need at least one qubit")
-        if self.entries is not None:
-            if not self.entries:
-                raise ValueError("empty prior")
-            seen = set()
-            total = 0.0
-            for x, p in self.entries:
-                check_bits("code word", x, self.n)
-                if x in seen:
-                    raise ValueError(f"duplicate code word {x!r}")
-                seen.add(x)
-                if not p > 0:  # NaN fails this check and the sum's
-                    raise ValueError(f"probabilities must be positive, got {p}")
-                total += p
-            if not abs(total - 1.0) <= 1e-9:
-                raise ValueError(f"prior sums to {total}, not 1")
-
-    @property
-    def uniform(self) -> bool:
-        return self.entries is None
+        if self.entries is None:
+            dense.check_cutoff(self.n)
+            p = 1.0 / (1 << self.n)
+            self.entries = [(format(i, f"0{self.n}b"), p)
+                            for i in range(1 << self.n)]
+        if not self.entries:
+            raise ValueError("empty prior")
+        seen = set()
+        total = 0.0
+        for x, p in self.entries:
+            check_bits("code word", x, self.n)
+            if x in seen:
+                raise ValueError(f"duplicate code word {x!r}")
+            seen.add(x)
+            if not p > 0:  # NaN fails this check and the sum's
+                raise ValueError(f"probabilities must be positive, got {p}")
+            total += p
+        if not abs(total - 1.0) <= 1e-9:
+            raise ValueError(f"prior sums to {total}, not 1")
 
     @property
     def p_max(self) -> Fraction:
-        if self.uniform:
-            return Fraction(1, 1 << self.n)
         return Fraction(max(p for _, p in self.entries))
 
     @property
     def M(self) -> int:
-        return (1 << self.n) if self.uniform else len(self.entries)
+        return len(self.entries)
 
     def items(self) -> Iterable[tuple[str, float]]:
-        if self.uniform:
-            p = 1.0 / (1 << self.n)
-            for i in range(1 << self.n):
-                yield format(i, f"0{self.n}b"), p
-        else:
-            yield from self.entries
+        return iter(self.entries)
 
     def probability_vector(self) -> np.ndarray:
-        """Probabilities over the full computational basis (dense-scale only)."""
-        d = 1 << self.n
-        if self.uniform:
-            return np.full(d, 1.0 / d)
-        v = np.zeros(d)
+        """Probabilities over the full computational basis."""
+        v = np.zeros(1 << self.n)
         for x, p in self.entries:
             v[dense.basis_index(x)] = p
         return v
 
 
-def _h_min(p_max: Real) -> float:
+def _h_min(p_max: Fraction) -> float:
     """-log2 p_max in bits; 0.0 - x rather than -x, so p_max = 1 gives 0,
     not -0."""
-    return 0.0 - _frac_log2(Fraction(p_max))
+    return 0.0 - _frac_log2(p_max)
 
 
 def min_entropy(prior: PriorDistribution) -> float:
@@ -122,16 +112,17 @@ def min_entropy(prior: PriorDistribution) -> float:
 class SecurityParams:
     """Inputs of the bound calculators.
 
-    p_max, epsilon and gamma may be floats or Fractions; they are lifted
-    to exact rationals inside the calculators.  M is the number of code
+    epsilon, p_max and gamma may be given as ints, floats or Fractions;
+    once checked they are stored as the exact Fractions of those values,
+    which is the form every calculator reads.  M is the number of code
     words.
     """
 
     n: int
-    epsilon: Real
-    p_max: Real
+    epsilon: Fraction
+    p_max: Fraction
     M: int
-    gamma: Real
+    gamma: Fraction
 
     def __post_init__(self):
         if self.n < 1:
@@ -145,13 +136,16 @@ class SecurityParams:
         if not 1 <= self.gamma < math.inf:
             raise ValueError(f"gamma must be a finite number >= 1, "
                              f"got {self.gamma}")
+        self.epsilon = Fraction(self.epsilon)
+        self.p_max = Fraction(self.p_max)
+        self.gamma = Fraction(self.gamma)
 
     @classmethod
     def from_prior(cls, prior: PriorDistribution,
                    epsilon: Real) -> "SecurityParams":
-        """Parameters of a prior, with gamma = 2 = design.gamma_bound(0)."""
+        """Parameters of a prior, with the default gamma_bound() = 2."""
         return cls(n=prior.n, epsilon=epsilon, p_max=prior.p_max, M=prior.M,
-                   gamma=2.0)
+                   gamma=gamma_bound())
 
     @property
     def h_min(self) -> float:
@@ -287,7 +281,7 @@ def measured_mi(meas: Measurement, prior: PriorDistribution,
         raise ValueError("one conditional state per code word required")
     cond = np.array([meas.outcome_probs(rho) for rho in conditionals])
     sums = cond.sum(axis=1)
-    if np.max(np.abs(sums - 1.0)) > 1e-6:
+    if not np.max(np.abs(sums - 1.0)) <= 1e-6:  # NaN fails it
         raise ValueError("conditional outcome distributions do not normalize")
     cond /= sums[:, None]
     p_y = probs @ cond
@@ -317,19 +311,17 @@ class BoundResult:
 
 def _chernoff_terms(params: SecurityParams) -> tuple[Fraction, Fraction]:
     """(a, b) with the Chernoff exponent a - K b (see chernoff_p1)."""
-    eps = Fraction(params.epsilon)
-    return (params.n * _LN2,
-            eps * eps / 4 / (1 << params.n) / Fraction(params.p_max))
+    eps = params.epsilon
+    return params.n * _LN2, eps * eps / 4 / (1 << params.n) / params.p_max
 
 
 def _maurer_terms(params: SecurityParams) -> tuple[Fraction, Fraction]:
     """(a, b) with the Maurer exponent a - K b (see maurer_p2)."""
-    eps = Fraction(params.epsilon)
-    p_max = Fraction(params.p_max)
+    eps, p_max = params.epsilon, params.p_max
     ln_net = Fraction(_ln_net(params.n, params.epsilon))
     ln_m = Fraction(math.log(params.M))
     return (2 * (1 << params.n) * ln_net + eps * ln_m / (4 * p_max),
-            eps ** 3 / (128 * Fraction(params.gamma) * p_max))
+            eps ** 3 / (128 * params.gamma * p_max))
 
 
 def chernoff_p1(params: SecurityParams, K: Real) -> BoundResult:
@@ -389,7 +381,7 @@ def key_length_bits(params: SecurityParams) -> tuple[float, float]:
     is taken as -log2(eps), which stays finite where 1/eps overflows.
     """
     exact = _frac_log2(key_threshold(params).k_min)
-    asym = (params.n - params.h_min + _frac_log2(Fraction(params.gamma))
+    asym = (params.n - params.h_min + _frac_log2(params.gamma)
             + math.log2(params.n) - math.log2(float(params.epsilon)))
     return exact, asym
 
@@ -539,9 +531,8 @@ def empirical_maurer(n: int, K: int, x: str, phi, trials: int, seed: int,
         check_bits("phi", phi, n)
     else:
         phi = np.asarray(phi, dtype=complex)
-    d = 1 << n
     if gamma is None:
-        gamma = 2.0 * d / (d + 1.0)
+        gamma = gamma_2_design(1 << n)
     if not 0 < gamma < math.inf:
         raise ValueError(f"gamma must be a positive finite number, got {gamma}")
     table = None

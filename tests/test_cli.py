@@ -487,6 +487,31 @@ class TestCsvContracts:
             values = [float(found[k]) for k in keys]
         assert values and all(math.isfinite(v) for v in values)
 
+    def test_fig2_hmin_frac_p_max_below_the_float_range(self):
+        # p_max = 2^-1200 and 2^-1320 underflow as floats; both priors exist
+        res = run_cli("fig2", "--n", "2000:2201:200", "--hmin-frac", "0.6",
+                      "--csv")
+        assert res.returncode == 0, res.stderr
+        rows = parse_csv(res.stdout)[1:]
+        assert [row[:2] for row in rows] == [["2000", "899.185409513"],
+                                             ["2200", "979.320916323"]]
+        assert all(math.isfinite(float(v)) for row in rows for v in row)
+
+    def test_keylen_hmin_frac_p_max_below_the_float_range(self):
+        res = run_cli("keylen", "--n", "1800", "--hmin-frac", "0.75", "--csv")
+        assert res.returncode == 0, res.stderr
+        values = dict(parse_csv(res.stdout)[1:])
+        assert values["h_min"] == "1350"
+        assert values["log2_K_exact"] == "549.035843099"
+        assert math.isfinite(float(values["log2_K_asymptotic"]))
+
+    def test_hmin_frac_subnormal_p_max_is_exact(self):
+        # 2^-1064.25 lies below the normal float range, where a float
+        # keeps only its top 10 bits
+        res = run_cli("keylen", "--n", "1075", "--hmin-frac", "0.99")
+        assert res.returncode == 0, res.stderr
+        assert "\nh_min = 1064.25\n" in res.stdout
+
     def test_moments_csv(self):
         res = run_cli("moments", "--ensemble", "single-qubit", "--csv")
         rows = parse_csv(res.stdout)

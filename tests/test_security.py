@@ -93,6 +93,29 @@ class TestPrior:
                            "got nan"):
             PriorDistribution(1, entries)
 
+    @pytest.mark.parametrize("n", [13, 64])
+    def test_uniform_above_the_dense_cutoff_is_rejected(self, n):
+        # raised before any of the 2^n words is listed
+        with pytest.raises(ValueError, match=f"^n={n} exceeds the dense "
+                           "cutoff 12$"):
+            PriorDistribution(n)
+
+    @pytest.mark.parametrize("n", [1, 3, 12])
+    def test_uniform_is_its_list_of_entries(self, n):
+        d = 1 << n
+        listed = PriorDistribution(n, [(format(i, f"0{n}b"), 1.0 / d)
+                                       for i in range(d)])
+        uniform = PriorDistribution(n)
+        assert uniform == listed
+        assert uniform.p_max == listed.p_max == Fraction(1, d)
+        assert uniform.M == listed.M == d
+        assert list(uniform.items()) == list(listed.items())
+        assert [x for x, _ in uniform.items()][:2] == ["0" * n,
+                                                      "0" * (n - 1) + "1"]
+        assert np.array_equal(uniform.probability_vector(),
+                              listed.probability_vector())
+        assert np.array_equal(uniform.probability_vector(), np.full(d, 1 / d))
+
 
 class TestParams:
     def test_validation(self):
@@ -100,6 +123,29 @@ class TestParams:
             SecurityParams(n=2, epsilon=0.0, p_max=0.5, M=2, gamma=2.0)
         with pytest.raises(ValueError):
             SecurityParams(n=2, epsilon=0.1, p_max=0.5, M=2, gamma=0.5)
+
+    @pytest.mark.parametrize("epsilon, p_max, gamma", [
+        (0.1, 0.25, 2.0), (Fraction(1, 3), Fraction(1, 7), Fraction(5, 2)),
+        (1e-300, 2.0 ** -1074, 3), (0.5, 1, 1)])
+    def test_inputs_are_stored_as_their_exact_fractions(self, epsilon,
+                                                        p_max, gamma):
+        params = SecurityParams(n=2, epsilon=epsilon, p_max=p_max, M=2,
+                                gamma=gamma)
+        for got, given in ((params.epsilon, epsilon), (params.p_max, p_max),
+                           (params.gamma, gamma)):
+            assert type(got) is Fraction
+            assert got == given
+
+    @pytest.mark.parametrize("field, message", [
+        ("epsilon", "^epsilon must lie in \\(0, 1\\)$"),
+        ("p_max", "^p_max must lie in \\(0, 1\\]$"),
+        ("gamma", "^gamma must be a finite number >= 1, got {}$")])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_inputs_are_rejected(self, field, message, bad):
+        inputs = dict(n=2, epsilon=0.1, p_max=0.5, M=2, gamma=2.0)
+        inputs[field] = bad
+        with pytest.raises(ValueError, match=message.format(bad)):
+            SecurityParams(**inputs)
 
 
 def reference_adversary_state(circuits, priors):
@@ -327,6 +373,16 @@ class TestMeasuredMI:
                 mi = measured_mi(meas, prior, conds)
                 assert mi <= chi + 1e-6
                 assert 0.0 <= mi <= min(n, math.log2(1 << n)) + 1e-9
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("where", [np.s_[:, :], np.s_[0, 0]],
+                             ids=["all", "one-entry"])
+    def test_non_finite_conditionals_are_rejected(self, bad, where):
+        rho = np.eye(2) / 2
+        rho[where] = bad
+        with pytest.raises(ValueError, match="do not normalize"):
+            measured_mi(Measurement.computational_basis(2),
+                        PriorDistribution(1), [rho, np.eye(2) / 2])
 
     def test_povm_completeness_enforced(self):
         bad = np.eye(4, dtype=complex)[:, :3]
