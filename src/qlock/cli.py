@@ -303,6 +303,10 @@ def _cmd_verify_chernoff(args) -> None:
 
 
 def _cmd_verify_maurer(args) -> None:
+    if args.n > security.MAURER_MAX_N:
+        raise ValueError(f"--n must be at most {security.MAURER_MAX_N}, the "
+                         "largest n whose tail cut (1 - tau) 2^-n is a normal "
+                         f"float, got --n {args.n}")
     seed = _parse_seed(args.seed)
     x = args.x if args.x else "0" * args.n
     report = security.empirical_maurer(args.n, args.K, x, "0" * args.n,

@@ -5,11 +5,11 @@ for the density-matrix security analysis.  Everything here is dense and
 limited to n <= DENSE_CUTOFF = 12 qubits.
 
 A gate circuit acts on a (d,) vector or a (d, m) column stack in maximal
-runs of gates that touch at most two qubits.  Each run is multiplied into
-one 2x2 or 4x4 matrix from a small table of local gate matrices and
-applied with one gather, matmul and scatter over the rows grouped by the
-run's qubits, so the cost follows the number of runs, not the number of
-gates.
+runs of gates that touch at most two qubits, read off its gate codes.
+Each run is multiplied into one 2x2 or 4x4 matrix from a small table of
+local gate matrices and applied with one gather, matmul and scatter over
+the rows grouped by the run's qubits, so the cost follows the number of
+runs, not the number of gates.
 
 A sampled design circuit (sampling.DesignCircuit) holds its fragment
 records (word, a, b) as an (L, 3) int array: word = 16 i + j indexes the
@@ -30,8 +30,8 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .sampling import DesignCircuit, two_qubit_table
-from .stabilizer import CliffordCircuit
+from .sampling import DesignCircuit, check_records, two_qubit_table
+from .stabilizer import GATE_KINDS, KIND_CODE, CliffordCircuit
 
 DENSE_CUTOFF = 12
 
@@ -77,58 +77,65 @@ def basis_vector(bits: str) -> np.ndarray:
     return v
 
 
-def _pair_matrices() -> dict:
-    """4x4 matrix of each gate on a two-qubit run, keyed (kind, slots).
+# the matrix of each kind code
+_KIND_MATRICES = [GATE_MATRICES[kind] for kind in GATE_KINDS]
 
-    A run on qubits lo < hi orders its local basis |b_lo b_hi> with lo as
-    the more significant bit, matching the global order (qubit 0 is the
-    MSB).  slots places each gate qubit in the run: (0,) is G (x) I,
-    (1,) is I (x) G, (0, 1) is G itself and (1, 0) is SWAP G SWAP.
+
+def _pair_matrices() -> dict:
+    """4x4 matrix of each gate on a two-qubit run lo < hi, keyed (kind
+    code, a == hi, b == hi) for the gate code (kind, a, b).
+
+    The run orders its local basis |b_lo b_hi> with lo as the more
+    significant bit, matching the global order (qubit 0 is the MSB).  So
+    a one-qubit G on lo is G (x) I and on hi I (x) G; a two-qubit G on
+    (lo, hi) is G itself and on (hi, lo) SWAP G SWAP.
     """
     eye = np.eye(2, dtype=complex)
     # a row and column permutation, not a matmul: importing the module
     # must not start BLAS in processes that never simulate densely
     swapped = np.ix_([0, 2, 1, 3], [0, 2, 1, 3])
     table = {}
-    for kind, m in GATE_MATRICES.items():
+    for code, m in enumerate(_KIND_MATRICES):
         if m.shape == (2, 2):
-            table[kind, (0,)] = np.kron(m, eye)
-            table[kind, (1,)] = np.kron(eye, m)
+            table[code, False, False] = np.kron(m, eye)
+            table[code, True, True] = np.kron(eye, m)
         else:
-            table[kind, (0, 1)] = m
-            table[kind, (1, 0)] = m[swapped]
+            table[code, False, True] = m
+            table[code, True, False] = m[swapped]
     return table
 
 
 _PAIR_MATRICES = _pair_matrices()
 
 
-def _fuse(run: list, touched: frozenset) -> tuple[tuple[int, ...], np.ndarray]:
-    """Sorted qubits and the run's matrix product, last gate leftmost."""
+def _fuse(run: list, touched: set) -> tuple[tuple[int, ...], np.ndarray]:
+    """Sorted qubits and the matrix product of a run of gate codes, last
+    gate leftmost."""
     qubits = tuple(sorted(touched))
     if len(qubits) == 1:
-        mats = [GATE_MATRICES[g.kind] for g in run]
+        mats = [_KIND_MATRICES[k] for k, _, _ in run]
     else:
-        lo, hi = qubits
-        slots = {(lo,): (0,), (hi,): (1,), (lo, hi): (0, 1), (hi, lo): (1, 0)}
-        mats = [_PAIR_MATRICES[g.kind, slots[g.qubits]] for g in run]
+        hi = qubits[1]
+        mats = [_PAIR_MATRICES[k, a == hi, b == hi] for k, a, b in run]
     product = mats[0]
     for mat in mats[1:]:
         product = mat @ product
     return qubits, product
 
 
-def _runs(gates):
-    """Yield (qubits, matrix) per maximal run of gates on <= 2 qubits."""
+def _runs(codes):
+    """Yield (qubits, matrix) per maximal run of gate codes (kind, a, b)
+    on <= 2 qubits."""
     run: list = []
-    touched: frozenset = frozenset()
-    for g in gates:
-        merged = touched.union(g.qubits)
+    touched: set = set()
+    it = iter(codes)
+    for k, a, b in zip(it, it, it):
+        merged = touched | {a, b}
         if len(merged) > 2:
             yield _fuse(run, touched)
             run = []
-            merged = frozenset(g.qubits)
-        run.append(g)
+            merged = {a, b}
+        run.append((k, a, b))
         touched = merged
     if run:
         yield _fuse(run, touched)
@@ -178,7 +185,7 @@ def apply_circuit_to_vector(circuit: CliffordCircuit, vec: np.ndarray) -> np.nda
         raise ValueError("state vector dimension mismatch")
     arr = np.array(vec, dtype=complex, order="C")
     cols = arr if arr.ndim == 2 else arr[:, None]
-    for qubits, mat in _runs(circuit.gates):
+    for qubits, mat in _runs(circuit.codes):
         _step(cols, _block_rows(n, qubits)[None], mat[None])
     return arr
 
@@ -204,9 +211,11 @@ def _word_products(templates) -> np.ndarray:
     """(len(templates), 4, 4) unitaries of two-qubit table templates, all
     multiplied together one gate position at a time."""
     gens = two_qubit_table().gens
-    # index 0 is the identity that pads the shorter templates
+    # index 0 is the identity that pads the shorter templates; the
+    # generators act on the run lo, hi = 0, 1
     mats = np.stack([np.eye(4, dtype=complex)]
-                    + [_PAIR_MATRICES[g.kind, g.qubits] for g in gens])
+                    + [_PAIR_MATRICES[KIND_CODE[g.kind], g.qubits[0] == 1,
+                                      g.qubits[-1] == 1] for g in gens])
     lengths = np.array([len(t) for t in templates])
     steps = np.zeros((len(templates), lengths.max()), dtype=np.intp)
     steps[np.arange(steps.shape[1]) < lengths[:, None]] = np.frombuffer(
@@ -294,11 +303,8 @@ def _push_fragments(recs: np.ndarray, cols: np.ndarray) -> np.ndarray:
     record array; one step per fragment position."""
     d, m = cols.shape
     n = d.bit_length() - 1
+    check_records(n, recs)
     words, a, b = recs[..., 0], recs[..., 1], recs[..., 2]
-    if recs.size and (words.min() < 0 or words.max() >= 720 * 16
-                      or min(a.min(), b.min()) < 0
-                      or max(a.max(), b.max()) >= n or np.any(a == b)):
-        raise ValueError(f"fragment record out of range for n={n}")
     stack = np.empty((len(recs), d, m), dtype=complex)
     stack[:] = cols
     flat = stack.reshape(-1, m)

@@ -81,7 +81,7 @@ def build_codebook(n: int, K: int, delta: float, master_seed: int,
     """Derive the K codebook circuits deterministically from the seed.
 
     Each circuit is held as the DesignCircuit of its fragment records; its
-    gates are expanded only while it is compiled or printed."""
+    gate codes are expanded only while it is compiled."""
     if K < 1:
         raise ValueError("K must be >= 1")
     cfg = SamplerConfig(n=n, delta=delta, depth_factor=depth_factor)
@@ -177,27 +177,58 @@ def _repr_float(t: str) -> float | None:
     return float(t) if _REPR_FLOAT.fullmatch(t) else None
 
 
+# what str.splitlines() cuts a line at, besides "\r\n", and a character
+# that str.strip() keeps
+_LINE_BREAKS = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
+_NOT_BLANK = re.compile(r"\S")
+
+
+def _line_spans(text: str) -> list[tuple[int, int]]:
+    """(start, end) of each line of text, as str.splitlines() cuts them,
+    so that a line is read in place rather than copied.  Each kind of
+    break is searched for once through the text: its next place is kept
+    until the lines pass it."""
+    ahead = {c: text.find(c) for c in _LINE_BREAKS}
+    spans = []
+    pos = 0
+    while pos < len(text):
+        for c, at in ahead.items():
+            if 0 <= at < pos:
+                ahead[c] = text.find(c, pos)
+        cut = min([at for at in ahead.values() if at >= 0], default=len(text))
+        spans.append((pos, cut))
+        pos = cut + (2 if text.startswith("\r\n", cut) else 1)
+    return spans
+
+
 def codebook_from_text(text: str) -> Codebook:
-    lines = text.splitlines()
+    lines = _line_spans(text)
     if not lines:
         raise ValueError("empty codebook file")
-    head = _header(lines[0], ["QDLCB", "v1"], {
+    head = _header(text[slice(*lines[0])], ["QDLCB", "v1"], {
         "n": (read_decimal, _positive), "K": (read_decimal, _positive),
         "delta": (_repr_float, lambda v: 0.0 < v < 1.0),
         "seed": (read_hex, lambda v: v < 1 << 128)},
         "codebook")
     n, K = head["n"], head["K"]
-    body = [(i + 1, ln) for i, ln in enumerate(lines) if i and ln.strip()]
+    body = [(i + 1, start, end) for i, (start, end) in enumerate(lines)
+            if i and _NOT_BLANK.search(text, start, end)]
     if len(body) != K:
         raise ValueError(f"expected {K} circuit lines, got {len(body)}")
     circuits = []
-    for k, (lineno, ln) in enumerate(body):
-        idx, _, rest = ln.partition(":")
-        if read_decimal(idx.strip()) != k:
+    known: dict[str, bytes] = {}  # shared by the lines' parses
+    for k, (lineno, start, end) in enumerate(body):
+        # the index before the first ':', the gates after it
+        colon = text.find(":", start, end)
+        if colon < 0:
+            colon = end
+        idx = text[start:colon].strip()
+        if read_decimal(idx) != k:
             raise ValueError(f"codebook line {lineno}: expected circuit "
-                             f"index {k}, got {idx.strip()!r}")
+                             f"index {k}, got {idx!r}")
         try:
-            circuits.append(circuit_from_text(rest, n))
+            circuits.append(circuit_from_text(text, n, colon + 1, end,
+                                              known))
         except ValueError as exc:
             raise ValueError(f"codebook line {lineno}, circuit {k}: {exc}"
                              ) from None

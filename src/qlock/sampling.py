@@ -26,18 +26,21 @@ sample_design_circuit draws a design circuit as its L fragment records
 (word, a, b), word = 16 i + j, and returns them as a DesignCircuit;
 derive_circuit returns that DesignCircuit as it is, so a seed-built
 codebook holds only records.  dense.push applies the records without
-expanding them into gates; every other consumer reads the gate list,
-which is expanded from the records on each read by relabelling each
-word's template of generator indices onto (a, b) and is not kept, so one
-seed gives the same circuit in either form and a consumer holds one
-circuit's gates at a time.
+expanding them into gates.  Every other consumer reads gate codes, which
+_TwoQubitTable.expand writes from the records, a block of records at a
+time in numpy, by relabelling each word's template of generator indices
+onto (a, b); they are not kept.
 
-The circuit text form is 'H 0; SDG 2; CNOT 0 3'.  Printing joins the
-texts the interned gates carry, and parsing looks each stripped chunk up
-in stabilizer.GATES_BY_TEXT.  A chunk that misses (a gate this process
-has not interned yet, extra blanks, leading zeros, a bad gate) goes
-through the full parse, which interns its gate, so later repeats of the
-chunk hit, or reports the chunk.
+The circuit text form is 'H 0; SDG 2; CNOT 0 3'.  Printing formats a
+block of gate codes at a time from per-kind texts made on first use in
+the call, so a design circuit is expanded one block of records at a
+time, never whole.  Parsing reads the text in place, in slices of at
+most _SLICE characters cut after a ';', and looks each chunk up in a
+dictionary from canonical chunk text to packed code bytes, which the
+lines of one codebook file share and nothing else keeps.  A chunk that
+misses (its first occurrence, extra blanks, leading zeros, a bad gate)
+goes through the full parse, which reports a bad chunk and enters a
+canonical one in the dictionary.
 
 The draw rule defines every seeded design stream.  It reads the
 generator's MT19937 output as 32-bit words, one word per getrandbits(k)
@@ -64,13 +67,17 @@ from __future__ import annotations
 import hashlib
 import math
 import random
+from array import array
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
+from typing import Optional
 
 import numpy as np
 
-from .stabilizer import (GATES_BY_TEXT, CliffordCircuit, CliffordGate,
-                         Tableau, gate, intern_gate, negative_rows,
+from .stabilizer import (GATE_KINDS, KIND_CODE, TWO_QUBIT_CODE,
+                         CliffordCircuit, CliffordGate, Tableau, code_array,
+                         gate, gate_code, gate_text, negative_rows,
                          read_decimal, set_bits)
 
 
@@ -202,12 +209,17 @@ def _close_group(n: int, generators: list[CliffordGate]
     return np.concatenate(layers), words
 
 
+# records expanded per numpy step, and gates or records printed per
+# piece of text; bounds the temporary arrays and strings
+_EXPAND_BLOCK = 4096
+
+
 class _TwoQubitTable:
     """Canonical index (symplectic class, sign class) -> gate word.
 
     templates[16 i + j] is the word of class i, sign class j, as bytes of
-    indices into gens; word() gives its gates and expand relabels it onto
-    a qubit pair.
+    indices into gens; word() gives its circuit and expand relabels the
+    words of fragment records onto their qubit pairs.
     """
 
     def __init__(self):
@@ -231,29 +243,48 @@ class _TwoQubitTable:
         if np.any(counts != 16):
             raise AssertionError("sign classes are not 16 per symplectic class")
         self.templates = [paths[k] for k in np.lexsort((signs, sym)).tolist()]
+        self.lengths = np.array([len(t) for t in self.templates],
+                                dtype=np.uint8)
+        # per generator: its code, with local qubits 0 and 1
+        self._gen_codes = [gate_code(g) for g in gens]
 
-    def word(self, w: int) -> list[CliffordGate]:
-        """The gates of table word w = 16 i + j on qubits 0 and 1."""
-        return list(map(self.gens.__getitem__, self.templates[w]))
+    def word(self, w: int) -> CliffordCircuit:
+        """The circuit of table word w = 16 i + j on qubits 0 and 1."""
+        return CliffordCircuit.from_codes(2, code_array(2, chain.from_iterable(
+            map(self._gen_codes.__getitem__, self.templates[w]))))
 
-    def expand(self, n: int, records: np.ndarray) -> list[CliffordGate]:
-        """The gates of fragment records (word, a, b) on n qubits: each
-        word's template with local qubit 0 on a and local qubit 1 on b.
-        The pairs (a, b) and (b, a) share their two CNOT gates."""
-        templates = self.templates
-        h = [intern_gate("H", (q,)) for q in range(n)]
-        s = [intern_gate("S", (q,)) for q in range(n)]
-        pairs: dict[int, tuple] = {}
-        gates: list[CliffordGate] = []
-        for word, a, b in zip(*records.T.tolist()):  # three lists, not L
-            local = pairs.get(a * n + b)
-            if local is None:
-                rev = pairs.get(b * n + a)
-                cnots = (rev[5], rev[4]) if rev else (
-                    intern_gate("CNOT", (a, b)), intern_gate("CNOT", (b, a)))
-                local = pairs[a * n + b] = (h[a], h[b], s[a], s[b], *cnots)
-            gates += map(local.__getitem__, templates[word])
-        return gates
+    def expand(self, n: int, records: np.ndarray) -> array:
+        """The gate codes of fragment records (word, a, b) on n qubits: each
+        word's template with local qubit 0 on a and local qubit 1 on b."""
+        check_records(n, records)
+        codes = code_array(n)
+        dtype = np.dtype(codes.typecode)
+        gen_codes = np.array(self._gen_codes)
+        for lo in range(0, len(records), _EXPAND_BLOCK):
+            block = records[lo:lo + _EXPAND_BLOCK]
+            # the local code of each gate of the block's words, in order
+            gens = gen_codes[np.frombuffer(b"".join(map(
+                self.templates.__getitem__, block[:, 0].tolist())),
+                dtype=np.uint8)]
+            pairs = np.repeat(block[:, 1:], self.lengths[block[:, 0]], axis=0)
+            rows = np.arange(len(gens))
+            out = np.empty((len(gens), 3), dtype=dtype)
+            out[:, 0] = gens[:, 0]
+            out[:, 1] = pairs[rows, gens[:, 1]]
+            out[:, 2] = pairs[rows, gens[:, 2]]
+            codes.frombytes(out)
+        return codes
+
+
+def check_records(n: int, records: np.ndarray) -> None:
+    """ValueError unless each fragment record (word, a, b) of records, an
+    array of any shape (..., 3), names a table word and two distinct
+    qubits below n."""
+    words, a, b = records[..., 0], records[..., 1], records[..., 2]
+    if records.size and (words.min() < 0 or words.max() >= 720 * 16
+                         or min(a.min(), b.min()) < 0
+                         or max(a.max(), b.max()) >= n or np.any(a == b)):
+        raise ValueError(f"fragment record out of range for n={n}")
 
 
 class _SingleQubitTable:
@@ -291,8 +322,7 @@ def all_single_qubit_circuits() -> list[CliffordCircuit]:
 
 def sample_two_qubit_clifford(rng) -> CliffordCircuit:
     """Uniform draw from the 11,520-element two-qubit Clifford group."""
-    w = 16 * rng.randrange(720) + rng.randrange(16)
-    return CliffordCircuit(2, two_qubit_table().word(w))
+    return two_qubit_table().word(16 * rng.randrange(720) + rng.randrange(16))
 
 
 # random.sample takes its pool branch up to this population size for k = 2
@@ -305,8 +335,8 @@ class DesignCircuit(CliffordCircuit):
     Record (word, a, b) is one uniformly random two-qubit Clifford, table
     word 16 i + j of class i and sign class j, acting with its local qubit 0
     on qubit a and local qubit 1 on qubit b.  dense.push applies the
-    records directly; the gate list is their word-by-word expansion, made
-    afresh on each read of gates and not kept.
+    records directly; the gate codes are their word-by-word expansion,
+    made afresh on each read of codes and not kept.
     """
 
     def __init__(self, n: int, records: np.ndarray):
@@ -319,8 +349,13 @@ class DesignCircuit(CliffordCircuit):
         self.records = records
 
     @property
-    def gates(self) -> list[CliffordGate]:
+    def codes(self) -> array:
         return two_qubit_table().expand(self.n, self.records)
+
+    def __len__(self):
+        check_records(self.n, self.records)
+        return int(two_qubit_table().lengths[self.records[:, 0]].sum(
+            dtype=np.int64))
 
     def __repr__(self):
         return f"DesignCircuit(n={self.n}, fragments={len(self.records)})"
@@ -440,11 +475,12 @@ def action_to_circuit(action: Tableau) -> CliffordCircuit:
     """
     t = action.copy()
     n = t.n
-    emitted: list[CliffordGate] = []
+    emitted: list[tuple[int, int, int]] = []
 
     def do(kind, *qubits):
         t.apply(kind, qubits)
-        emitted.append(intern_gate("SDG" if kind == "S" else kind, qubits))
+        emitted.append((KIND_CODE["SDG" if kind == "S" else kind],
+                        qubits[0], qubits[-1]))
 
     def reduce_row(r, j):
         """Bring row r, with X_j set, to X_j by CNOTs, S and CZs from qubit j."""
@@ -481,36 +517,125 @@ def action_to_circuit(action: Tableau) -> CliffordCircuit:
             do("X", j)
     if t != Tableau(n):
         raise AssertionError("reduction did not reach the identity tableau")
-    return CliffordCircuit(n, emitted[::-1])
+    return CliffordCircuit.from_codes(
+        n, code_array(n, chain.from_iterable(reversed(emitted))))
 
 
 def derive_circuit(master_seed: int, stream_index: int,
                    cfg: SamplerConfig) -> CliffordCircuit:
     """Deterministic design circuit for (master_seed, stream_index): the
     DesignCircuit of its fragment records (a single-qubit Clifford at
-    n = 1), whose gates are expanded afresh each time a codebook compiles
-    or prints it."""
+    n = 1), whose gate codes are expanded afresh each time a codebook
+    compiles it."""
     return sample_design_circuit(cfg, stream_rng(master_seed, stream_index))
 
 
 # -- circuit text form -------------------------------------------------------
 
 
+class _Texts(dict):
+    """key -> make(key), each made on first use and kept while the
+    dictionary lives."""
+
+    __slots__ = ("make",)
+
+    def __init__(self, make):
+        self.make = make
+
+    def __missing__(self, key):
+        value = self[key] = self.make(key)
+        return value
+
+
 def circuit_to_text(circuit: CliffordCircuit) -> str:
-    """Semicolon-separated gate list, e.g. 'H 0; SDG 2; CNOT 0 3'."""
-    return "; ".join([g.text for g in circuit.gates])
+    """Semicolon-separated gate list, e.g. 'H 0; SDG 2; CNOT 0 3'.
+
+    The text is made a block of gates at a time: a design circuit's codes
+    are expanded a block of records at a time, never all at once.  A
+    gate's text is its kind's text of its first qubit a, plus " b" for a
+    second qubit b, each made on first use in the call."""
+    first = [_Texts((kind + " %d").__mod__) for kind in GATE_KINDS]
+    second = _Texts(" %d".__mod__)
+    pieces = []
+    for codes in _code_blocks(circuit):
+        it = iter(codes)
+        pieces.append("; ".join([first[k][a] if k < TWO_QUBIT_CODE
+                                 else first[k][a] + second[b]
+                                 for k, a, b in zip(it, it, it)]))
+    return "; ".join(filter(None, pieces))
 
 
-def circuit_from_text(text: str, n: int) -> CliffordCircuit:
-    """Parse a gate list.  Chunks are split at ';' and stripped; empty
-    chunks are skipped.  A chunk that is the canonical text of an interned
-    gate is looked up; any other chunk is parsed as a kind followed by
-    qubit indices in ASCII decimal digits, separated by whitespace."""
-    # _parse_gate interns the gate of a missed chunk, so its repeats hit
-    lookup = GATES_BY_TEXT.get
-    gates = [lookup(chunk) or _parse_gate(chunk)
-             for chunk in map(str.strip, text.split(";")) if chunk]
-    return CliffordCircuit(n, gates)
+def _code_blocks(circuit: CliffordCircuit):
+    """The circuit's gate codes in blocks of at most _EXPAND_BLOCK gates
+    or, for a design circuit, fragment records."""
+    if isinstance(circuit, DesignCircuit):
+        table = two_qubit_table()
+        for lo in range(0, len(circuit.records), _EXPAND_BLOCK):
+            yield table.expand(circuit.n,
+                               circuit.records[lo:lo + _EXPAND_BLOCK])
+    else:
+        for lo in range(0, len(circuit.codes), 3 * _EXPAND_BLOCK):
+            yield circuit.codes[lo:lo + 3 * _EXPAND_BLOCK]
+
+
+# characters of text split at ';' at once; bounds the chunks held
+_SLICE = 1 << 15
+
+
+def circuit_from_text(text: str, n: int, start: int = 0,
+                      end: Optional[int] = None,
+                      known: Optional[dict[str, bytes]] = None
+                      ) -> CliffordCircuit:
+    """Parse the gate list text[start:end], read in place.  Chunks are
+    split at ';' and stripped; empty chunks are skipped.  A chunk is
+    parsed as a kind followed by qubit indices in ASCII decimal digits,
+    separated by whitespace.  A bad chunk is reported as it is met, a gate
+    out of range once every chunk has parsed.
+
+    known maps each canonical chunk, with the blank that follows a '; ',
+    to its packed code, and the call adds each canonical chunk it parses,
+    so that its repeats are looked up; the lines of one file share one,
+    so that each gate is parsed in full once per file."""
+    end = len(text) if end is None else end
+    codes = code_array(n)
+    known = {} if known is None else known
+    out_of_range: list[str] = []
+
+    def parse(chunk):
+        # a canonical chunk is keyed as it stands after a '; ': with one
+        # blank before the gate's canonical text
+        stripped = chunk.strip()
+        key = " " + stripped
+        code = known.get(key)
+        if code is None:
+            if not stripped:
+                return b""
+            g = _parse_gate(stripped)
+            canonical = gate_text(g.kind, g.qubits)
+            if max(g.qubits) >= n:
+                if not out_of_range:
+                    out_of_range.append(canonical)
+                return b""
+            code = array(codes.typecode, gate_code(g)).tobytes()
+            if stripped == canonical:
+                known[key] = code
+        return code
+
+    lookup = known.get
+    pos = start
+    while pos < end:
+        cut = min(pos + _SLICE, end)
+        if cut < end:
+            # after the slice's last ';', or the next one if it has none
+            semi = text.rfind(";", pos, cut)
+            cut = semi + 1 if semi >= 0 else text.find(";", cut, end) + 1 or end
+        codes.frombytes(b"".join([lookup(chunk) or parse(chunk)
+                                  for chunk in text[pos:cut].split(";")]))
+        pos = cut
+    circuit = CliffordCircuit.from_codes(n, codes)
+    if out_of_range:
+        raise ValueError(f"gate {out_of_range[0]} out of range for n={n}")
+    return circuit
 
 
 def _parse_gate(chunk: str) -> CliffordGate:
@@ -521,6 +646,6 @@ def _parse_gate(chunk: str) -> CliffordGate:
             bad = words[qubits.index(None)]
             raise ValueError("qubit index must be ASCII decimal digits, "
                              f"got {bad!r}")
-        return intern_gate(kind, qubits)
+        return CliffordGate(kind, qubits)
     except ValueError as exc:
         raise ValueError(f"bad gate {chunk!r}: {exc}") from None

@@ -11,6 +11,7 @@ quantities are reported in bits.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
@@ -506,6 +507,11 @@ def _maurer_trial(n: int, K: int, x: str, phi, table, rng) -> float:
     return sum(draws) / K
 
 
+# the largest n whose tail cut (1 - tau) 2^-n is a normal float: above it
+# the cut loses bits, and above n = 1074 it is 0.0, so no trial could count
+MAURER_MAX_N = 1 - sys.float_info.min_exp
+
+
 def empirical_maurer(n: int, K: int, x: str, phi, trials: int, seed: int,
                      tau: float, gamma: Optional[float] = None,
                      jobs: int = 1) -> MaurerReport:
@@ -522,6 +528,9 @@ def empirical_maurer(n: int, K: int, x: str, phi, trials: int, seed: int,
     """
     if n < 1:
         raise ValueError(f"need at least one qubit, got n={n}")
+    if n > MAURER_MAX_N:
+        raise ValueError(f"n={n} is above {MAURER_MAX_N}, the largest n whose "
+                         "tail cut (1 - tau) 2^-n is a normal float")
     if not 0 <= tau <= 1:
         raise ValueError("tau must lie in [0, 1]")
     if K < 1:

@@ -26,20 +26,24 @@ bit).  Each rule of the convention lives in one function:
   where v.s is the GF(2) inner product, so phase bookkeeping reduces to
   parities of column masks.
 
-Gates are interned in one table, GATES_BY_TEXT, keyed by canonical text
-("CNOT 0 3"), as slotted CliffordGates carrying that text and their highest
-qubit.  Every circuit holds those shared objects, so printing a circuit
-joins stored texts, parsing one looks each chunk up in GATES_BY_TEXT and
-its range check reads one attribute per gate.  CliffordMap compiles a
+A circuit holds its gates as one packed array of gate codes, three
+integers (kind, a, b) per gate: the kind's index in GATE_KINDS and its
+qubits, a one-qubit gate on q as (kind, q, q).  The array's item type is
+the narrowest unsigned type that holds n, one byte per entry up to
+n = 256.  No gate object is stored: CliffordGate values are made on
+demand by a circuit's read-only gates view.  Tableau.apply_circuit
+dispatches on the kind code; Tableau.apply, which takes a kind name, is
+the per-gate reference it is tested against.  CliffordMap compiles a
 circuit once; the map of its inverse is read off that compile.
 """
 
 from __future__ import annotations
 
 import string
-from dataclasses import dataclass, field
+from array import array
+from collections.abc import Iterable, Sequence
+from dataclasses import dataclass
 from functools import cached_property
-from operator import attrgetter
 from typing import Optional
 
 GATE_ARITY = {
@@ -48,22 +52,24 @@ GATE_ARITY = {
 }
 
 
-def _gate_text(kind: str, qubits: tuple[int, ...]) -> str:
-    """The canonical text of a gate: its kind and qubits, one blank apart.
-    One % format, cheaper than joining str() calls, as intern_gate builds
-    it on every call."""
+# a gate's kind code is its kind's index here; one-qubit kinds come first
+GATE_KINDS = tuple(GATE_ARITY)
+KIND_CODE = {kind: code for code, kind in enumerate(GATE_KINDS)}
+# the codes at and above this one take two qubits
+TWO_QUBIT_CODE = 6
+
+
+def gate_text(kind: str, qubits: tuple[int, ...]) -> str:
+    """The canonical text of a gate: its kind and qubits, one blank apart."""
     return kind + " %s" * len(qubits) % qubits
 
 
 @dataclass(frozen=True, slots=True)
 class CliffordGate:
-    """A named Clifford gate on one or two qubit indices, with its
-    canonical text and its highest qubit index."""
+    """A named Clifford gate on one or two qubit indices."""
 
     kind: str
     qubits: tuple[int, ...]
-    text: str = field(init=False, repr=False, compare=False)
-    top: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         arity = GATE_ARITY.get(self.kind)
@@ -75,48 +81,118 @@ class CliffordGate:
             raise ValueError(f"{self.kind} requires distinct qubits")
         if any(q < 0 for q in self.qubits):
             raise ValueError("negative qubit index")
-        object.__setattr__(self, "text", _gate_text(self.kind, self.qubits))
-        object.__setattr__(self, "top", max(self.qubits))
-
-
-# canonical text -> interned gate: the one gate table
-GATES_BY_TEXT: dict[str, CliffordGate] = {}
-
-
-def intern_gate(kind: str, qubits: tuple[int, ...]) -> CliffordGate:
-    """The one shared CliffordGate for (kind, qubits), found by its text.
-    A gate is made, and so validated, only on a miss or on a lookalike such
-    as ("CNOT 0", (1,)), whose text is "CNOT 0 1" and which is rejected."""
-    g = GATES_BY_TEXT.get(_gate_text(kind, qubits))
-    if g is None or g.kind != kind or g.qubits != qubits:
-        new = CliffordGate(kind, qubits)
-        g = GATES_BY_TEXT.setdefault(new.text, new)
-    return g
 
 
 def gate(kind: str, *qubits: int) -> CliffordGate:
-    return intern_gate(kind, qubits)
+    return CliffordGate(kind, qubits)
 
 
-_TOP = attrgetter("top")
+def gate_code(g: CliffordGate) -> tuple[int, int, int]:
+    """(kind, a, b) of a gate; a one-qubit gate on q is (kind, q, q)."""
+    return KIND_CODE[g.kind], g.qubits[0], g.qubits[-1]
 
 
-@dataclass
+def code_gate(kind: int, a: int, b: int) -> CliffordGate:
+    """The gate of the code (kind, a, b)."""
+    return CliffordGate(GATE_KINDS[kind],
+                        (a,) if kind < TWO_QUBIT_CODE else (a, b))
+
+
+# (largest n, typecode) of the unsigned array types, narrowest first
+_TYPECODES = [(1 << 8 * array(t).itemsize, t) for t in "BHIQ"]
+
+
+def code_array(n: int, values: Iterable[int] = ()) -> array:
+    """An array of gate codes for an n-qubit circuit, holding values: of
+    the narrowest unsigned type whose entries hold every index below n."""
+    for top, typecode in _TYPECODES:
+        if n <= top:
+            return array(typecode, values)
+    raise ValueError(f"n={n} is too many qubits")
+
+
 class CliffordCircuit:
-    """Ordered list of Clifford gates on n qubits."""
+    """Ordered Clifford gates on n qubits, held as the packed array codes
+    of (kind, a, b) per gate; made from a list of CliffordGates."""
 
-    n: int
-    gates: list[CliffordGate]
+    def __init__(self, n: int, gates: Iterable[CliffordGate]):
+        _require_qubits(n)
+        flat = []
+        for g in gates:
+            if max(g.qubits) >= n:
+                raise ValueError(f"gate {gate_text(g.kind, g.qubits)} out of "
+                                 f"range for n={n}")
+            flat += gate_code(g)
+        self.n = n
+        self.codes = code_array(n, flat)
 
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("need at least one qubit")
-        if max(map(_TOP, self.gates), default=0) >= self.n:
-            bad = next(g for g in self.gates if g.top >= self.n)
-            raise ValueError(f"gate {bad.text} out of range for n={self.n}")
+    @staticmethod
+    def from_codes(n: int, codes: array) -> "CliffordCircuit":
+        """The circuit that owns codes, a code_array(n) whose qubits all
+        lie below n; the codes are not checked again."""
+        _require_qubits(n)
+        circuit = object.__new__(CliffordCircuit)
+        circuit.n = n
+        circuit.codes = codes
+        return circuit
+
+    @property
+    def gates(self) -> "GateView":
+        """A read-only view of the gates, made from the codes on demand."""
+        return GateView(self)
 
     def __len__(self):
-        return len(self.gates)
+        return len(self.codes) // 3
+
+    def __eq__(self, other):
+        if not isinstance(other, CliffordCircuit):
+            return NotImplemented
+        return self.n == other.n and self.codes == other.codes
+
+    def __repr__(self):
+        return f"{type(self).__name__}(n={self.n}, gates={len(self)})"
+
+
+def _require_qubits(n: int) -> None:
+    if n < 1:
+        raise ValueError("need at least one qubit")
+
+
+class GateView(Sequence):
+    """The gates of a circuit as CliffordGate values, made on each access
+    from its codes; the view holds no gate."""
+
+    __slots__ = ("_circuit", "_codes")
+
+    def __init__(self, circuit: CliffordCircuit):
+        self._circuit = circuit
+        self._codes = None
+
+    def _all(self) -> array:
+        # a design circuit expands its records on each read of codes
+        if self._codes is None:
+            self._codes = self._circuit.codes
+        return self._codes
+
+    def __len__(self):
+        return len(self._circuit)
+
+    def __getitem__(self, i: int) -> CliffordGate:
+        at = 3 * range(len(self))[i]
+        return code_gate(*self._all()[at:at + 3])
+
+    def __iter__(self):
+        it = iter(self._all())
+        for k, a, b in zip(it, it, it):
+            yield code_gate(k, a, b)
+
+    def __eq__(self, other):
+        if not isinstance(other, (GateView, list, tuple)):
+            return NotImplemented
+        return list(self) == list(other)
+
+    def __repr__(self):
+        return f"GateView({list(self)!r})"
 
 
 def hermitian_phase(xs: list[int], zs: list[int],
@@ -285,10 +361,46 @@ class Tableau:
             raise ValueError(f"unknown gate kind {kind!r}")
 
     def apply_circuit(self, circuit: CliffordCircuit) -> None:
+        """Conjugate every row by the circuit's gates in order: apply's
+        rules, dispatched on the kind code, with the phase planes held in
+        locals.  The codes lie in range by construction of the circuit."""
         if circuit.n != self.n:
             raise ValueError("circuit/tableau size mismatch")
-        for g in circuit.gates:
-            self.apply(g.kind, g.qubits)
+        xs = self.xs
+        zs = self.zs
+        d0 = self.d0
+        d1 = self.d1
+        it = iter(circuit.codes)
+        # codes by kind: H 0, S 1, SDG 2, X 3, Y 4, Z 5, CZ 6, SWAP 7,
+        # CNOT 8; tested most frequent first, as design circuits hold S, H
+        # and CNOT in that order of frequency
+        for k, a, b in zip(it, it, it):
+            if k == 1 or k == 2:
+                x = xs[a]
+                d1 ^= d0 & x if k == 1 else x & ~d0
+                d0 ^= x
+                zs[a] ^= x
+            elif k == 0:
+                d1 ^= xs[a] & zs[a]
+                xs[a], zs[a] = zs[a], xs[a]
+            elif k == 8:
+                xs[b] ^= xs[a]
+                zs[a] ^= zs[b]
+            elif k == 6:
+                d1 ^= xs[a] & xs[b]
+                zs[a] ^= xs[b]
+                zs[b] ^= xs[a]
+            elif k == 7:
+                xs[a], xs[b] = xs[b], xs[a]
+                zs[a], zs[b] = zs[b], zs[a]
+            elif k == 3:
+                d1 ^= zs[a]
+            elif k == 4:
+                d1 ^= xs[a] ^ zs[a]
+            else:
+                d1 ^= xs[a]
+        self.d0 = d0
+        self.d1 = d1
 
     # -- measurement -----------------------------------------------------
 

@@ -430,6 +430,28 @@ def decrypt_files(tmp_path, cipher_text):
                    "--cipher", str(ct), "--seed", SEED)
 
 
+class TestMaurerRange:
+    def test_n_above_1022_exits_1_naming_n_before_any_draw(self, monkeypatch,
+                                                            capsys):
+        # the tail cut (1 - tau) 2^-n is 0.0 above n = 1074, and 2d/(d+1)
+        # overflows from n = 1024: one error line, and no circuit drawn
+        from qlock import cli, sampling, security
+
+        def no_draw(*args):
+            raise AssertionError("a circuit was drawn")
+
+        monkeypatch.setattr(security, "sample_uniform_clifford", no_draw)
+        monkeypatch.setattr(sampling, "sample_uniform_clifford", no_draw)
+        code = cli.main(["verify-maurer", "--n", "1100", "--tau", "0.1",
+                         "--K", "1", "--trials", "1"])
+        out, err = capsys.readouterr()
+        assert code == 1
+        assert out == ""
+        assert err == ("error: --n must be at most 1022, the largest n whose "
+                       "tail cut (1 - tau) 2^-n is a normal float, got "
+                       "--n 1100\n")
+
+
 class TestProtocolPipeline:
     def test_encrypt_decrypt_round_trip(self, tmp_path):
         cb = tmp_path / "cb.txt"

@@ -55,6 +55,20 @@ class TestCircuitUnitary:
         s = 1 / math.sqrt(2)
         assert np.allclose(u, np.array([[s, s], [s, -s]]))
 
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_codes_match_the_gate_by_gate_reference(self, n):
+        # seeded random circuits over all nine kinds: the unitary that
+        # _runs fuses from the gate codes against one tensordot per gate
+        rng = random.Random(950 + n)
+        kinds = set()
+        for length in (0, 1, 9, 60):
+            c = random_circuit(n, length, rng)
+            kinds |= {g.kind for g in c.gates}
+            u = circuit_unitary(c)
+            want = reference_apply(c, np.eye(1 << n, dtype=complex))
+            assert np.max(np.abs(u - want), initial=0.0) < 1e-12
+        assert len(kinds) == (6 if n == 1 else 9)
+
     def test_random_circuit_is_unitary(self):
         rng = random.Random(1)
         c = random_circuit(6, 80, rng)
@@ -119,7 +133,7 @@ class TestFusedRuns:
     def test_run_boundaries(self, n, words, runs):
         gates = [gate(w.split()[0], *map(int, w.split()[1:])) for w in words]
         c = CliffordCircuit(n, gates)
-        assert [q for q, _ in dense._runs(c.gates)] == runs
+        assert [q for q, _ in dense._runs(c.codes)] == runs
         assert_matches_reference(c, random_stack(n, 4, 7))
         assert_matches_reference(c, np.eye(1 << n, dtype=complex))
 
@@ -162,7 +176,7 @@ class TestFragmentPush:
         table = two_qubit_table()
         got = dense._fragment_table().matrices(np.arange(720 * 16))
         for w in range(720 * 16):
-            c = CliffordCircuit(2, table.word(w))
+            c = table.word(w)
             assert np.max(np.abs(got[w] - circuit_unitary(c))) < 1e-12
 
     def test_matrices_equal_the_column_gather(self):

@@ -1,19 +1,21 @@
 import hashlib
 import math
 import random
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from qlock import protocol
 from qlock.protocol import (Codebook, SecretKey, build_codebook,
                             cipher_from_text, cipher_to_text,
                             codebook_from_text, codebook_to_text, decrypt,
                             encrypt, key_bits, keygen)
 from qlock.sampling import (DesignCircuit, design_circuit_length,
                             two_qubit_table)
-from qlock.stabilizer import (GATES_BY_TEXT, CliffordCircuit, CliffordMap,
-                              new_basis_state)
+from qlock.stabilizer import CliffordCircuit, CliffordMap, new_basis_state
 
 
 def identity_codebook(n, K):
@@ -83,23 +85,25 @@ class TestCodebook:
         assert codebook_to_text(back) == text
         assert back.circuits[0].gates == cb.circuits[0].gates
 
-    def test_parsed_codebook_shares_the_sampled_gates(self):
-        # one interned object per distinct gate, not one per occurrence
+    def test_parsed_codebook_has_the_sampled_codes(self):
+        # the parse writes the codes the seed-built circuits expand to
         cb = build_codebook(4, 3, 0.25, master_seed=7)
         back = codebook_from_text(codebook_to_text(cb))
         for parsed, sampled in zip(back.circuits, cb.circuits):
-            assert len(parsed.gates) == len(sampled.gates)
-            assert all(p is g for p, g in zip(parsed.gates, sampled.gates))
+            assert type(parsed) is CliffordCircuit
+            assert len(parsed) == len(sampled)
+            assert parsed.codes == sampled.codes
+            assert parsed == sampled
 
-    def test_every_parsed_gate_is_the_interned_one(self):
+    def test_non_canonical_chunks_parse_to_the_sampled_codes(self):
         cb = build_codebook(5, 3, 0.25, master_seed=8)
         # blanks and leading zeros send chunks through the full parse
         text = codebook_to_text(cb).replace(" 1;", "  01;")
         assert text != codebook_to_text(cb)
         back = codebook_from_text(text)
         assert codebook_to_text(back) == codebook_to_text(cb)
-        for circuit in back.circuits:
-            assert all(GATES_BY_TEXT[g.text] is g for g in circuit.gates)
+        for parsed, sampled in zip(back.circuits, cb.circuits):
+            assert parsed.codes == sampled.codes
 
     def test_blank_padded_lines_parse_to_the_canonical_circuits(self):
         sampled = build_codebook(4, 3, 0.25, master_seed=9)
@@ -116,6 +120,17 @@ class TestCodebook:
         assert codebook_to_text(back) == text
         for parsed, want in zip(back.circuits, cb.circuits):
             assert parsed.gates == want.gates
+
+    def test_lines_are_cut_where_splitlines_cuts_them(self):
+        # the parse reads each line in place, between the places that
+        # str.splitlines() would cut the file at
+        rng = random.Random(11)
+        alphabet = "ab:; \t\n\r\v\f\x1c\x1d\x1e\x1f\x85\u2028\u2029"
+        for _ in range(3000):
+            text = "".join(rng.choice(alphabet)
+                           for _ in range(rng.randrange(12)))
+            assert [text[a:b] for a, b in protocol._line_spans(text)] == \
+                text.splitlines(), repr(text)
 
     def test_repr_leaves_out_the_circuits(self):
         cb = build_codebook(64, 2, 0.0625, master_seed=1)
@@ -152,14 +167,46 @@ class TestCodebookMemory:
         assert len(text) > 1_500_000
         assert peak < 2.2 * len(text), f"peak {peak / len(text):.2f}x the text"
 
+    def test_parse_peaks_at_twice_the_text_and_nothing_stays(self):
+        # in a fresh interpreter with the two-qubit table warm: the parse
+        # of the n = 64, K = 8 codebook peaks at no more than twice its
+        # text, and building, printing, parsing and compiling every key
+        # leave nothing held but the text once the codebooks are dropped
+        code = (
+            "import gc, sys, tracemalloc\n"
+            "from qlock.protocol import (build_codebook, codebook_from_text,\n"
+            "                            codebook_to_text)\n"
+            "from qlock.sampling import two_qubit_table\n"
+            "two_qubit_table()\n"
+            "tracemalloc.start()\n"
+            "text = codebook_to_text(build_codebook(64, 8, 0.0625, 0x5EED))\n"
+            "tracemalloc.reset_peak()\n"
+            "start = tracemalloc.get_traced_memory()[0]\n"
+            "book = codebook_from_text(text)\n"
+            "peak = tracemalloc.get_traced_memory()[1] - start\n"
+            "assert codebook_to_text(book) == text\n"
+            "for k in range(book.K):\n"
+            "    book.inverse_map(k)\n"
+            "del book\n"
+            "gc.collect()\n"
+            "left = tracemalloc.get_traced_memory()[0] - sys.getsizeof(text)\n"
+            "print(len(text), peak, left)\n")
+        res = subprocess.run([sys.executable, "-c", code],
+                             capture_output=True, text=True)
+        assert res.returncode == 0, res.stderr
+        size, peak, left = map(int, res.stdout.split())
+        assert size > 1_900_000
+        assert peak <= 2 * size, f"parse peak {peak / size:.2f}x the text"
+        assert left < 64 * 1024, f"{left} bytes left"
+
     def test_seed_built_circuits_keep_only_their_records(self, built):
         table = two_qubit_table()
         for circuit in built.circuits:
             assert type(circuit) is DesignCircuit
-            gates = circuit.gates
-            assert gates == table.expand(64, circuit.records)
-            # the gates are expanded afresh on each read, never kept
-            assert circuit.gates is not gates
+            codes = circuit.codes
+            assert codes == table.expand(64, circuit.records)
+            # the codes are expanded afresh on each read, never kept
+            assert circuit.codes is not codes
             assert set(vars(circuit)) == {"n", "records"}
 
 

@@ -9,6 +9,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qlock import sampling
 from qlock.sampling import (MAX_FRAGMENTS, DesignCircuit, SamplerConfig,
@@ -20,7 +22,7 @@ from qlock.sampling import (MAX_FRAGMENTS, DesignCircuit, SamplerConfig,
                             sample_two_qubit_clifford, sample_uniform_clifford,
                             single_qubit_table, stream_rng, two_qubit_table)
 from qlock.stabilizer import (CliffordCircuit, CliffordGate, Tableau,
-                              basis_overlap_prob, gate, intern_gate)
+                              basis_overlap_prob, gate)
 
 from test_stabilizer import random_circuit, reference_inverse
 
@@ -98,13 +100,13 @@ class TestTables:
         table = two_qubit_table()
         assert len(table.templates) == 720 * 16
         assert len(set(table.templates)) == 720 * 16
-        assert all(table.word(w) == [table.gens[g] for g in t]
+        assert all(table.word(w).gates == [table.gens[g] for g in t]
                    for w, t in enumerate(table.templates))
 
     def test_table_words_are_pinned(self):
         # the canonical order fixes every sampled gate list and codebook byte
         table = two_qubit_table()
-        text = "\n".join(circuit_to_text(CliffordCircuit(2, table.word(w)))
+        text = "\n".join(circuit_to_text(table.word(w))
                          for w in range(720 * 16))
         assert hashlib.sha256(text.encode()).hexdigest() == (
             "09bf257765a6854fffdfa1c9b12c4903d3719d9be0bc1b09f7c43c262618e501")
@@ -189,19 +191,19 @@ class TestTwoQubitSampler:
 
     def test_uniformity_chi_square(self):
         # frequency test over the 11 520 group elements; the sampler hands
-        # out the interned gates of a table word, so each draw is looked up
-        # by its gate tuple, and the words are checked to be distinct
-        # elements through their canonical action tableaus
+        # out the circuit of a table word, so each draw is looked up by its
+        # gate codes, and the words are checked to be distinct elements
+        # through their canonical action tableaus
         rng = random.Random(123)
         table = two_qubit_table()
         words = [table.word(w) for w in range(720 * 16)]
-        keys = {action_key(CliffordCircuit(2, list(word))) for word in words}
+        keys = {action_key(word) for word in words}
         assert len(keys) == 11520
-        index_of = {tuple(word): w for w, word in enumerate(words)}
+        index_of = {word.codes.tobytes(): w for w, word in enumerate(words)}
         draws = 1_000_000
         counts = np.zeros(11520, dtype=np.int64)
         for _ in range(draws):
-            counts[index_of[tuple(sample_two_qubit_clifford(rng).gates)]] += 1
+            counts[index_of[sample_two_qubit_clifford(rng).codes.tobytes()]] += 1
         expected = draws / 11520
         chi2 = float(((counts - expected) ** 2 / expected).sum())
         dof = 11519
@@ -243,7 +245,7 @@ class TestDesignSampler:
                 cfg, stream_rng(0x1234, k), 1)[0]
             want = [CliffordGate(g.kind, tuple((a, b)[q] for q in g.qubits))
                     for word, a, b in records
-                    for g in table.word(word)]
+                    for g in table.word(word).gates]
             assert circuit.gates == want
             assert len(circuit) == len(want)
             # derive_circuit keeps the draw's records, and expands them to
@@ -252,27 +254,6 @@ class TestDesignSampler:
             assert type(derived) is DesignCircuit
             assert derived.records.tolist() == records
             assert derived.gates == want
-
-    def test_reverse_pairs_share_their_cnot_gates(self, monkeypatch):
-        # intern_gate is asked for H and S on each qubit and for the two
-        # CNOTs of each unordered pair once, not once per ordered pair
-        circuit = derive_circuit(0xABC, 0, SamplerConfig(64, 0.0625))
-        table = two_qubit_table()
-        want = [CliffordGate(g.kind, tuple((a, b)[q] for q in g.qubits))
-                for word, a, b in circuit.records.tolist()
-                for g in table.word(word)]
-        calls = []
-
-        def counting(kind, qubits):
-            calls.append((kind, qubits))
-            return intern_gate(kind, qubits)
-
-        monkeypatch.setattr(sampling, "intern_gate", counting)
-        assert circuit.gates == want
-        ordered = {(a, b) for a, b in circuit.records[:, 1:].tolist()}
-        unordered = {frozenset(pair) for pair in ordered}
-        assert (len(ordered), len(unordered)) == (2643, 1776)
-        assert len(calls) == 2 * 64 + 2 * len(unordered) == 3680
 
     def test_repr_names_the_size_without_expanding(self, monkeypatch):
         def fail(*args):
@@ -284,28 +265,26 @@ class TestDesignSampler:
         assert text == "DesignCircuit(n=64, fragments=4352)"
         assert len(text) < 100
 
-    def test_expansion_keeps_under_300_bytes_per_new_gate(self):
-        # in a fresh interpreter every gate the expansion holds on to is
-        # newly interned: the gate object, its qubits and text, and its
-        # GATES_BY_TEXT entry
+    def test_expansion_holds_one_byte_per_code(self):
+        # in a fresh interpreter, the expanded codes of an n = 64 circuit
+        # are all that reading them leaves held: three bytes per gate and
+        # the array's spare room, and no gate objects or gate table
         code = (
             "import tracemalloc\n"
             "from qlock.sampling import (SamplerConfig, derive_circuit,\n"
             "                            two_qubit_table)\n"
-            "from qlock.stabilizer import GATES_BY_TEXT\n"
             "circuit = derive_circuit(0x5EED, 0, SamplerConfig(64, 0.0625))\n"
             "two_qubit_table()\n"
-            "before = len(GATES_BY_TEXT)\n"
             "tracemalloc.start()\n"
-            "circuit.gates\n"
+            "codes = circuit.codes\n"
             "held = tracemalloc.get_traced_memory()[0]\n"
-            "print(len(GATES_BY_TEXT) - before, held)\n")
+            "print(len(codes) // 3, held)\n")
         res = subprocess.run([sys.executable, "-c", code],
                              capture_output=True, text=True)
         assert res.returncode == 0, res.stderr
         gates, held = map(int, res.stdout.split())
-        assert gates > 3000
-        assert held <= 300 * gates, f"{held / gates:.0f} bytes per gate"
+        assert gates > 30000
+        assert held <= 3.3 * gates, f"{held / gates:.2f} bytes per gate"
 
     def test_fragments_need_two_qubits(self):
         with pytest.raises(ValueError, match="two qubits"):
@@ -427,8 +406,7 @@ class TestUniformClifford:
     def test_basis_overlap_law_is_the_group_count(self, n):
         # the law against every element of the n = 1 and n = 2 groups
         circuits = (all_single_qubit_circuits() if n == 1 else
-                    [CliffordCircuit(2, two_qubit_table().word(w))
-                     for w in range(11520)])
+                    [two_qubit_table().word(w) for w in range(11520)])
         zeros = "0" * n
         counts = Counter(Fraction(basis_overlap_prob(c, zeros, zeros))
                          for c in circuits)
@@ -534,14 +512,49 @@ class TestSerialization:
         c = circuit_from_text("H  0;  S 1\t; CNOT 0 1;;SDG 1;", 2)
         assert circuit_to_text(c) == "H 0; S 1; CNOT 0 1; SDG 1"
 
+    @given(st.integers(0, 2 ** 32), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_non_canonical_spellings_parse_to_the_canonical_codes(self, seed,
+                                                                  data):
+        # extra blanks and tabs, leading zeros and ';' with no blank after
+        # it take the full parse, and give the codes of the canonical text
+        rng = random.Random(seed)
+        n = rng.randrange(1, 12)
+        c = random_circuit(n, 25, rng)
+        blank = st.sampled_from(["", " ", "  ", "\t", " \t "])
+        chunks = []
+        for g in c.gates:
+            words = [g.kind] + ["0" * data.draw(st.integers(0, 2)) + str(q)
+                                for q in g.qubits]
+            inner = [data.draw(st.sampled_from([" ", "  ", "\t"]))
+                     for _ in words[1:]]
+            chunks.append(data.draw(blank) + words[0] + "".join(
+                a + b for a, b in zip(inner, words[1:])) + data.draw(blank))
+        text = ";".join(chunks) + data.draw(st.sampled_from(["", ";", "; "]))
+        canonical = circuit_to_text(c)
+        parsed = circuit_from_text(text, n)
+        assert parsed.codes == circuit_from_text(canonical, n).codes
+        assert parsed.codes == c.codes
+        assert circuit_to_text(parsed) == canonical
+
+    def test_long_lines_are_read_in_slices(self, monkeypatch):
+        # slices of a few characters, cut after their last ';' or, with
+        # none, at the next one, give the codes of the whole line
+        c = random_circuit(9, 300, random.Random(5))
+        text = circuit_to_text(c).replace("; ", ";  ", 7)
+        for size in (1, 4, 9, 50, 1 << 15):
+            monkeypatch.setattr(sampling, "_SLICE", size)
+            assert circuit_from_text(text, 9).codes == c.codes
+
     def test_leading_zeros_parse_to_the_canonical_gate(self):
         c = circuit_from_text("CNOT 01 00", 2)
         assert c.gates == [gate("CNOT", 1, 0)]
         assert circuit_to_text(c) == "CNOT 1 0"
 
     def test_a_gate_first_seen_in_the_text_is_parsed_once(self, monkeypatch):
-        # a cold parse: the first chunk of a gate not interned yet takes the
-        # full parse, which interns it, so its repeats are looked up
+        # the first chunk of a gate takes the full parse, which enters its
+        # canonical text in the parse's dictionary, so its repeats are
+        # looked up
         calls = []
         full = sampling._parse_gate
         monkeypatch.setattr(sampling, "_parse_gate",
@@ -549,7 +562,7 @@ class TestSerialization:
         c = circuit_from_text("CNOT 7001 7000; CNOT 7001 7000;CNOT 7001 7000",
                               7002)
         assert calls == ["CNOT 7001 7000"]
-        assert c.gates[0] is c.gates[1] is c.gates[2]
+        assert c.gates == [gate("CNOT", 7001, 7000)] * 3
 
     @pytest.mark.parametrize("chunk", ["H +1", "H \uff10", "H 1_0", "H -1",
                                        "H x", "FOO 1", "H"])

@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from qlock import dense
+from qlock import dense, security
 from qlock.protocol import (Codebook, build_codebook, codebook_from_text,
                             codebook_to_text)
 from qlock.sampling import (SamplerConfig, all_single_qubit_circuits,
@@ -636,6 +636,18 @@ class TestEmpiricalMaurer:
     def test_rejects_fewer_than_one_qubit(self, n):
         with pytest.raises(ValueError, match=f"qubit, got n={n}"):
             empirical_maurer(n, 2, "", "", trials=2, seed=0, tau=0.5)
+
+    @pytest.mark.parametrize("n", [1023, 1100])
+    def test_rejects_n_whose_cut_is_not_a_normal_float(self, n, monkeypatch):
+        # 2^-n is subnormal above n = 1022 and 0.0 above 1074, and
+        # 2d/(d+1) overflows from n = 1024: rejected before any draw
+        def no_draw(*args):
+            raise AssertionError("a circuit was drawn")
+
+        monkeypatch.setattr(security, "sample_uniform_clifford", no_draw)
+        with pytest.raises(ValueError, match=f"^n={n} is above 1022, "):
+            empirical_maurer(n, 1, "0" * n, "0" * n, trials=1, seed=0,
+                             tau=0.1)
 
     def test_means_are_exact(self):
         # basis-string overlaps are 0 or 2^-s, so every mean is a multiple

@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 
 from qlock import dense, sampling
 from qlock.protocol import build_codebook
-from qlock.stabilizer import (GATES_BY_TEXT, CliffordCircuit, CliffordMap,
+from qlock.stabilizer import (CliffordCircuit, CliffordGate, CliffordMap,
                               Tableau, basis_overlap_prob, gate,
-                              hermitian_phase, intern_gate, negative_rows,
+                              hermitian_phase, negative_rows,
                               new_basis_state, tableau_from_text)
 
 GATE_POOL = [("H", 1), ("S", 1), ("SDG", 1), ("X", 1), ("Y", 1), ("Z", 1),
@@ -324,21 +324,6 @@ class TestOverlap:
 
 
 class TestGateText:
-    def test_text_and_top(self):
-        g = gate("CNOT", 3, 1)
-        assert (g.text, g.top) == ("CNOT 3 1", 3)
-        assert GATES_BY_TEXT["CNOT 3 1"] is g
-
-    def test_the_text_table_is_the_only_gate_table(self):
-        # a gate dropped from GATES_BY_TEXT is made afresh and put back:
-        # no second table still holds the old object
-        old = gate("SWAP", 1000, 1001)
-        del GATES_BY_TEXT["SWAP 1000 1001"]
-        new = gate("SWAP", 1000, 1001)
-        assert new is not old and new == old
-        assert GATES_BY_TEXT["SWAP 1000 1001"] is new
-        assert gate("SWAP", 1000, 1001) is new
-
     def test_gates_are_slotted(self):
         assert not hasattr(gate("H", 0), "__dict__")
 
@@ -347,16 +332,74 @@ class TestGateText:
         ("CNOT", ("0 1",), r"CNOT takes 2 qubit\(s\)"),
     ])
     def test_a_lookalike_text_is_not_a_hit(self, kind, qubits, message):
-        # ("CNOT 0", (1,)) reads as "CNOT 0 1", an interned gate's text
-        gate("CNOT", 0, 1)
+        # ("CNOT 0", (1,)) reads as "CNOT 0 1", a valid gate's text
         with pytest.raises(ValueError, match=message):
-            intern_gate(kind, qubits)
+            CliffordGate(kind, qubits)
 
     def test_out_of_range_gate_is_named(self):
         with pytest.raises(ValueError,
                            match=r"^gate CNOT 1 5 out of range for n=2$"):
             CliffordCircuit(2, [gate("H", 0), gate("CNOT", 1, 5),
                                 gate("H", 7)])
+
+
+def reference_apply_circuit(t, circuit):
+    """The gate-by-gate reference of Tableau.apply_circuit: Tableau.apply
+    on each gate of the circuit's gates view."""
+    for g in circuit.gates:
+        t.apply(g.kind, g.qubits)
+    return t
+
+
+class TestGateCodes:
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_tableau_and_map_match_the_gate_by_gate_reference(self, n):
+        # seeded random circuits over all nine kinds (one-qubit kinds only
+        # at n = 1): apply_circuit and CliffordMap, which dispatch on the
+        # kind code, against Tableau.apply per gate
+        rng = random.Random(900 + n)
+        kinds = set()
+        for length in (0, 1, 9, 80):
+            c = random_circuit(n, length, rng)
+            kinds |= {g.kind for g in c.gates}
+            state = random_state(n, rng)
+            got = state.copy()
+            got.apply_circuit(c)
+            assert got == reference_apply_circuit(state.copy(), c)
+            want = reference_apply_circuit(Tableau(n), c)
+            m = CliffordMap(c)
+            assert m.tableau == want
+            assert m.rows == [want.row_bits(r) for r in range(2 * n)]
+        assert len(kinds) == (6 if n == 1 else 9)
+
+    def test_codes_are_kind_and_qubits(self):
+        c = CliffordCircuit(300, [gate("H", 7), gate("CNOT", 299, 3),
+                                  gate("SDG", 0), gate("SWAP", 1, 2)])
+        # one-qubit gates repeat their qubit; n = 300 needs two bytes
+        assert c.codes.typecode == "H"
+        assert c.codes.tolist() == [0, 7, 7, 8, 299, 3, 2, 0, 0, 7, 1, 2]
+        assert CliffordCircuit(256, []).codes.typecode == "B"
+        assert len(c) == 4
+
+    def test_gates_view_is_read_only_and_made_on_demand(self):
+        gates = [gate("H", 0), gate("CNOT", 2, 1), gate("Z", 2), gate("CZ", 0, 2)]
+        c = CliffordCircuit(3, gates)
+        view = c.gates
+        assert view == gates and list(view) == gates and len(view) == 4
+        assert view[1] == gate("CNOT", 2, 1) and view[-1] == gates[-1]
+        assert list(reversed(view)) == gates[::-1]
+        assert c.gates is not view and view[0] is not view[0]
+        with pytest.raises(IndexError):
+            view[4]
+        with pytest.raises(TypeError):
+            view[0] = gate("H", 1)
+        assert CliffordCircuit(3, view) == c
+
+    def test_a_wide_n_takes_a_wider_code_type(self):
+        # a circuit's codes are of the narrowest type that holds n
+        c = CliffordCircuit(70000, [gate("CNOT", 69999, 0)])
+        assert c.codes.typecode == "I"
+        assert c.gates == [gate("CNOT", 69999, 0)]
 
 
 class TestInvert:
