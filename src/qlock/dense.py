@@ -31,7 +31,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .sampling import DesignCircuit, check_records, two_qubit_table
-from .stabilizer import GATE_KINDS, KIND_CODE, CliffordCircuit
+from .stabilizer import GATE_KINDS, CliffordCircuit
 
 DENSE_CUTOFF = 12
 
@@ -210,12 +210,11 @@ _TABLE_CHUNK = 240
 def _word_products(templates) -> np.ndarray:
     """(len(templates), 4, 4) unitaries of two-qubit table templates, all
     multiplied together one gate position at a time."""
-    gens = two_qubit_table().gens
     # index 0 is the identity that pads the shorter templates; the
-    # generators act on the run lo, hi = 0, 1
+    # generator codes act on the run lo, hi = 0, 1, keyed as in _fuse
     mats = np.stack([np.eye(4, dtype=complex)]
-                    + [_PAIR_MATRICES[KIND_CODE[g.kind], g.qubits[0] == 1,
-                                      g.qubits[-1] == 1] for g in gens])
+                    + [_PAIR_MATRICES[k, a == 1, b == 1]
+                       for k, a, b in two_qubit_table().gens])
     lengths = np.array([len(t) for t in templates])
     steps = np.zeros((len(templates), lengths.max()), dtype=np.intp)
     steps[np.arange(steps.shape[1]) < lengths[:, None]] = np.frombuffer(

@@ -195,8 +195,10 @@ def gamma_bound(delta: float = 0.0) -> float:
 
 
 def gamma_2_design(d: int) -> float:
-    """gamma = 2d/(d+1) of an exact 2-design in dimension d."""
-    return 2.0 * d / (d + 1.0)
+    """gamma = 2d/(d+1) of an exact 2-design in dimension d, as
+    2/(1 + 1/d): d stays an integer, so d = 2^n of any n is taken, and for
+    d = 2^n with n < 1023 the value is the float 2.0*d/(d+1.0)."""
+    return 2 / (1 + 1 / d)
 
 
 @dataclass

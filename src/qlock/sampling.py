@@ -16,11 +16,13 @@ The two-qubit group is enumerated once by closing the generator set
 {H0, H1, S0, S1, CNOT01, CNOT10} and is indexed as 720 symplectic
 classes x 16 sign classes, sorted by canonical tableau key, so an index
 pair maps deterministically to a gate word; the 24 single-qubit
-Cliffords close {H0, S0} the same way.  The closure is a breadth-first
+Cliffords close {H0, S0} the same way.  The generators are gate codes,
+and a word is bytes of generator indices; _word_circuit makes the
+circuit of a word of either table.  The closure is a breadth-first
 search over conjugation-action tableaus packed into integers, one layer
 at a time in numpy.  Each generator acts on a packed row through a table
-of all 2^(2n+2) rows, made by one Tableau.apply, so the gate semantics
-are the tableau's own.
+of all 2^(2n+2) rows, made by one Tableau.apply_codes, so the gate
+semantics are the tableau's own.
 
 sample_design_circuit draws a design circuit as its L fragment records
 (word, a, b), word = 16 i + j, and returns them as a DesignCircuit;
@@ -77,8 +79,8 @@ import numpy as np
 
 from .stabilizer import (GATE_KINDS, KIND_CODE, TWO_QUBIT_CODE,
                          CliffordCircuit, CliffordGate, Tableau, code_array,
-                         gate, gate_code, gate_text, negative_rows,
-                         read_decimal, set_bits)
+                         gate_code, gate_text, hermitian_phase,
+                         negative_rows, read_decimal, set_bits)
 
 
 @dataclass
@@ -146,12 +148,13 @@ def _row_code(n: int, x: int, z: int, delta: int) -> int:
     return (x << (n + 2)) | (z << 2) | delta
 
 
-def _row_tables(n: int, generators: list[CliffordGate]) -> np.ndarray:
+def _row_tables(n: int, generators: tuple[tuple[int, int, int], ...]
+                ) -> np.ndarray:
     """(len(generators), 2^(2n+2)) images of every row code under each
-    generator's conjugation.
+    generator code's conjugation.
 
     One tableau holds every possible row, one row per code, so each table
-    comes from a single Tableau.apply.
+    comes from a single Tableau.apply_codes.
     """
     size = 1 << (2 * n + 2)
     every_row = Tableau(n, [0] * n, [0] * n)
@@ -160,12 +163,12 @@ def _row_tables(n: int, generators: list[CliffordGate]) -> np.ndarray:
     tables = np.empty((len(generators), size), dtype=np.int64)
     for i, g in enumerate(generators):
         t = every_row.copy()
-        t.apply(g.kind, g.qubits)
+        t.apply_codes(g)
         tables[i] = [_row_code(n, *t.row_bits(c)) for c in range(size)]
     return tables
 
 
-def _close_group(n: int, generators: list[CliffordGate]
+def _close_group(n: int, generators: tuple[tuple[int, int, int], ...]
                  ) -> tuple[np.ndarray, list[bytes]]:
     """BFS closure of the group the generators make.
 
@@ -209,6 +212,13 @@ def _close_group(n: int, generators: list[CliffordGate]
     return np.concatenate(layers), words
 
 
+def _word_circuit(n: int, gens: tuple[tuple[int, int, int], ...],
+                  word: bytes) -> CliffordCircuit:
+    """The circuit of a word of indices into the generator codes gens."""
+    return CliffordCircuit.from_codes(n, code_array(n, chain.from_iterable(
+        map(gens.__getitem__, word))))
+
+
 # records expanded per numpy step, and gates or records printed per
 # piece of text; bounds the temporary arrays and strings
 _EXPAND_BLOCK = 4096
@@ -222,12 +232,12 @@ class _TwoQubitTable:
     words of fragment records onto their qubit pairs.
     """
 
+    # H0, H1, S0, S1, CNOT01, CNOT10 as gate codes on local qubits 0 and 1;
+    # expand relabels these six, in this order, onto each qubit pair
+    gens = ((0, 0, 0), (0, 1, 1), (1, 0, 0), (1, 1, 1), (8, 0, 1), (8, 1, 0))
+
     def __init__(self):
-        # expand relabels these six, in this order, onto each qubit pair
-        self.gens = gens = [gate("H", 0), gate("H", 1), gate("S", 0),
-                            gate("S", 1), gate("CNOT", 0, 1),
-                            gate("CNOT", 1, 0)]
-        codes, paths = _close_group(2, gens)
+        codes, paths = _close_group(2, self.gens)
         if len(codes) != 11520:
             raise AssertionError(f"two-qubit closure has {len(codes)} elements")
         # per row: its 4 symplectic bits (x, z) and its 2 delta bits
@@ -245,13 +255,10 @@ class _TwoQubitTable:
         self.templates = [paths[k] for k in np.lexsort((signs, sym)).tolist()]
         self.lengths = np.array([len(t) for t in self.templates],
                                 dtype=np.uint8)
-        # per generator: its code, with local qubits 0 and 1
-        self._gen_codes = [gate_code(g) for g in gens]
 
     def word(self, w: int) -> CliffordCircuit:
         """The circuit of table word w = 16 i + j on qubits 0 and 1."""
-        return CliffordCircuit.from_codes(2, code_array(2, chain.from_iterable(
-            map(self._gen_codes.__getitem__, self.templates[w]))))
+        return _word_circuit(2, self.gens, self.templates[w])
 
     def expand(self, n: int, records: np.ndarray) -> array:
         """The gate codes of fragment records (word, a, b) on n qubits: each
@@ -259,7 +266,7 @@ class _TwoQubitTable:
         check_records(n, records)
         codes = code_array(n)
         dtype = np.dtype(codes.typecode)
-        gen_codes = np.array(self._gen_codes)
+        gen_codes = np.array(self.gens)
         for lo in range(0, len(records), _EXPAND_BLOCK):
             block = records[lo:lo + _EXPAND_BLOCK]
             # the local code of each gate of the block's words, in order
@@ -272,7 +279,8 @@ class _TwoQubitTable:
             out[:, 0] = gens[:, 0]
             out[:, 1] = pairs[rows, gens[:, 1]]
             out[:, 2] = pairs[rows, gens[:, 2]]
-            codes.frombytes(out)
+            # a byte view of the block: frombytes takes no wider items
+            codes.frombytes(out.view(np.uint8))
         return codes
 
 
@@ -288,13 +296,17 @@ def check_records(n: int, records: np.ndarray) -> None:
 
 
 class _SingleQubitTable:
+    """words[i] is the i-th single-qubit Clifford in canonical order, as
+    bytes of indices into gens."""
+
+    # H and S on qubit 0 as gate codes
+    gens = ((0, 0, 0), (1, 0, 0))
+
     def __init__(self):
-        gens = [gate("H", 0), gate("S", 0)]
-        codes, paths = _close_group(1, gens)
+        codes, paths = _close_group(1, self.gens)
         if len(codes) != 24:
             raise AssertionError(f"single-qubit closure has {len(codes)} elements")
-        self.words = [tuple([gens[g] for g in paths[k]])
-                      for k in np.argsort(codes).tolist()]
+        self.words = [paths[k] for k in np.argsort(codes).tolist()]
 
 
 @lru_cache(maxsize=1)
@@ -309,8 +321,8 @@ def single_qubit_table() -> _SingleQubitTable:
 
 def single_qubit_circuit(index: int) -> CliffordCircuit:
     """The index-th of the 24 single-qubit Cliffords, canonical order."""
-    words = single_qubit_table().words
-    return CliffordCircuit(1, list(words[index % 24]))
+    table = single_qubit_table()
+    return _word_circuit(1, table.gens, table.words[index % 24])
 
 
 def all_single_qubit_circuits() -> list[CliffordCircuit]:
@@ -453,13 +465,18 @@ def sample_uniform_clifford(n: int, rng) -> CliffordCircuit:
                 break
         pairs.append((a, b))
 
+    # the rows with delta = 0, one bit drawn per row in the order
+    # destabilizer j, stabilizer j; the rows are Hermitian with d0 the
+    # parity plane of hermitian_phase, and the drawn bits are d1, which
+    # makes each row's sign uniform
     action = Tableau(n)
+    drawn = 0
     for j, (a, b) in enumerate(pairs):
         for r, v in ((j, a), (n + j, b)):
-            x = v & nmask
-            z = v >> n
-            delta = (((x & z).bit_count() & 1) + 2 * rng.getrandbits(1)) % 4
-            action.set_row(r, x, z, delta)
+            action.set_row(r, v & nmask, v >> n, 0)
+            drawn |= rng.getrandbits(1) << r
+    action.d0 = hermitian_phase(action.xs, action.zs)[0]
+    action.d1 = drawn
     return action_to_circuit(action)
 
 
@@ -467,20 +484,21 @@ def action_to_circuit(action: Tableau) -> CliffordCircuit:
     """Synthesize a gate list whose conjugation action equals `action`.
 
     Works by reducing a copy of the action tableau to the identity with a
-    column sweep; the circuit is the inverse of each gate applied, S as
-    SDG and every other gate as itself, in reverse order.  For
-    qubit j the stabilizer image is first brought to X_j and flipped to
-    Z_j by a Hadamard; the destabilizer image then necessarily has an X_j
-    component and is cleaned with CNOT/S/CZ, none of which disturb Z_j.
+    column sweep; the circuit is the inverse of each gate code applied,
+    S as SDG and every other gate as itself, in reverse order.  For qubit
+    j the stabilizer image is first brought to X_j and flipped to Z_j by a
+    Hadamard; the destabilizer image then necessarily has an X_j component
+    and is cleaned with CNOT/S/CZ, none of which disturb Z_j.
     """
     t = action.copy()
     n = t.n
     emitted: list[tuple[int, int, int]] = []
 
-    def do(kind, *qubits):
-        t.apply(kind, qubits)
-        emitted.append((KIND_CODE["SDG" if kind == "S" else kind],
-                        qubits[0], qubits[-1]))
+    def do(kind, a, b=None):
+        """Apply the gate's code to t and emit its inverse's, S as SDG."""
+        b = a if b is None else b
+        t.apply_codes((KIND_CODE[kind], a, b))
+        emitted.append((KIND_CODE["SDG" if kind == "S" else kind], a, b))
 
     def reduce_row(r, j):
         """Bring row r, with X_j set, to X_j by CNOTs, S and CZs from qubit j."""
@@ -610,13 +628,12 @@ def circuit_from_text(text: str, n: int, start: int = 0,
         if code is None:
             if not stripped:
                 return b""
-            g = _parse_gate(stripped)
-            canonical = gate_text(g.kind, g.qubits)
-            if max(g.qubits) >= n:
+            (k, a, b), canonical = _parse_gate(stripped)
+            if max(a, b) >= n:
                 if not out_of_range:
                     out_of_range.append(canonical)
                 return b""
-            code = array(codes.typecode, gate_code(g)).tobytes()
+            code = array(codes.typecode, (k, a, b)).tobytes()
             if stripped == canonical:
                 known[key] = code
         return code
@@ -638,7 +655,9 @@ def circuit_from_text(text: str, n: int, start: int = 0,
     return circuit
 
 
-def _parse_gate(chunk: str) -> CliffordGate:
+def _parse_gate(chunk: str) -> tuple[tuple[int, int, int], str]:
+    """The gate code and canonical text of a stripped chunk, checked as a
+    CliffordGate; ValueError naming the chunk if it is no gate."""
     kind, *words = chunk.split()
     try:
         qubits = tuple(map(read_decimal, words))
@@ -646,6 +665,7 @@ def _parse_gate(chunk: str) -> CliffordGate:
             bad = words[qubits.index(None)]
             raise ValueError("qubit index must be ASCII decimal digits, "
                              f"got {bad!r}")
-        return CliffordGate(kind, qubits)
+        g = CliffordGate(kind, qubits)
     except ValueError as exc:
         raise ValueError(f"bad gate {chunk!r}: {exc}") from None
+    return gate_code(g), gate_text(kind, qubits)

@@ -18,7 +18,8 @@ bit).  Each rule of the convention lives in one function:
   popcount(x & z) mod 2, and its +/- sign is i^(delta - popcount(x & z)).
   negative_rows reads the signs back by it.
 - add_phase, the Z4 add: delta += k mod 4 on a mask of rows, a carry
-  from d0 into d1.  Tableau.apply writes it inline once, for S and SDG.
+  from d0 into d1.  Tableau.apply_codes writes it inline once, for S
+  and SDG.
 - mult_rows, the phase rule of Pauli multiplication
 
       (i^a X^u Z^v)(i^b X^s Z^t) = i^(a + b + 2*(v.s)) X^(u^s) Z^(v^t)
@@ -31,10 +32,11 @@ integers (kind, a, b) per gate: the kind's index in GATE_KINDS and its
 qubits, a one-qubit gate on q as (kind, q, q).  The array's item type is
 the narrowest unsigned type that holds n, one byte per entry up to
 n = 256.  No gate object is stored: CliffordGate values are made on
-demand by a circuit's read-only gates view.  Tableau.apply_circuit
-dispatches on the kind code; Tableau.apply, which takes a kind name, is
-the per-gate reference it is tested against.  CliffordMap compiles a
-circuit once; the map of its inverse is read off that compile.
+demand by a circuit's read-only gates view, and library code works in
+codes alone.  Tableau.apply_codes holds the one copy of the nine gate
+rules, dispatched on the kind code; it is tested against the dense
+unitary of each gate on every row.  CliffordMap compiles a circuit once;
+the map of its inverse is read off that compile.
 """
 
 from __future__ import annotations
@@ -270,8 +272,7 @@ class Tableau:
     __slots__ = ("n", "xs", "zs", "d0", "d1")
 
     def __init__(self, n: int, xs=None, zs=None, d0=0, d1=0):
-        if n < 1:
-            raise ValueError("need at least one qubit")
+        _require_qubits(n)
         self.n = n
         if xs is None:
             # identity tableau: destabilizer q is X_q, stabilizer q is Z_q
@@ -315,67 +316,30 @@ class Tableau:
 
     # -- gates -----------------------------------------------------------
 
-    def apply(self, kind: str, qubits: tuple[int, ...]) -> None:
-        """Conjugate every row by the named gate."""
-        n = self.n
-        for q in qubits:
-            if q >= n:
-                raise ValueError(f"qubit {q} out of range for n={n}")
-        xs = self.xs
-        zs = self.zs
-        if kind == "H":
-            q = qubits[0]
-            self.d1 ^= xs[q] & zs[q]
-            xs[q], zs[q] = zs[q], xs[q]
-        elif kind == "S" or kind == "SDG":
-            # X -> +Y (S) or -Y (SDG): add_phase of 1 or 3 on the rows
-            # with X on q, inline because a call per gate slows compile;
-            # 3 is 1 plus 2, so SDG's carry is the flipped one
-            q = qubits[0]
-            x = xs[q]
-            d0 = self.d0
-            self.d1 ^= d0 & x if kind == "S" else x & ~d0
-            self.d0 = d0 ^ x
-            zs[q] ^= x
-        elif kind == "CNOT":
-            c, t = qubits
-            xs[t] ^= xs[c]
-            zs[c] ^= zs[t]
-        elif kind == "CZ":
-            a, b = qubits
-            self.d1 ^= xs[a] & xs[b]
-            zs[a] ^= xs[b]
-            zs[b] ^= xs[a]
-        elif kind == "SWAP":
-            a, b = qubits
-            xs[a], xs[b] = xs[b], xs[a]
-            zs[a], zs[b] = zs[b], zs[a]
-        elif kind == "X":
-            self.d1 ^= zs[qubits[0]]
-        elif kind == "Y":
-            q = qubits[0]
-            self.d1 ^= xs[q] ^ zs[q]
-        elif kind == "Z":
-            self.d1 ^= xs[qubits[0]]
-        else:
-            raise ValueError(f"unknown gate kind {kind!r}")
-
     def apply_circuit(self, circuit: CliffordCircuit) -> None:
-        """Conjugate every row by the circuit's gates in order: apply's
-        rules, dispatched on the kind code, with the phase planes held in
-        locals.  The codes lie in range by construction of the circuit."""
+        """Conjugate every row by the circuit's gates in order; its codes
+        lie in range by construction of the circuit."""
         if circuit.n != self.n:
             raise ValueError("circuit/tableau size mismatch")
+        self.apply_codes(circuit.codes)
+
+    def apply_codes(self, codes: Iterable[int]) -> None:
+        """Conjugate every row by the gates of the flat gate codes (kind, a,
+        b), in order, with the phase planes held in locals: the one place
+        the gate rules are written.  The qubits are not checked against n."""
         xs = self.xs
         zs = self.zs
         d0 = self.d0
         d1 = self.d1
-        it = iter(circuit.codes)
+        it = iter(codes)
         # codes by kind: H 0, S 1, SDG 2, X 3, Y 4, Z 5, CZ 6, SWAP 7,
         # CNOT 8; tested most frequent first, as design circuits hold S, H
         # and CNOT in that order of frequency
         for k, a, b in zip(it, it, it):
             if k == 1 or k == 2:
+                # X -> +Y (S) or -Y (SDG): add_phase of 1 or 3 on the rows
+                # with X on a, inline because a call per gate slows
+                # compile; 3 is 1 plus 2, so SDG's carry is the flipped one
                 x = xs[a]
                 d1 ^= d0 & x if k == 1 else x & ~d0
                 d0 ^= x

@@ -433,8 +433,8 @@ def decrypt_files(tmp_path, cipher_text):
 class TestMaurerRange:
     def test_n_above_1022_exits_1_naming_n_before_any_draw(self, monkeypatch,
                                                             capsys):
-        # the tail cut (1 - tau) 2^-n is 0.0 above n = 1074, and 2d/(d+1)
-        # overflows from n = 1024: one error line, and no circuit drawn
+        # the tail cut (1 - tau) 2^-n is subnormal above n = 1022 and 0.0
+        # above n = 1074: one error line, and no circuit drawn
         from qlock import cli, sampling, security
 
         def no_draw(*args):
@@ -450,6 +450,27 @@ class TestMaurerRange:
         assert err == ("error: --n must be at most 1022, the largest n whose "
                        "tail cut (1 - tau) 2^-n is a normal float, got "
                        "--n 1100\n")
+
+
+class TestWideN:
+    def test_codebook_above_n256_exits_0(self):
+        # n = 300 codes take two bytes each
+        res = run_cli("codebook", "--n", "300", "--K", "1", "--delta", "0.5",
+                      "--depth-factor", "0.001", "--seed", "1")
+        assert res.returncode == 0, res.stderr
+        head, line = res.stdout.splitlines()
+        assert head == f"QDLCB v1 n=300 K=1 delta=0.5 seed={1:032x}"
+        assert line.startswith("0: H 54; S 97; CNOT 97 54; ")
+
+    def test_gamma_of_a_design_at_n1030_exits_0(self):
+        # d = 2^1030 is no float, so the exact 2-design gamma is taken
+        # without one; 12 samples are the fewest of seed 1 with an overlap
+        # that is not 0
+        res = run_cli("gamma", "--ensemble", "design", "--n", "1030",
+                      "--delta", "0.5", "--depth-factor", "0.00001",
+                      "--samples", "12", "--seed", "1")
+        assert res.returncode == 0, res.stderr
+        assert "gamma_exact_2_design = 2\n" in res.stdout
 
 
 class TestProtocolPipeline:

@@ -9,8 +9,8 @@ from qlock import dense
 from qlock.dense import NumericalError
 from qlock.design import (DesignReport, MomentEstimate, check_design,
                           estimate_moments, exhaustive_single_qubit_moments,
-                          gamma_bound, gamma_of, haar_moment, moments_csv_row,
-                          overlap, snap_overlaps)
+                          gamma_2_design, gamma_bound, gamma_of, haar_moment,
+                          moments_csv_row, overlap, snap_overlaps)
 from qlock.sampling import SamplerConfig, sample_design_circuit, sample_uniform_clifford
 from qlock.stabilizer import CliffordCircuit, gate
 
@@ -209,6 +209,18 @@ class TestGamma:
                              stderr4=0.0, samples=1)
         with pytest.raises(ValueError, match="every sampled overlap"):
             gamma_of(est)
+
+
+class TestGammaExact:
+    def test_matches_the_float_formula_wherever_it_is_finite(self):
+        for n in range(1, 1023):
+            d = 1 << n
+            assert gamma_2_design(d) == 2.0 * d / (d + 1.0), n
+
+    @pytest.mark.parametrize("n", [1023, 1024, 1030, 5000])
+    def test_d_above_the_float_range_gives_2(self, n):
+        # 2.0 * d overflows to inf at n = 1023, and float(d) raises above
+        assert gamma_2_design(1 << n) == 2.0
 
 
 class TestGammaBound:

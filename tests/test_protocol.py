@@ -85,6 +85,23 @@ class TestCodebook:
         assert codebook_to_text(back) == text
         assert back.circuits[0].gates == cb.circuits[0].gates
 
+    def test_n300_codebook_round_trips_and_decrypts(self):
+        # above n = 256 the codes take two bytes each, so the expansion of
+        # the records writes a wider block
+        cb = build_codebook(300, 2, 0.5, master_seed=1, depth_factor=0.001)
+        assert cb.circuits[0].codes.typecode == "H"
+        text = codebook_to_text(cb)
+        back = codebook_from_text(text)
+        assert codebook_to_text(back) == text
+        rng = random.Random(300)
+        x = "".join(rng.choice("01") for _ in range(300))
+        for k in range(2):
+            assert back.circuits[k].codes == cb.circuits[k].codes
+            cipher = encrypt(cb, SecretKey(k), x)
+            assert decrypt(back, SecretKey(k), cipher) == (x, True)
+        assert decrypt(back, SecretKey(1),
+                       encrypt(cb, SecretKey(0), x))[1] is False
+
     def test_parsed_codebook_has_the_sampled_codes(self):
         # the parse writes the codes the seed-built circuits expand to
         cb = build_codebook(4, 3, 0.25, master_seed=7)

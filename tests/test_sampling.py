@@ -22,9 +22,9 @@ from qlock.sampling import (MAX_FRAGMENTS, DesignCircuit, SamplerConfig,
                             sample_two_qubit_clifford, sample_uniform_clifford,
                             single_qubit_table, stream_rng, two_qubit_table)
 from qlock.stabilizer import (CliffordCircuit, CliffordGate, Tableau,
-                              basis_overlap_prob, gate)
+                              basis_overlap_prob, gate, gate_code)
 
-from test_stabilizer import random_circuit, reference_inverse
+from test_stabilizer import apply_gate, random_circuit, reference_inverse
 
 
 def reference_fragments(cfg, rng, count):
@@ -46,8 +46,8 @@ def reference_fragments(cfg, rng, count):
 
 def reference_closure(n, generators):
     """The breadth-first closure over Tableau objects that the packed
-    closure replaced: [(action tableau, word as generator indices)], in
-    discovery order."""
+    closure replaced, of generator gates: [(action tableau, word as
+    generator indices)], in discovery order."""
     def key(t):
         return tuple(t.xs), tuple(t.zs), t.d0, t.d1
 
@@ -59,7 +59,7 @@ def reference_closure(n, generators):
         for tab in frontier:
             for i, g in enumerate(generators):
                 t2 = tab.copy()
-                t2.apply(g.kind, g.qubits)
+                apply_gate(t2, g.kind, *g.qubits)
                 if key(t2) not in words:
                     words[key(t2)] = (t2, words[key(tab)][1] + (i,))
                     nxt.append(t2)
@@ -100,7 +100,8 @@ class TestTables:
         table = two_qubit_table()
         assert len(table.templates) == 720 * 16
         assert len(set(table.templates)) == 720 * 16
-        assert all(table.word(w).gates == [table.gens[g] for g in t]
+        assert all(table.word(w).codes.tolist()
+                   == [c for g in t for c in table.gens[g]]
                    for w, t in enumerate(table.templates))
 
     def test_table_words_are_pinned(self):
@@ -113,8 +114,8 @@ class TestTables:
 
     def test_single_qubit_words_are_pinned(self):
         # single_qubit_circuit(i) and the n = 1 draws index this order
-        text = "\n".join(circuit_to_text(CliffordCircuit(1, list(word)))
-                         for word in single_qubit_table().words)
+        text = "\n".join(circuit_to_text(c)
+                         for c in all_single_qubit_circuits())
         assert hashlib.sha256(text.encode()).hexdigest() == (
             "855c1a47f1d32f4f9d6ee5feb144ab5b8d46652e983c551ba94f37a1de8f439c")
 
@@ -125,7 +126,7 @@ class TestTables:
     def test_closure_matches_the_tableau_bfs(self, n, gens):
         # same elements, discovery order and shortest words; each code packs
         # the rows (x_bits, z_bits, delta), row 0 most significant
-        codes, words = _close_group(n, gens)
+        codes, words = _close_group(n, tuple(map(gate_code, gens)))
         ref = reference_closure(n, gens)
         assert words == [bytes(word) for _, word in ref]
         want = []
@@ -139,8 +140,7 @@ class TestTables:
         assert codes.tolist() == want
 
     def test_words_are_distinct_elements(self):
-        keys = {action_key(CliffordCircuit(1, list(w)))
-                for w in single_qubit_table().words}
+        keys = {action_key(c) for c in all_single_qubit_circuits()}
         assert len(keys) == 24
 
 

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import permutations
 
 import numpy as np
 import pytest
@@ -29,6 +30,11 @@ def random_circuit(n, length, rng):
             a, b = rng.sample(range(n), 2)
             gates.append(gate(kind, a, b))
     return CliffordCircuit(n, gates)
+
+
+def apply_gate(t, kind, *qubits):
+    """Conjugate t by one gate, as a one-gate circuit."""
+    t.apply_circuit(CliffordCircuit(t.n, [gate(kind, *qubits)]))
 
 
 def reference_inverse(circuit):
@@ -103,24 +109,24 @@ class TestBasisState:
 class TestGates:
     def test_h_on_z(self):
         t = new_basis_state(1, "0")
-        t.apply("H", (0,))
+        apply_gate(t, "H", 0)
         assert t.row_bits(1) == (1, 0, 0)    # +X
 
     def test_s_on_x(self):
         t = new_basis_state(1, "0")
-        t.apply("H", (0,))
-        t.apply("S", (0,))
+        apply_gate(t, "H", 0)
+        apply_gate(t, "S", 0)
         assert t.row_bits(1) == (1, 1, 1)    # +Y
 
     def test_cnot_propagates_x(self):
         t = Tableau(2)
-        t.apply("CNOT", (0, 1))
+        apply_gate(t, "CNOT", 0, 1)
         assert t.row_bits(0) == (0b11, 0, 0)  # X0 -> X0 X1
 
     def test_out_of_range(self):
         t = Tableau(2)
         with pytest.raises(ValueError):
-            t.apply("H", (5,))
+            apply_gate(t, "H", 5)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_gate_algebra(self, seed):
@@ -133,16 +139,16 @@ class TestGates:
             ref = t.copy()
             for kind in word:
                 if kind == "CNOT":
-                    ref.apply(kind, (q, (q + 1) % n))
+                    apply_gate(ref, kind, q, (q + 1) % n)
                 else:
-                    ref.apply(kind, (q,))
+                    apply_gate(ref, kind, q)
             assert (ref == t) is expect_same
         # S.S = Z
         a = t.copy()
-        a.apply("S", (q,))
-        a.apply("S", (q,))
+        apply_gate(a, "S", q)
+        apply_gate(a, "S", q)
         b = t.copy()
-        b.apply("Z", (q,))
+        apply_gate(b, "Z", q)
         assert a == b
 
     @pytest.mark.parametrize("seed", range(6))
@@ -167,7 +173,7 @@ class TestMeasurement:
 
     def test_random_projects(self):
         t = new_basis_state(1, "0")
-        t.apply("H", (0,))
+        apply_gate(t, "H", 0)
         prob = t.measure_postselect(0, 0)
         assert prob == 0.5
         assert t == new_basis_state(1, "0")
@@ -343,33 +349,75 @@ class TestGateText:
                                 gate("H", 7)])
 
 
-def reference_apply_circuit(t, circuit):
-    """The gate-by-gate reference of Tableau.apply_circuit: Tableau.apply
-    on each gate of the circuit's gates view."""
-    for g in circuit.gates:
-        t.apply(g.kind, g.qubits)
+def row_permutation(t, r):
+    """Row r of t, P = i^delta X^x Z^z, as (perm, phase) with P|k> =
+    phase[k] |perm[k]>, qubit 0 the most significant bit of k."""
+    x, z, delta = t.row_bits(r)
+    xi, zi = (int(format(v, f"0{t.n}b")[::-1], 2) for v in (x, z))
+    signs = [-1 if (k & zi).bit_count() & 1 else 1 for k in range(1 << t.n)]
+    return np.arange(1 << t.n) ^ xi, 1j ** delta * np.array(signs)
+
+
+def assert_conjugated(before, after, u, rows=None):
+    """Each row r of after (every row of a state by default) is U (row r
+    of before) U^dagger, U the dense unitary u: the reference the
+    tableau's gate rules are checked against, independent of them.
+    P' U = U P is compared with each Pauli applied as a permutation and a
+    phase."""
+    for r in range(2 * before.n) if rows is None else rows:
+        perm, phase = row_permutation(after, r)
+        left = np.empty_like(u)
+        left[perm] = phase[:, None] * u
+        perm, phase = row_permutation(before, r)
+        assert np.allclose(left, u[:, perm] * phase, atol=1e-12)
+
+
+def every_row_tableau(n):
+    """A tableau of 2^(2n+2) rows holding every row (x, z, delta), row
+    (x << (n + 2)) | (z << 2) | delta; not a state, but the gate rules act
+    on each row alone."""
+    t = Tableau(n, [0] * n, [0] * n)
+    for c in range(1 << (2 * n + 2)):
+        t.set_row(c, c >> (n + 2), (c >> 2) & ((1 << n) - 1), c & 3)
     return t
 
 
 class TestGateCodes:
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_each_gate_conjugates_every_row_as_its_unitary(self, n):
+        # each kind on every ordered placement of its qubits, applied to
+        # every row code at once, against U P U^dagger of the dense unitary
+        # of that one gate
+        every = every_row_tableau(n)
+        placed = 0
+        for kind, arity in GATE_POOL:
+            for qubits in permutations(range(n), arity):
+                c = CliffordCircuit(n, [gate(kind, *qubits)])
+                after = every.copy()
+                after.apply_circuit(c)
+                assert_conjugated(every, after, dense.circuit_unitary(c),
+                                  range(1 << (2 * n + 2)))
+                placed += 1
+        assert placed == 6 * n + 3 * n * (n - 1)
+
     @pytest.mark.parametrize("n", range(1, 9))
     def test_tableau_and_map_match_the_gate_by_gate_reference(self, n):
         # seeded random circuits over all nine kinds (one-qubit kinds only
-        # at n = 1): apply_circuit and CliffordMap, which dispatch on the
-        # kind code, against Tableau.apply per gate
+        # at n = 1): apply_circuit and CliffordMap against the dense
+        # product of the gates' unitaries, conjugating each row
         rng = random.Random(900 + n)
         kinds = set()
         for length in (0, 1, 9, 80):
             c = random_circuit(n, length, rng)
             kinds |= {g.kind for g in c.gates}
+            u = dense.circuit_unitary(c)
             state = random_state(n, rng)
             got = state.copy()
             got.apply_circuit(c)
-            assert got == reference_apply_circuit(state.copy(), c)
-            want = reference_apply_circuit(Tableau(n), c)
+            assert_conjugated(state, got, u)
             m = CliffordMap(c)
-            assert m.tableau == want
-            assert m.rows == [want.row_bits(r) for r in range(2 * n)]
+            assert_conjugated(Tableau(n), m.tableau, u)
+            assert m.rows == [m.tableau.row_bits(r) for r in range(2 * n)]
         assert len(kinds) == (6 if n == 1 else 9)
 
     def test_codes_are_kind_and_qubits(self):
@@ -531,7 +579,7 @@ class TestCliffordMap:
 
     def test_z_readout_none_when_superposed(self):
         t = new_basis_state(2, "00")
-        t.apply("H", (0,))
+        apply_gate(t, "H", 0)
         assert t.z_readout() is None
 
 
@@ -594,13 +642,13 @@ class TestZReadout:
             kind = rng.choice(["CNOT", "SWAP", "X", "CZ", "S", "Z"])
             if kind in ("CNOT", "SWAP", "CZ"):
                 a, b = rng.sample(range(n), 2)
-                t.apply(kind, (a, b))
+                apply_gate(t, kind, a, b)
                 if kind == "CNOT":
                     x[b] ^= x[a]
                 elif kind == "SWAP":
                     x[a], x[b] = x[b], x[a]
             else:
                 q = rng.randrange(n)
-                t.apply(kind, (q,))
+                apply_gate(t, kind, q)
                 x[q] ^= kind == "X"
         assert readout_agrees(t) == "".join(map(str, x))
