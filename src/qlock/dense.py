@@ -31,7 +31,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .sampling import DesignCircuit, check_records, two_qubit_table
-from .stabilizer import GATE_KINDS, CliffordCircuit
+from .stabilizer import GATE_KINDS, TWO_QUBIT_CODE, CliffordCircuit
 
 DENSE_CUTOFF = 12
 
@@ -96,7 +96,7 @@ def _pair_matrices() -> dict:
     swapped = np.ix_([0, 2, 1, 3], [0, 2, 1, 3])
     table = {}
     for code, m in enumerate(_KIND_MATRICES):
-        if m.shape == (2, 2):
+        if code < TWO_QUBIT_CODE:
             table[code, False, False] = np.kron(m, eye)
             table[code, True, True] = np.kron(eye, m)
         else:

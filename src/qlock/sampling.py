@@ -42,7 +42,11 @@ dictionary from canonical chunk text to packed code bytes, which the
 lines of one codebook file share and nothing else keeps.  A chunk that
 misses (its first occurrence, extra blanks, leading zeros, a bad gate)
 goes through the full parse, which reports a bad chunk and enters a
-canonical one in the dictionary.
+canonical one in the dictionary.  The full parse is the one place a
+circuit from outside input is checked: the kind against KIND_CODE, the
+qubit count against TWO_QUBIT_CODE, two-qubit gates for distinct qubits
+and, once the text has parsed, every qubit against n.  Print and parse
+make a gate's canonical text from the same two format strings.
 
 The draw rule defines every seeded design stream.  It reads the
 generator's MT19937 output as 32-bit words, one word per getrandbits(k)
@@ -78,9 +82,9 @@ from typing import Optional
 import numpy as np
 
 from .stabilizer import (GATE_KINDS, KIND_CODE, TWO_QUBIT_CODE,
-                         CliffordCircuit, CliffordGate, Tableau, code_array,
-                         gate_code, gate_text, hermitian_phase,
-                         negative_rows, read_decimal, set_bits)
+                         CliffordCircuit, Tableau, code_array,
+                         hermitian_phase, negative_rows, read_decimal,
+                         set_bits)
 
 
 @dataclass
@@ -215,8 +219,7 @@ def _close_group(n: int, generators: tuple[tuple[int, int, int], ...]
 def _word_circuit(n: int, gens: tuple[tuple[int, int, int], ...],
                   word: bytes) -> CliffordCircuit:
     """The circuit of a word of indices into the generator codes gens."""
-    return CliffordCircuit.from_codes(n, code_array(n, chain.from_iterable(
-        map(gens.__getitem__, word))))
+    return CliffordCircuit(n, chain.from_iterable(map(gens.__getitem__, word)))
 
 
 # records expanded per numpy step, and gates or records printed per
@@ -348,7 +351,8 @@ class DesignCircuit(CliffordCircuit):
     word 16 i + j of class i and sign class j, acting with its local qubit 0
     on qubit a and local qubit 1 on qubit b.  dense.push applies the
     records directly; the gate codes are their word-by-word expansion,
-    made afresh on each read of codes and not kept.
+    made afresh on each read of codes and not kept.  len() adds up the
+    words' gate counts and expands nothing.
     """
 
     def __init__(self, n: int, records: np.ndarray):
@@ -535,8 +539,7 @@ def action_to_circuit(action: Tableau) -> CliffordCircuit:
             do("X", j)
     if t != Tableau(n):
         raise AssertionError("reduction did not reach the identity tableau")
-    return CliffordCircuit.from_codes(
-        n, code_array(n, chain.from_iterable(reversed(emitted))))
+    return CliffordCircuit(n, chain.from_iterable(reversed(emitted)))
 
 
 def derive_circuit(master_seed: int, stream_index: int,
@@ -565,15 +568,22 @@ class _Texts(dict):
         return value
 
 
+# the canonical text of the gate code (k, a, b) is _FIRST_TEXT[k] % a,
+# its kind and first qubit one blank apart, followed for a two-qubit kind
+# by _SECOND_TEXT % b; print and parse both make gate texts from these
+_FIRST_TEXT = [kind + " %d" for kind in GATE_KINDS]
+_SECOND_TEXT = " %d"
+
+
 def circuit_to_text(circuit: CliffordCircuit) -> str:
     """Semicolon-separated gate list, e.g. 'H 0; SDG 2; CNOT 0 3'.
 
     The text is made a block of gates at a time: a design circuit's codes
-    are expanded a block of records at a time, never all at once.  A
-    gate's text is its kind's text of its first qubit a, plus " b" for a
-    second qubit b, each made on first use in the call."""
-    first = [_Texts((kind + " %d").__mod__) for kind in GATE_KINDS]
-    second = _Texts(" %d".__mod__)
+    are expanded a block of records at a time, never all at once.  Each
+    part of a gate's text, _FIRST_TEXT[k] % a and _SECOND_TEXT % b, is
+    made on first use in the call."""
+    first = [_Texts(text.__mod__) for text in _FIRST_TEXT]
+    second = _Texts(_SECOND_TEXT.__mod__)
     pieces = []
     for codes in _code_blocks(circuit):
         it = iter(codes)
@@ -615,7 +625,8 @@ def circuit_from_text(text: str, n: int, start: int = 0,
     so that its repeats are looked up; the lines of one file share one,
     so that each gate is parsed in full once per file."""
     end = len(text) if end is None else end
-    codes = code_array(n)
+    circuit = CliffordCircuit(n, ())
+    codes = circuit.codes
     known = {} if known is None else known
     out_of_range: list[str] = []
 
@@ -649,23 +660,31 @@ def circuit_from_text(text: str, n: int, start: int = 0,
         codes.frombytes(b"".join([lookup(chunk) or parse(chunk)
                                   for chunk in text[pos:cut].split(";")]))
         pos = cut
-    circuit = CliffordCircuit.from_codes(n, codes)
     if out_of_range:
         raise ValueError(f"gate {out_of_range[0]} out of range for n={n}")
     return circuit
 
 
 def _parse_gate(chunk: str) -> tuple[tuple[int, int, int], str]:
-    """The gate code and canonical text of a stripped chunk, checked as a
-    CliffordGate; ValueError naming the chunk if it is no gate."""
+    """The gate code and canonical text of a stripped chunk: a kind of
+    GATE_KINDS and as many distinct qubits as it takes, in ASCII decimal
+    digits; ValueError naming the chunk if it is no gate."""
     kind, *words = chunk.split()
-    try:
-        qubits = tuple(map(read_decimal, words))
-        if None in qubits:
-            bad = words[qubits.index(None)]
-            raise ValueError("qubit index must be ASCII decimal digits, "
-                             f"got {bad!r}")
-        g = CliffordGate(kind, qubits)
-    except ValueError as exc:
-        raise ValueError(f"bad gate {chunk!r}: {exc}") from None
-    return gate_code(g), gate_text(kind, qubits)
+    qubits = tuple(map(read_decimal, words))
+    k = KIND_CODE.get(kind)
+    if None in qubits:
+        bad = words[qubits.index(None)]
+        reason = f"qubit index must be ASCII decimal digits, got {bad!r}"
+    elif k is None:
+        reason = f"unknown gate kind {kind!r}"
+    elif len(qubits) != (arity := 1 + (k >= TWO_QUBIT_CODE)):
+        reason = f"{kind} takes {arity} qubit(s), got {qubits}"
+    elif arity == 2 and qubits[0] == qubits[1]:
+        reason = f"{kind} requires distinct qubits"
+    else:
+        a, b = qubits[0], qubits[-1]
+        text = _FIRST_TEXT[k] % a
+        if arity == 2:
+            text += _SECOND_TEXT % b
+        return (k, a, b), text
+    raise ValueError(f"bad gate {chunk!r}: {reason}")

@@ -29,13 +29,15 @@ bit).  Each rule of the convention lives in one function:
 
 A circuit holds its gates as one packed array of gate codes, three
 integers (kind, a, b) per gate: the kind's index in GATE_KINDS and its
-qubits, a one-qubit gate on q as (kind, q, q).  The array's item type is
-the narrowest unsigned type that holds n, one byte per entry up to
-n = 256.  No gate object is stored: CliffordGate values are made on
-demand by a circuit's read-only gates view, and library code works in
-codes alone.  Tableau.apply_codes holds the one copy of the nine gate
-rules, dispatched on the kind code; it is tested against the dense
-unitary of each gate on every row.  CliffordMap compiles a circuit once;
+qubits, a one-qubit gate on q as (kind, q, q); the kinds from
+TWO_QUBIT_CODE on take two qubits.  The array's item type is the
+narrowest unsigned type that holds n, one byte per entry up to n = 256.
+The code is the only gate form: there is no gate object, and a circuit
+is made from its codes, unchecked.  Text from outside is checked gate by
+gate where it is parsed, in sampling.circuit_from_text.
+Tableau.apply_codes holds the one copy of the nine gate rules,
+dispatched on the kind code; it is tested against the dense unitary of
+each gate on every row.  CliffordMap compiles a circuit once;
 the map of its inverse is read off that compile.
 """
 
@@ -43,61 +45,15 @@ from __future__ import annotations
 
 import string
 from array import array
-from collections.abc import Iterable, Sequence
-from dataclasses import dataclass
+from collections.abc import Iterable
 from functools import cached_property
 from typing import Optional
 
-GATE_ARITY = {
-    "H": 1, "S": 1, "SDG": 1, "X": 1, "Y": 1, "Z": 1,
-    "CZ": 2, "SWAP": 2, "CNOT": 2,
-}
-
-
 # a gate's kind code is its kind's index here; one-qubit kinds come first
-GATE_KINDS = tuple(GATE_ARITY)
+GATE_KINDS = ("H", "S", "SDG", "X", "Y", "Z", "CZ", "SWAP", "CNOT")
 KIND_CODE = {kind: code for code, kind in enumerate(GATE_KINDS)}
 # the codes at and above this one take two qubits
 TWO_QUBIT_CODE = 6
-
-
-def gate_text(kind: str, qubits: tuple[int, ...]) -> str:
-    """The canonical text of a gate: its kind and qubits, one blank apart."""
-    return kind + " %s" * len(qubits) % qubits
-
-
-@dataclass(frozen=True, slots=True)
-class CliffordGate:
-    """A named Clifford gate on one or two qubit indices."""
-
-    kind: str
-    qubits: tuple[int, ...]
-
-    def __post_init__(self):
-        arity = GATE_ARITY.get(self.kind)
-        if arity is None:
-            raise ValueError(f"unknown gate kind {self.kind!r}")
-        if len(self.qubits) != arity:
-            raise ValueError(f"{self.kind} takes {arity} qubit(s), got {self.qubits}")
-        if arity == 2 and self.qubits[0] == self.qubits[1]:
-            raise ValueError(f"{self.kind} requires distinct qubits")
-        if any(q < 0 for q in self.qubits):
-            raise ValueError("negative qubit index")
-
-
-def gate(kind: str, *qubits: int) -> CliffordGate:
-    return CliffordGate(kind, qubits)
-
-
-def gate_code(g: CliffordGate) -> tuple[int, int, int]:
-    """(kind, a, b) of a gate; a one-qubit gate on q is (kind, q, q)."""
-    return KIND_CODE[g.kind], g.qubits[0], g.qubits[-1]
-
-
-def code_gate(kind: int, a: int, b: int) -> CliffordGate:
-    """The gate of the code (kind, a, b)."""
-    return CliffordGate(GATE_KINDS[kind],
-                        (a,) if kind < TWO_QUBIT_CODE else (a, b))
 
 
 # (largest n, typecode) of the unsigned array types, narrowest first
@@ -115,32 +71,19 @@ def code_array(n: int, values: Iterable[int] = ()) -> array:
 
 class CliffordCircuit:
     """Ordered Clifford gates on n qubits, held as the packed array codes
-    of (kind, a, b) per gate; made from a list of CliffordGates."""
+    of (kind, a, b) per gate.  The codes are not checked: a circuit read
+    from outside input is made by sampling.circuit_from_text, which
+    checks each gate."""
 
-    def __init__(self, n: int, gates: Iterable[CliffordGate]):
+    def __init__(self, n: int, codes: Iterable[int]):
         _require_qubits(n)
-        flat = []
-        for g in gates:
-            if max(g.qubits) >= n:
-                raise ValueError(f"gate {gate_text(g.kind, g.qubits)} out of "
-                                 f"range for n={n}")
-            flat += gate_code(g)
         self.n = n
-        self.codes = code_array(n, flat)
-
-    @staticmethod
-    def from_codes(n: int, codes: array) -> "CliffordCircuit":
-        """The circuit that owns codes, a code_array(n) whose qubits all
-        lie below n; the codes are not checked again."""
-        _require_qubits(n)
-        circuit = object.__new__(CliffordCircuit)
-        circuit.n = n
-        circuit.codes = codes
-        return circuit
+        self.codes = code_array(n, codes)
 
     @property
     def gates(self) -> "GateView":
-        """A read-only view of the gates, made from the codes on demand."""
+        """A read-only view of the gates as (kind, a, b) triples; the
+        benchmark's gate counter (bench/spans.py) reads its len()."""
         return GateView(self)
 
     def __len__(self):
@@ -160,41 +103,21 @@ def _require_qubits(n: int) -> None:
         raise ValueError("need at least one qubit")
 
 
-class GateView(Sequence):
-    """The gates of a circuit as CliffordGate values, made on each access
-    from its codes; the view holds no gate."""
+class GateView:
+    """The gates of a circuit as (kind, a, b) triples, read from its codes
+    on each iteration; its len() is the circuit's, which reads no codes."""
 
-    __slots__ = ("_circuit", "_codes")
+    __slots__ = ("_circuit",)
 
     def __init__(self, circuit: CliffordCircuit):
         self._circuit = circuit
-        self._codes = None
-
-    def _all(self) -> array:
-        # a design circuit expands its records on each read of codes
-        if self._codes is None:
-            self._codes = self._circuit.codes
-        return self._codes
 
     def __len__(self):
         return len(self._circuit)
 
-    def __getitem__(self, i: int) -> CliffordGate:
-        at = 3 * range(len(self))[i]
-        return code_gate(*self._all()[at:at + 3])
-
     def __iter__(self):
-        it = iter(self._all())
-        for k, a, b in zip(it, it, it):
-            yield code_gate(k, a, b)
-
-    def __eq__(self, other):
-        if not isinstance(other, (GateView, list, tuple)):
-            return NotImplemented
-        return list(self) == list(other)
-
-    def __repr__(self):
-        return f"GateView({list(self)!r})"
+        it = iter(self._circuit.codes)
+        return zip(it, it, it)
 
 
 def hermitian_phase(xs: list[int], zs: list[int],
@@ -543,8 +466,11 @@ def new_basis_state(n: int, x: str) -> Tableau:
 def basis_overlap_prob(circuit: CliffordCircuit, x: str, y: str) -> float:
     """|<y|C|x>|^2 via qubit-by-qubit postselection.
 
-    The product of the branch probabilities is exactly 0 or 2^-s, so
-    Fraction() of it is the exact rational.
+    The product of the branch probabilities is 0 or 2^-s, s the number
+    of random branches.  As a float it is exact for s <= 1074, so
+    Fraction() of it is then the exact rational; above that it underflows
+    to 0.0 (H on each of 1100 qubits gives 0.0, not 2^-1100), which
+    ROADMAP item 9 is to fix.
     """
     n = circuit.n
     t = new_basis_state(n, x)

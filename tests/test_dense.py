@@ -11,12 +11,12 @@ from qlock.dense import (NumericalError, apply_circuit_to_vector,
                          circuit_unitary, eigvalsh, overlap_prob,
                          von_neumann_entropy)
 from qlock.sampling import (DesignCircuit, SamplerConfig,
-                            all_single_qubit_circuits, sample_design_circuit,
-                            sample_uniform_clifford, stream_rng,
-                            two_qubit_table)
-from qlock.stabilizer import CliffordCircuit, gate
+                            all_single_qubit_circuits, circuit_from_text,
+                            sample_design_circuit, sample_uniform_clifford,
+                            stream_rng, two_qubit_table)
+from qlock.stabilizer import GATE_KINDS, TWO_QUBIT_CODE, CliffordCircuit
 
-from test_stabilizer import random_circuit, reference_inverse
+from test_stabilizer import kinds_of, random_circuit, reference_inverse
 
 
 def reference_apply(circuit, vec):
@@ -24,12 +24,12 @@ def reference_apply(circuit, vec):
     n = circuit.n
     shape = vec.shape
     arr = vec.reshape((2,) * n + shape[1:]).astype(complex)
-    for g in circuit.gates:
-        k = len(g.qubits)
-        m = dense.GATE_MATRICES[g.kind].reshape((2,) * (2 * k))
-        out = np.tensordot(m, arr,
-                           axes=(list(range(k, 2 * k)), list(g.qubits)))
-        arr = np.moveaxis(out, list(range(k)), list(g.qubits))
+    for kind, a, b in circuit.gates:
+        qubits = [a, b] if kind >= TWO_QUBIT_CODE else [a]
+        k = len(qubits)
+        m = dense.GATE_MATRICES[GATE_KINDS[kind]].reshape((2,) * (2 * k))
+        out = np.tensordot(m, arr, axes=(list(range(k, 2 * k)), qubits))
+        arr = np.moveaxis(out, list(range(k)), qubits)
     return arr.reshape(shape)
 
 
@@ -51,7 +51,7 @@ class TestCircuitUnitary:
         assert np.allclose(u, np.eye(2))
 
     def test_hadamard(self):
-        u = circuit_unitary(CliffordCircuit(1, [gate("H", 0)]))
+        u = circuit_unitary(circuit_from_text("H 0", 1))
         s = 1 / math.sqrt(2)
         assert np.allclose(u, np.array([[s, s], [s, -s]]))
 
@@ -63,7 +63,7 @@ class TestCircuitUnitary:
         kinds = set()
         for length in (0, 1, 9, 60):
             c = random_circuit(n, length, rng)
-            kinds |= {g.kind for g in c.gates}
+            kinds |= kinds_of(c)
             u = circuit_unitary(c)
             want = reference_apply(c, np.eye(1 << n, dtype=complex))
             assert np.max(np.abs(u - want), initial=0.0) < 1e-12
@@ -131,8 +131,7 @@ class TestFusedRuns:
     ], ids=["one-qubit-only", "cnot-after-h", "swap-inside",
             "new-pair-closes", "one-qubit-gates-pair-up", "empty"])
     def test_run_boundaries(self, n, words, runs):
-        gates = [gate(w.split()[0], *map(int, w.split()[1:])) for w in words]
-        c = CliffordCircuit(n, gates)
+        c = circuit_from_text("; ".join(words), n)
         assert [q for q, _ in dense._runs(c.codes)] == runs
         assert_matches_reference(c, random_stack(n, 4, 7))
         assert_matches_reference(c, np.eye(1 << n, dtype=complex))
@@ -167,7 +166,7 @@ def design_draws(n, K, seed):
     cfg = SamplerConfig(n, 0.25)
     designs = [sample_design_circuit(cfg, stream_rng(seed, k))
                for k in range(K)]
-    return designs, [CliffordCircuit(n, list(c.gates)) for c in designs]
+    return designs, [CliffordCircuit(n, c.codes) for c in designs]
 
 
 class TestFragmentPush:
@@ -274,7 +273,7 @@ class TestOverlapProb:
     def test_hadamard(self):
         v0 = dense.basis_vector("0")
         v1 = dense.basis_vector("1")
-        c = CliffordCircuit(1, [gate("H", 0)])
+        c = circuit_from_text("H 0", 1)
         assert overlap_prob(v1, c, v0) == pytest.approx(0.5)
 
     def test_haar_first_moment(self):

@@ -11,8 +11,9 @@ from qlock.design import (DesignReport, MomentEstimate, check_design,
                           estimate_moments, exhaustive_single_qubit_moments,
                           gamma_2_design, gamma_bound, gamma_of, haar_moment,
                           moments_csv_row, overlap, snap_overlaps)
-from qlock.sampling import SamplerConfig, sample_design_circuit, sample_uniform_clifford
-from qlock.stabilizer import CliffordCircuit, gate
+from qlock.sampling import (SamplerConfig, circuit_from_text,
+                            sample_design_circuit, sample_uniform_clifford)
+from qlock.stabilizer import CliffordCircuit
 
 
 def identity_sampler(n):
@@ -96,7 +97,7 @@ class TestOverlap:
     def test_a_vector_is_dense(self):
         # |<+|H|0>|^2 = 1 and |<0|H|+>|^2 = 1
         plus = np.array([1.0, 1.0]) / math.sqrt(2)
-        h = CliffordCircuit(1, [gate("H", 0)])
+        h = circuit_from_text("H 0", 1)
         assert overlap(h, plus, "0") == pytest.approx(1.0)
         assert overlap(h, "0", plus) == pytest.approx(1.0)
         assert overlap(h, "1", plus) == pytest.approx(0.0, abs=1e-15)

@@ -83,7 +83,7 @@ class TestCodebook:
             "f3f260705a88b8687d748243effa91d6402194e3a4efda8ed3c159ef44f1acb2")
         back = codebook_from_text(text)
         assert codebook_to_text(back) == text
-        assert back.circuits[0].gates == cb.circuits[0].gates
+        assert back.circuits[0].codes == cb.circuits[0].codes
 
     def test_n300_codebook_round_trips_and_decrypts(self):
         # above n = 256 the codes take two bytes each, so the expansion of
@@ -136,7 +136,7 @@ class TestCodebook:
         back = codebook_from_text("\n".join(padded) + "\n")
         assert codebook_to_text(back) == text
         for parsed, want in zip(back.circuits, cb.circuits):
-            assert parsed.gates == want.gates
+            assert parsed.codes == want.codes
 
     def test_lines_are_cut_where_splitlines_cuts_them(self):
         # the parse reads each line in place, between the places that

@@ -251,7 +251,7 @@ class TestEveState:
         cfg = SamplerConfig(n=n, delta=0.25)
         designs = [sample_design_circuit(cfg, stream_rng(3, k))
                    for k in range(K)]
-        circuits = [CliffordCircuit(n, list(c.gates)) for c in designs]
+        circuits = [CliffordCircuit(n, c.codes) for c in designs]
         d = 1 << n
         sparse = np.zeros(d)
         sparse[[0, 3, d - 3]] = [0.5, 0.25, 0.25]
@@ -285,7 +285,7 @@ class TestEveState:
         for g, w in zip(got, want):
             assert np.array_equal(g, w)
         # gate circuits, pushed one at a time, too
-        gates = [CliffordCircuit(n, list(c.gates)) for c in designs[:5]]
+        gates = [CliffordCircuit(n, c.codes) for c in designs[:5]]
         for g, w in zip(_adversary_state(gates, priors),
                         reference_adversary_state(gates, priors)):
             assert np.array_equal(g, w)
