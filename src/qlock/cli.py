@@ -303,16 +303,13 @@ def _cmd_verify_chernoff(args) -> None:
 
 
 def _cmd_verify_maurer(args) -> None:
-    if args.n > security.MAURER_MAX_N:
-        raise ValueError(f"--n must be at most {security.MAURER_MAX_N}, the "
-                         "largest n whose tail cut (1 - tau) 2^-n is a normal "
-                         f"float, got --n {args.n}")
     seed = _parse_seed(args.seed)
     x = args.x if args.x else "0" * args.n
     report = security.empirical_maurer(args.n, args.K, x, "0" * args.n,
                                        args.trials, seed, args.tau,
                                        gamma=args.gamma, jobs=args.jobs)
-    rows = [[i, m, m < report.cut] for i, m in enumerate(report.means)]
+    rows = [[i, m, tail]
+            for i, (m, tail) in enumerate(zip(report.means, report.tails))]
     _emit_trials(["trial", "mean_overlap", "tail"], rows,
                  [f"K={args.K}", f"tau={_fmt(args.tau)}",
                   f"gamma={_fmt(report.gamma)}",

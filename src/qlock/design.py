@@ -22,7 +22,8 @@ import numpy as np
 from . import dense
 from .sampling import (SamplerConfig, all_single_qubit_circuits,
                        sample_design_circuit)
-from .stabilizer import CliffordCircuit, basis_overlap_prob, check_bits
+from .stabilizer import (CliffordCircuit, basis_overlap_halvings,
+                         basis_overlap_prob, check_bits)
 
 VECTOR_MODES = ("BASIS", "HAAR")
 
@@ -84,9 +85,9 @@ def snap_overlaps(probs: np.ndarray, n: int) -> np.ndarray:
 
 
 def overlap(circuit: CliffordCircuit, alpha, beta) -> float:
-    """|<alpha|C|beta>|^2.  Two bit strings give the tableau's exact 0 or
-    2^-s (stabilizer.basis_overlap_prob); otherwise the overlap is dense,
-    with a bit string on either side read as its basis vector."""
+    """|<alpha|C|beta>|^2.  Two bit strings give the tableau's 0 or 2^-s
+    as a float (stabilizer.basis_overlap_prob); otherwise the overlap is
+    dense, with a bit string on either side read as its basis vector."""
     if isinstance(alpha, str) and isinstance(beta, str):
         return basis_overlap_prob(circuit, beta, alpha)
     alpha, beta = (dense.basis_vector(v) if isinstance(v, str) else v
@@ -167,11 +168,12 @@ def _estimate(values, d: int, samples: int) -> MomentEstimate:
 def exhaustive_single_qubit_moments() -> MomentEstimate:
     """Exact moments over all 24 single-qubit Cliffords, alpha = beta = |0>.
 
-    The overlaps are dyadic rationals, so the returned means are exact
-    Fractions (1/2 and 1/3) with zero standard error.
+    The overlaps come from their halving counts, so the returned means
+    are exact Fractions (1/2 and 1/3) with zero standard error.
     """
-    vals = [Fraction(basis_overlap_prob(c, "0", "0"))
-            for c in all_single_qubit_circuits()]
+    counts = [basis_overlap_halvings(c, "0", "0")
+              for c in all_single_qubit_circuits()]
+    vals = [Fraction(0) if s is None else Fraction(1, 1 << s) for s in counts]
     mean2 = sum(vals) / 24
     mean4 = sum(v * v for v in vals) / 24
     return MomentEstimate(d=2, mean2=mean2, mean4=mean4,

@@ -554,20 +554,6 @@ def derive_circuit(master_seed: int, stream_index: int,
 # -- circuit text form -------------------------------------------------------
 
 
-class _Texts(dict):
-    """key -> make(key), each made on first use and kept while the
-    dictionary lives."""
-
-    __slots__ = ("make",)
-
-    def __init__(self, make):
-        self.make = make
-
-    def __missing__(self, key):
-        value = self[key] = self.make(key)
-        return value
-
-
 # the canonical text of the gate code (k, a, b) is _FIRST_TEXT[k] % a,
 # its kind and first qubit one blank apart, followed for a two-qubit kind
 # by _SECOND_TEXT % b; print and parse both make gate texts from these
@@ -579,11 +565,14 @@ def circuit_to_text(circuit: CliffordCircuit) -> str:
     """Semicolon-separated gate list, e.g. 'H 0; SDG 2; CNOT 0 3'.
 
     The text is made a block of gates at a time: a design circuit's codes
-    are expanded a block of records at a time, never all at once.  Each
-    part of a gate's text, _FIRST_TEXT[k] % a and _SECOND_TEXT % b, is
-    made on first use in the call."""
-    first = [_Texts(text.__mod__) for text in _FIRST_TEXT]
-    second = _Texts(_SECOND_TEXT.__mod__)
+    are expanded a block of records at a time, never all at once.  The
+    parts _FIRST_TEXT[k] % a and _SECOND_TEXT % b of every kind and qubit
+    are made once per call, into lists indexed by the code, which a gate
+    reads faster than a dictionary of texts made on first use, or of
+    whole two-qubit texts."""
+    qubits = range(circuit.n)
+    first = [[text % a for a in qubits] for text in _FIRST_TEXT]
+    second = [_SECOND_TEXT % b for b in qubits]
     pieces = []
     for codes in _code_blocks(circuit):
         it = iter(codes)

@@ -11,7 +11,6 @@ quantities are reported in bits.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
@@ -24,7 +23,8 @@ from .sampling import (SamplerConfig, all_single_qubit_circuits,
                        sample_design_circuit, sample_uniform_clifford,
                        stream_rng)
 from .design import gamma_2_design, gamma_bound, overlap
-from .stabilizer import CliffordCircuit, check_bits
+from .stabilizer import (CliffordCircuit, basis_overlap_halvings,
+                         check_bits)
 
 Real = Union[int, float, Fraction]
 
@@ -493,23 +493,25 @@ class MaurerReport:
     tail_freq: float
     bound: float
     means: list[float]
-    cut: float
+    tails: list[bool]
 
 
-def _maurer_trial(n: int, K: int, x: str, phi, table, rng) -> float:
-    """The mean of |<phi|C|x>|^2 over K uniform Cliffords drawn from rng,
-    or over K draws from table, the 24 single-qubit overlaps."""
+def _scaled_overlap(circuit: CliffordCircuit, n: int, x: str, phi):
+    """2^n |<phi|C|x>|^2: the integer 2^(n-s) of the halving count s, or
+    0, for a bit-string phi; the dense float times 2^n for a vector."""
+    if isinstance(phi, str):
+        s = basis_overlap_halvings(circuit, x, phi)
+        return 0 if s is None else 1 << (n - s)
+    return overlap(circuit, phi, x) * (1 << n)
+
+
+def _maurer_trial(n: int, K: int, x: str, phi, table, rng):
+    """The sum of 2^n |<phi|C|x>|^2 over K uniform Cliffords drawn from
+    rng, or over K draws from table, the 24 single-qubit values."""
     if table is not None:
-        draws = (table[rng.randrange(24)] for _ in range(K))
-    else:
-        draws = (overlap(sample_uniform_clifford(n, rng), phi, x)
-                 for _ in range(K))
-    return sum(draws) / K
-
-
-# the largest n whose tail cut (1 - tau) 2^-n is a normal float: above it
-# the cut loses bits, and above n = 1074 it is 0.0, so no trial could count
-MAURER_MAX_N = 1 - sys.float_info.min_exp
+        return sum(table[rng.randrange(24)] for _ in range(K))
+    return sum(_scaled_overlap(sample_uniform_clifford(n, rng), n, x, phi)
+               for _ in range(K))
 
 
 def empirical_maurer(n: int, K: int, x: str, phi, trials: int, seed: int,
@@ -519,18 +521,17 @@ def empirical_maurer(n: int, K: int, x: str, phi, trials: int, seed: int,
 
     Counts trials whose K-draw average of |<phi|C|x>|^2 falls below the
     cut (1 - tau) 2^-n and compares against exp(-K tau^2 / (2 gamma)).
-    gamma defaults to the exact 2-design value 2d/(d+1).  Overlaps come
-    from design.overlap: a basis-string phi gives exact overlaps (0 or
-    2^-s) from the tableau at any n, so a mean on the cut is never pushed
-    across it by round-off; a vector phi is evaluated densely, so only up
-    to dense.DENSE_CUTOFF qubits.  At n = 1 the draws index a table of the
-    24 single-qubit Clifford overlaps.
+    gamma defaults to the exact 2-design value 2d/(d+1).  A trial sums
+    its overlaps times 2^n (_scaled_overlap) and is a tail event when the
+    sum lies below the exact Fraction(1.0 - tau) * K, which is the float
+    cut's value wherever that is a normal float.  A basis-string phi sums
+    integers, so its tail flags and tail_freq are exact at any n, though
+    its float mean reads 0.0 above n = 1074; a vector phi is dense, so it
+    stops at dense.DENSE_CUTOFF.  At n = 1 the draws index a table of the
+    24 single-qubit Clifford values.
     """
     if n < 1:
         raise ValueError(f"need at least one qubit, got n={n}")
-    if n > MAURER_MAX_N:
-        raise ValueError(f"n={n} is above {MAURER_MAX_N}, the largest n whose "
-                         "tail cut (1 - tau) 2^-n is a normal float")
     if not 0 <= tau <= 1:
         raise ValueError("tau must lie in [0, 1]")
     if K < 1:
@@ -546,17 +547,19 @@ def empirical_maurer(n: int, K: int, x: str, phi, trials: int, seed: int,
         raise ValueError(f"gamma must be a positive finite number, got {gamma}")
     table = None
     if n == 1:
-        table = [overlap(c, phi, x) for c in all_single_qubit_circuits()]
-    means = _run_trials(_maurer_trial, (n, K, x, phi, table), seed, trials,
-                        jobs)
+        table = [_scaled_overlap(c, 1, x, phi)
+                 for c in all_single_qubit_circuits()]
+    sums = _run_trials(_maurer_trial, (n, K, x, phi, table), seed, trials,
+                       jobs)
     # tau = 0 is a degenerate threshold: the bound is vacuous and no trial
-    # counts as a tail event; raw means are still reported.
-    cut = (1.0 - tau) * 2.0 ** (-n) if tau > 0 else -math.inf
-    tail = sum(m < cut for m in means)
+    # counts as a tail event, as no sum is below 0; means are reported.
+    cut = Fraction(1.0 - tau) * K if tau > 0 else 0
+    tails = [total < cut for total in sums]
     bound = math.exp(-K * tau ** 2 / (2.0 * gamma)) if tau > 0 else 1.0
-    return MaurerReport(n=n, K=K, tau=tau, gamma=gamma, trials=len(means),
-                        tail_freq=tail / len(means), bound=bound, means=means,
-                        cut=cut)
+    return MaurerReport(n=n, K=K, tau=tau, gamma=gamma, trials=len(sums),
+                        tail_freq=sum(tails) / len(sums), bound=bound,
+                        means=[total / (K << n) for total in sums],
+                        tails=tails)
 
 
 @dataclass
@@ -576,11 +579,12 @@ def locking_probe(n: int, K: int, prior: PriorDistribution,
                   epsilon_reference: Optional[float] = None) -> LockingReport:
     """Holevo quantity versus measured mutual information for a codebook.
 
-    With circuits omitted, K shallow design circuits are sampled; the
-    shallow default (about one two-qubit fragment at n = 4) is the regime
-    where the Holevo gap is pronounced at desk scale.  Deep scrambling
-    circuits drive every conditional toward a rank-K random mixture whose
-    entropy deficit is only about 0.72 bits at K = 2^n.
+    With circuits omitted, K shallow design circuits are drawn one at a
+    time as the adversary states consume them; the shallow default (about
+    one two-qubit fragment at n = 4) is the regime where the Holevo gap is
+    pronounced at desk scale.  Deep scrambling circuits drive every
+    conditional toward a rank-K random mixture whose entropy deficit is
+    only about 0.72 bits at K = 2^n.
     """
     dense.check_cutoff(n)
     if epsilon_reference is not None and not 0 < epsilon_reference < 1:
@@ -591,7 +595,7 @@ def locking_probe(n: int, K: int, prior: PriorDistribution,
             raise ValueError("K must be >= 1")
         rng = stream_rng(seed, 0)
         cfg = SamplerConfig(n=n, delta=delta, depth_factor=depth_factor)
-        circuits = [sample_design_circuit(cfg, rng) for _ in range(K)]
+        circuits = (sample_design_circuit(cfg, rng) for _ in range(K))
     else:
         K = len(circuits)
     conditionals = _adversary_state(

@@ -463,25 +463,30 @@ def new_basis_state(n: int, x: str) -> Tableau:
     return t
 
 
-def basis_overlap_prob(circuit: CliffordCircuit, x: str, y: str) -> float:
-    """|<y|C|x>|^2 via qubit-by-qubit postselection.
-
-    The product of the branch probabilities is 0 or 2^-s, s the number
-    of random branches.  As a float it is exact for s <= 1074, so
-    Fraction() of it is then the exact rational; above that it underflows
-    to 0.0 (H on each of 1100 qubits gives 0.0, not 2^-1100), which
-    ROADMAP item 9 is to fix.
-    """
+def basis_overlap_halvings(circuit: CliffordCircuit, x: str,
+                           y: str) -> Optional[int]:
+    """The halving count s with |<y|C|x>|^2 = 2^-s, or None for 0: the
+    one exact form of a tableau basis overlap.  C|x> is postselected on y
+    qubit by qubit; a deterministic outcome keeps the overlap or makes it
+    0, a random one halves it, so s counts the random branches."""
     n = circuit.n
     t = new_basis_state(n, x)
     check_bits("y", y, n)
     t.apply_circuit(circuit)
-    prob = 1.0
+    s = 0
     for q in range(n):
-        prob *= t.measure_postselect(q, int(y[q]))
-        if prob == 0.0:
-            break
-    return prob
+        p = t.measure_postselect(q, int(y[q]))
+        if p == 0.0:
+            return None
+        s += p == 0.5
+    return s
+
+
+def basis_overlap_prob(circuit: CliffordCircuit, x: str, y: str) -> float:
+    """|<y|C|x>|^2 as the float 2.0 ** -s of basis_overlap_halvings, 0.0
+    for a zero overlap; exact for s <= 1074, it underflows to 0.0 above."""
+    s = basis_overlap_halvings(circuit, x, y)
+    return 0.0 if s is None else 2.0 ** -s
 
 
 # -- compiled circuit actions ----------------------------------------------

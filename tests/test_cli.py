@@ -439,25 +439,24 @@ def decrypt_files(tmp_path, cipher_text):
 
 
 class TestMaurerRange:
-    def test_n_above_1022_exits_1_naming_n_before_any_draw(self, monkeypatch,
-                                                            capsys):
-        # the tail cut (1 - tau) 2^-n is subnormal above n = 1022 and 0.0
-        # above n = 1074: one error line, and no circuit drawn
-        from qlock import cli, sampling, security
+    def test_n1100_exits_0_with_exact_tail_flags(self, monkeypatch, capsys):
+        # no n cap: tail flags come from exact sums, so n = 1100, whose
+        # float cut (1 - tau) 2^-n is 0.0, runs; the uniform draw is
+        # stubbed by X on qubit 0, whose overlap 0 is a tail event
+        from qlock import cli, security
+        from qlock.stabilizer import KIND_CODE, CliffordCircuit
 
-        def no_draw(*args):
-            raise AssertionError("a circuit was drawn")
+        def x_on_0(n, rng):
+            return CliffordCircuit(n, [KIND_CODE["X"], 0, 0])
 
-        monkeypatch.setattr(security, "sample_uniform_clifford", no_draw)
-        monkeypatch.setattr(sampling, "sample_uniform_clifford", no_draw)
+        monkeypatch.setattr(security, "sample_uniform_clifford", x_on_0)
         code = cli.main(["verify-maurer", "--n", "1100", "--tau", "0.1",
-                         "--K", "1", "--trials", "1"])
+                         "--K", "1", "--trials", "1", "--seed", "01",
+                         "--csv"])
         out, err = capsys.readouterr()
-        assert code == 1
-        assert out == ""
-        assert err == ("error: --n must be at most 1022, the largest n whose "
-                       "tail cut (1 - tau) 2^-n is a normal float, got "
-                       "--n 1100\n")
+        assert code == 0, err
+        assert out == ("trial,mean_overlap,tail\n0,0,true\nK=1,tau=0.1,"
+                       "gamma=2,tail_freq=1,bound=0.997503122397\n")
 
 
 class TestWideN:

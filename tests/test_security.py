@@ -1,7 +1,9 @@
 import math
 import random
+import sys
 from collections import Counter
 from fractions import Fraction
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -20,7 +22,7 @@ from qlock.security import (Measurement,
                             key_length_bits, key_threshold, locking_probe,
                             maurer_p2, maurer_threshold, measured_mi,
                             min_entropy)
-from qlock.stabilizer import CliffordCircuit
+from qlock.stabilizer import KIND_CODE, CliffordCircuit
 
 from test_sampling import basis_overlap_law
 
@@ -637,17 +639,35 @@ class TestEmpiricalMaurer:
         with pytest.raises(ValueError, match=f"qubit, got n={n}"):
             empirical_maurer(n, 2, "", "", trials=2, seed=0, tau=0.5)
 
-    @pytest.mark.parametrize("n", [1023, 1100])
-    def test_rejects_n_whose_cut_is_not_a_normal_float(self, n, monkeypatch):
-        # 2^-n is subnormal above n = 1022 and 0.0 above 1074, and
-        # 2d/(d+1) overflows from n = 1024: rejected before any draw
-        def no_draw(*args):
-            raise AssertionError("a circuit was drawn")
+    def test_tail_flags_are_exact_beyond_the_float_range(self, monkeypatch):
+        # n = 1100, K = 2: H on each qubit overlaps at 2^-1100 and X on
+        # qubit 0 at 0.  Scaled by 2^n the trial's sum is 1, below the cut
+        # 0.75 * 2, though its float mean and the float cut are both 0.0
+        n = 1100
+        h, x = KIND_CODE["H"], KIND_CODE["X"]
+        draws = iter([
+            CliffordCircuit(n, chain.from_iterable((h, q, q)
+                                                   for q in range(n))),
+            CliffordCircuit(n, [x, 0, 0])])
+        monkeypatch.setattr(security, "sample_uniform_clifford",
+                            lambda n, rng: next(draws))
+        rep = empirical_maurer(n, 2, "0" * n, "0" * n, trials=1, seed=0,
+                               tau=0.25)
+        assert rep.means == [0.0]
+        assert rep.tails == [True]
+        assert rep.tail_freq == 1.0
+        assert rep.gamma == 2.0
 
-        monkeypatch.setattr(security, "sample_uniform_clifford", no_draw)
-        with pytest.raises(ValueError, match=f"^n={n} is above 1022, "):
-            empirical_maurer(n, 1, "0" * n, "0" * n, trials=1, seed=0,
-                             tau=0.1)
+    @pytest.mark.parametrize("tau", [0.1, 0.25, 0.5, 0.9, 1 - 2.0 ** -52])
+    def test_exact_cut_is_the_float_cut_while_it_is_normal(self, tau):
+        # the exact cut Fraction(1.0 - tau) 2^-n equals the float cut
+        # (1.0 - tau) 2.0^-n wherever that is a normal float, so no tail
+        # decision moved there; below the normal range the float cut
+        # rounds (0.9 * 2^-1022 does)
+        for n in range(1, 1023):
+            cut = (1.0 - tau) * 2.0 ** -n
+            if cut >= sys.float_info.min:
+                assert Fraction(1.0 - tau) / 2 ** n == cut
 
     def test_means_are_exact(self):
         # basis-string overlaps are 0 or 2^-s, so every mean is a multiple
@@ -695,8 +715,8 @@ class TestEmpiricalMaurer:
     def test_tail_freq_counts_means_below_cut(self):
         rep = empirical_maurer(2, 3, "00", "00", trials=40, seed=6, tau=0.5,
                                jobs=2)
-        assert rep.cut == 0.125
-        assert rep.tail_freq == sum(m < rep.cut for m in rep.means) / 40
+        assert rep.tails == [m < 0.125 for m in rep.means]
+        assert rep.tail_freq == sum(rep.tails) / 40
 
 
 class TestLockingProbe:

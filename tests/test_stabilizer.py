@@ -12,8 +12,8 @@ from qlock.protocol import build_codebook
 from qlock.sampling import circuit_from_text
 from qlock.stabilizer import (GATE_KINDS, KIND_CODE, TWO_QUBIT_CODE,
                               CliffordCircuit, CliffordMap, Tableau,
-                              basis_overlap_prob, code_array,
-                              hermitian_phase, negative_rows,
+                              basis_overlap_halvings, basis_overlap_prob,
+                              code_array, hermitian_phase, negative_rows,
                               new_basis_state, tableau_from_text)
 
 # (kind code, arity) of the nine kinds
@@ -299,6 +299,16 @@ class TestOverlap:
     def test_hadamard(self):
         c = circuit_from_text("H 0", 1)
         assert basis_overlap_prob(c, "0", "1") == 0.5
+        assert basis_overlap_halvings(c, "0", "1") == 1
+        assert basis_overlap_halvings(CliffordCircuit(1, []), "0", "1") is None
+
+    def test_halving_count_is_exact_beyond_the_float_range(self):
+        # H on each qubit overlaps |0...0> with itself at 2^-n, which no
+        # float holds at n = 1100: its float view underflows to 0.0
+        n = 1100
+        c = CliffordCircuit(n, chain.from_iterable((KIND_CODE["H"], q, q)
+                                                   for q in range(n)))
+        assert basis_overlap_halvings(c, "0" * n, "0" * n) == n
 
     @pytest.mark.parametrize("x, y", [("000", "1a0"), ("010", "0a0"),
                                       ("000", "00")])
@@ -336,7 +346,10 @@ class TestOverlap:
             y = "".join(rng.choice("01") for _ in range(n))
             u = dense.circuit_unitary(c)
             p_dense = abs(u[dense.basis_index(y), dense.basis_index(x)]) ** 2
-            assert abs(basis_overlap_prob(c, x, y) - p_dense) < 1e-10
+            p = basis_overlap_prob(c, x, y)
+            assert abs(p - p_dense) < 1e-10
+            s = basis_overlap_halvings(c, x, y)
+            assert p == (0.0 if s is None else 2.0 ** -s)
 
 
 class TestGateText:
