@@ -8,13 +8,12 @@ one patch there, and runs only the tests listed as the mutant's killers.
 A mutant survives when those tests pass.  The repository itself is never
 edited.
 
-    python mutants/run.py            # every mutant
-    python mutants/run.py sdg-carry  # the named mutants only
+    python mutants/run.py
 
-Exit status 0 means every mutant run was killed; 1 that one survived,
-could not be run or lost its anchor.  tests/test_mutants.py checks every
-anchor and killer in tier-1, so a refactor that moves an anchored line or
-renames a killer updates the mutant with it.
+runs every mutant.  Exit status 0 means every mutant was killed; 1 that
+one survived, could not be run or lost its anchor.  tests/test_mutants.py
+checks every anchor and killer in tier-1, so a refactor that moves an
+anchored line or renames a killer updates the mutant with it.
 """
 
 from __future__ import annotations
@@ -49,10 +48,12 @@ MUTANTS = [
      "patch": "xs[a] ^= xs[b]\n                zs[b] ^= zs[a]",
      "killers": [APPLY_GATE]},
     {"name": "maurer-cut-inclusive", "module": "security.py",
-     "anchor": "tails = [total < cut for total in sums]",
-     "patch": "tails = [total <= cut for total in sums]",
+     "anchor": "total / K < cut for total in sums",
+     "patch": "total / K <= cut for total in sums",
      "killers": ["tests/test_cli.py::TestCsvContracts::"
-                 "test_maurer_tail_flags_are_exact"]},
+                 "test_maurer_tail_flags_are_exact",
+                 "tests/test_security.py::TestEmpiricalMaurer::"
+                 "test_a_mean_on_the_float_cut_is_not_a_tail"]},
     {"name": "halvings-off-by-one", "module": "stabilizer.py",
      "anchor": "        s += p == 0.5\n    return s\n",
      "patch": "        s += p == 0.5\n    return s + 1\n",
@@ -96,21 +97,15 @@ def run_mutant(mutant: dict) -> str:
     return f"{verdict}: {summary}"
 
 
-def main(names: list[str]) -> int:
-    known = {m["name"] for m in MUTANTS}
-    unknown = sorted(set(names) - known)
-    if unknown:
-        print(f"unknown mutant(s): {', '.join(unknown)}", file=sys.stderr)
-        return 1
-    chosen = [m for m in MUTANTS if not names or m["name"] in names]
+def main() -> int:
     survivors = 0
-    for mutant in chosen:
+    for mutant in MUTANTS:
         verdict = run_mutant(mutant)
         survivors += not verdict.startswith("killed")
         print(f"{mutant['name']}: {verdict}", flush=True)
-    print(f"{len(chosen)} mutants, {survivors} not killed")
+    print(f"{len(MUTANTS)} mutants, {survivors} not killed")
     return 1 if survivors else 0
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())

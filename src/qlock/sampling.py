@@ -561,24 +561,30 @@ _FIRST_TEXT = [kind + " %d" for kind in GATE_KINDS]
 _SECOND_TEXT = " %d"
 
 
+def _kept_text(texts: list, form: str, a: int) -> str:
+    """form % a, kept in texts[a] for the rest of the call."""
+    texts[a] = text = form % a
+    return text
+
+
 def circuit_to_text(circuit: CliffordCircuit) -> str:
     """Semicolon-separated gate list, e.g. 'H 0; SDG 2; CNOT 0 3'.
 
     The text is made a block of gates at a time: a design circuit's codes
-    are expanded a block of records at a time, never all at once.  The
-    parts _FIRST_TEXT[k] % a and _SECOND_TEXT % b of every kind and qubit
-    are made once per call, into lists indexed by the code, which a gate
-    reads faster than a dictionary of texts made on first use, or of
-    whole two-qubit texts."""
-    qubits = range(circuit.n)
-    first = [[text % a for a in qubits] for text in _FIRST_TEXT]
-    second = [_SECOND_TEXT % b for b in qubits]
+    are expanded a block of records at a time, never all at once.  Each
+    part of a gate's text, _FIRST_TEXT[k] % a and _SECOND_TEXT % b, is
+    made on first use in the call and kept in a list indexed by the code,
+    so a shallow circuit at large n makes only the parts it uses."""
+    first = [[None] * circuit.n for _ in _FIRST_TEXT]
+    second = [None] * circuit.n
     pieces = []
     for codes in _code_blocks(circuit):
         it = iter(codes)
-        pieces.append("; ".join([first[k][a] if k < TWO_QUBIT_CODE
-                                 else first[k][a] + second[b]
-                                 for k, a, b in zip(it, it, it)]))
+        pieces.append("; ".join([
+            (first[k][a] or _kept_text(first[k], _FIRST_TEXT[k], a))
+            + ("" if k < TWO_QUBIT_CODE
+               else second[b] or _kept_text(second, _SECOND_TEXT, b))
+            for k, a, b in zip(it, it, it)]))
     return "; ".join(filter(None, pieces))
 
 

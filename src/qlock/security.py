@@ -496,21 +496,19 @@ class MaurerReport:
     tails: list[bool]
 
 
-def _scaled_overlap(circuit: CliffordCircuit, n: int, x: str, phi):
-    """2^n |<phi|C|x>|^2: the integer 2^(n-s) of the halving count s, or
-    0, for a bit-string phi; the dense float times 2^n for a vector."""
-    if isinstance(phi, str):
-        s = basis_overlap_halvings(circuit, x, phi)
-        return 0 if s is None else 1 << (n - s)
-    return overlap(circuit, phi, x) * (1 << n)
+def _basis_weight(circuit: CliffordCircuit, phi: str, x: str) -> int:
+    """2^n |<phi|C|x>|^2 for a bit-string phi: the integer 2^(n-s) of the
+    halving count s, or 0."""
+    s = basis_overlap_halvings(circuit, x, phi)
+    return 0 if s is None else 1 << (circuit.n - s)
 
 
-def _maurer_trial(n: int, K: int, x: str, phi, table, rng):
-    """The sum of 2^n |<phi|C|x>|^2 over K uniform Cliffords drawn from
-    rng, or over K draws from table, the 24 single-qubit values."""
+def _maurer_trial(n: int, K: int, x: str, phi, weight, table, rng):
+    """The sum of weight(C, phi, x) over K uniform Cliffords C drawn from
+    rng, or over K draws from table, the 24 single-qubit weights."""
     if table is not None:
         return sum(table[rng.randrange(24)] for _ in range(K))
-    return sum(_scaled_overlap(sample_uniform_clifford(n, rng), n, x, phi)
+    return sum(weight(sample_uniform_clifford(n, rng), phi, x)
                for _ in range(K))
 
 
@@ -521,14 +519,13 @@ def empirical_maurer(n: int, K: int, x: str, phi, trials: int, seed: int,
 
     Counts trials whose K-draw average of |<phi|C|x>|^2 falls below the
     cut (1 - tau) 2^-n and compares against exp(-K tau^2 / (2 gamma)).
-    gamma defaults to the exact 2-design value 2d/(d+1).  A trial sums
-    its overlaps times 2^n (_scaled_overlap) and is a tail event when the
-    sum lies below the exact Fraction(1.0 - tau) * K, which is the float
-    cut's value wherever that is a normal float.  A basis-string phi sums
-    integers, so its tail flags and tail_freq are exact at any n, though
-    its float mean reads 0.0 above n = 1074; a vector phi is dense, so it
-    stops at dense.DENSE_CUTOFF.  At n = 1 the draws index a table of the
-    24 single-qubit Clifford values.
+    gamma defaults to the exact 2-design value 2d/(d+1).  A basis-string
+    phi sums the integers 2^n |<phi|C|x>|^2 (_basis_weight) and cuts the
+    rounded sum / K at 1.0 - tau, the float rule with no 2^-n to round,
+    so it decides alike at any n (its float mean reads 0.0 above
+    n = 1074); a vector phi sums design.overlap floats, so it stops at
+    dense.DENSE_CUTOFF.  At n = 1 the draws index a table of the 24
+    single-qubit Clifford weights.
     """
     if n < 1:
         raise ValueError(f"need at least one qubit, got n={n}")
@@ -539,26 +536,25 @@ def empirical_maurer(n: int, K: int, x: str, phi, trials: int, seed: int,
     check_bits("x", x, n)
     if isinstance(phi, str):
         check_bits("phi", phi, n)
+        weight, scale, cut = _basis_weight, 1 << n, 1.0 - tau
     else:
         phi = np.asarray(phi, dtype=complex)
+        weight, scale, cut = overlap, 1, (1.0 - tau) * 2.0 ** -n
     if gamma is None:
         gamma = gamma_2_design(1 << n)
     if not 0 < gamma < math.inf:
         raise ValueError(f"gamma must be a positive finite number, got {gamma}")
-    table = None
-    if n == 1:
-        table = [_scaled_overlap(c, 1, x, phi)
-                 for c in all_single_qubit_circuits()]
-    sums = _run_trials(_maurer_trial, (n, K, x, phi, table), seed, trials,
-                       jobs)
-    # tau = 0 is a degenerate threshold: the bound is vacuous and no trial
-    # counts as a tail event, as no sum is below 0; means are reported.
-    cut = Fraction(1.0 - tau) * K if tau > 0 else 0
-    tails = [total < cut for total in sums]
+    table = ([weight(c, phi, x) for c in all_single_qubit_circuits()]
+             if n == 1 else None)
+    sums = _run_trials(_maurer_trial, (n, K, x, phi, weight, table), seed,
+                       trials, jobs)
+    # a mean on the cut is not a tail, and total < K keeps total / K a
+    # float; at tau = 0 the bound is vacuous and no trial is a tail
+    tails = [tau > 0 and total < K and total / K < cut for total in sums]
     bound = math.exp(-K * tau ** 2 / (2.0 * gamma)) if tau > 0 else 1.0
     return MaurerReport(n=n, K=K, tau=tau, gamma=gamma, trials=len(sums),
                         tail_freq=sum(tails) / len(sums), bound=bound,
-                        means=[total / (K << n) for total in sums],
+                        means=[total / (K * scale) for total in sums],
                         tails=tails)
 
 

@@ -641,8 +641,9 @@ class TestEmpiricalMaurer:
 
     def test_tail_flags_are_exact_beyond_the_float_range(self, monkeypatch):
         # n = 1100, K = 2: H on each qubit overlaps at 2^-1100 and X on
-        # qubit 0 at 0.  Scaled by 2^n the trial's sum is 1, below the cut
-        # 0.75 * 2, though its float mean and the float cut are both 0.0
+        # qubit 0 at 0.  Scaled by 2^n the trial's sum is 1, and 1 / 2 is
+        # below 1.0 - 0.25, though its float mean and the float cut
+        # 0.75 * 2.0^-1100 are both 0.0
         n = 1100
         h, x = KIND_CODE["H"], KIND_CODE["X"]
         draws = iter([
@@ -658,16 +659,34 @@ class TestEmpiricalMaurer:
         assert rep.tail_freq == 1.0
         assert rep.gamma == 2.0
 
-    @pytest.mark.parametrize("tau", [0.1, 0.25, 0.5, 0.9, 1 - 2.0 ** -52])
-    def test_exact_cut_is_the_float_cut_while_it_is_normal(self, tau):
-        # the exact cut Fraction(1.0 - tau) 2^-n equals the float cut
-        # (1.0 - tau) 2.0^-n wherever that is a normal float, so no tail
-        # decision moved there; below the normal range the float cut
-        # rounds (0.9 * 2^-1022 does)
+    @pytest.mark.parametrize("tau", [0.1, 0.25, 0.5, 0.6, 0.9,
+                                     1 - 2.0 ** -52])
+    def test_tails_are_the_float_rule_while_it_is_normal(self, tau,
+                                                          monkeypatch):
+        # every sum 0..2K of a K = 10 trial, scaled by 2^n: its tail flag is
+        # the float rule mean < (1.0 - tau) 2.0^-n wherever the mean and
+        # that cut are normal floats, so no decision moved there; below the
+        # normal range they round (0.9 * 2^-1022 does)
+        K = 10
+        monkeypatch.setattr(security, "_run_trials",
+                            lambda *args: list(range(2 * K + 1)))
         for n in range(1, 1023):
+            rep = empirical_maurer(n, K, "0" * n, "0" * n, trials=1, seed=0,
+                                   tau=tau)
             cut = (1.0 - tau) * 2.0 ** -n
-            if cut >= sys.float_info.min:
-                assert Fraction(1.0 - tau) / 2 ** n == cut
+            for m, tail in zip(rep.means, rep.tails):
+                if min(m, cut) >= sys.float_info.min:
+                    assert tail == (m < cut), (n, m)
+
+    def test_a_mean_on_the_float_cut_is_not_a_tail(self):
+        # at n = 1, K = 10 a sum of nine halves has mean 0.45, the float
+        # cut (1.0 - 0.1) / 2; the float 1.0 - 0.1 lies above the decimal
+        # 0.9, so an exact comparison with it would flag those trials
+        rep = empirical_maurer(1, 10, "0", "0", trials=200, seed=1, tau=0.1)
+        assert (1.0 - 0.1) / 2 == 0.45
+        assert 0.45 in rep.means
+        assert rep.tails == [m < 0.45 for m in rep.means]
+        assert 0 < rep.tail_freq < 1
 
     def test_means_are_exact(self):
         # basis-string overlaps are 0 or 2^-s, so every mean is a multiple
