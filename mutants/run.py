@@ -28,6 +28,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 APPLY_GATE = ("tests/test_stabilizer.py::TestGateCodes::"
               "test_each_gate_conjugates_every_row_as_its_unitary")
+MEASURE_ORACLE = ("tests/test_stabilizer.py::TestMeasurementOracle::"
+                  "test_matches_dense_projection")
 
 # name, module, anchor, replacement, killing tests
 MUTANTS = [
@@ -58,6 +60,30 @@ MUTANTS = [
      "anchor": "        s += p == 0.5\n    return s\n",
      "patch": "        s += p == 0.5\n    return s + 1\n",
      "killers": ["tests/test_stabilizer.py::TestOverlap::test_hadamard"]},
+    {"name": "add-phase-without-carry", "module": "stabilizer.py",
+     "anchor": "d1 ^= d0 & mask",
+     "patch": "pass",
+     "killers": [MEASURE_ORACLE]},
+    {"name": "mult-rows-without-parity", "module": "stabilizer.py",
+     "anchor": "add_phase(d0, d1 ^ (par & mask), mask, gd)",
+     "patch": "add_phase(d0, d1, mask, gd)",
+     "killers": [MEASURE_ORACLE]},
+    {"name": "hermitian-phase-without-carry", "module": "stabilizer.py",
+     "anchor": "hi ^= lo & y",
+     "patch": "pass",
+     "killers": ["tests/test_stabilizer.py::TestSerialization::"
+                 "test_sign_planes_match_the_row_rule"]},
+    {"name": "fragment-table-wrong-word", "module": "dense.py",
+     "anchor": "code = self.code[words]",
+     "patch": "words = (7 * words + 1) % 11520\n        "
+              "code = self.code[words]",
+     "killers": ["tests/test_dense.py::TestFragmentPush::"
+                 "test_every_table_word"]},
+    {"name": "set-bits-one-past", "module": "stabilizer.py",
+     "anchor": "yield lo + low.bit_length() - 1",
+     "patch": "yield lo + low.bit_length()",
+     "killers": ["tests/test_stabilizer.py::TestMeasurement::"
+                 "test_deterministic_match"]},
 ]
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import secrets
 import sys
 from fractions import Fraction
@@ -320,6 +321,16 @@ def _cmd_verify_maurer(args) -> None:
 def _cmd_lock_probe(args) -> None:
     # before any d x d basis is built: n = 13 bases take 1 GiB each
     check_cutoff(args.n)
+    # the 2^n conditional d x d complex states are held at once
+    need = 16 << 3 * args.n
+    try:
+        have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):
+        have = None
+    if have is not None and need > have:
+        raise ValueError(f"lock-probe at n={args.n} holds 2^n conditional "
+                         f"states of {need} bytes, more than the {have} "
+                         "bytes of physical memory")
     if args.bases < 0:
         raise ValueError(f"bases must be >= 0, got {args.bases}")
     seed = _parse_seed(args.seed)

@@ -335,11 +335,6 @@ def all_single_qubit_circuits() -> list[CliffordCircuit]:
 # -- samplers ----------------------------------------------------------------
 
 
-def sample_two_qubit_clifford(rng) -> CliffordCircuit:
-    """Uniform draw from the 11,520-element two-qubit Clifford group."""
-    return two_qubit_table().word(16 * rng.randrange(720) + rng.randrange(16))
-
-
 # random.sample takes its pool branch up to this population size for k = 2
 _POOL_MAX = 21
 
@@ -438,7 +433,9 @@ def sample_uniform_clifford(n: int, rng) -> CliffordCircuit:
     if n == 1:
         return single_qubit_circuit(rng.randrange(24))
     if n == 2:
-        return sample_two_qubit_clifford(rng)
+        # one of the 11,520 two-qubit Cliffords: class i, sign class j
+        return two_qubit_table().word(16 * rng.randrange(720)
+                                      + rng.randrange(16))
     nbits = 2 * n
     nmask = (1 << n) - 1
 

@@ -10,7 +10,9 @@ quantities are reported in bits.
 
 from __future__ import annotations
 
+import functools
 import math
+import os
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
@@ -401,36 +403,34 @@ def comparison_rows(epsilon: float, n: int) -> tuple[float, float]:
 # -- empirical verification ---------------------------------------------------
 
 
-def _chunk(payload: tuple) -> list:
-    """The rows of trials lo..hi-1; trial t draws from stream t of seed."""
-    trial, args, seed, lo, hi = payload
-    return [trial(*args, stream_rng(seed, t)) for t in range(lo, hi)]
+def _trial_row(trial, args: tuple, seed: int, t: int):
+    """The row of trial t, which draws from stream t of seed."""
+    return trial(*args, stream_rng(seed, t))
 
 
 def _run_trials(trial, args: tuple, seed: int, trials: int, jobs: int) -> list:
     """The rows trial(*args, rng) of trials 0..trials-1, in order, trial t
-    drawing from seed stream t (_chunk).
+    drawing from seed stream t (_trial_row).
 
-    The trials are cut into at most jobs contiguous chunks; two or more
-    chunks run in that many worker processes, so trial is a module-level
-    function.  Every trial draws from its own seed stream, so the rows do
-    not depend on jobs.
+    The trials are cut into at most jobs contiguous chunks.  One chunk
+    runs in this process; more are mapped onto a process pool of at most
+    os.cpu_count() workers, so trial is a module-level function.  Every
+    trial draws from its own seed stream, so the rows do not depend on
+    jobs.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
     size = -(-trials // jobs)
-    payloads = [(trial, args, seed, lo, min(lo + size, trials))
-                for lo in range(0, trials, size)]
-    if len(payloads) == 1:
-        chunks = [_chunk(payloads[0])]
-    else:
-        # imported here so a one-chunk run never loads the process pool
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=len(payloads)) as pool:
-            chunks = list(pool.map(_chunk, payloads))
-    return [row for chunk in chunks for row in chunk]
+    row = functools.partial(_trial_row, trial, args, seed)
+    if size == trials:
+        return list(map(row, range(trials)))
+    # imported here so a one-chunk run never loads the process pool
+    from concurrent.futures import ProcessPoolExecutor
+    workers = min(-(-trials // size), os.cpu_count() or 1)
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(row, range(trials), chunksize=size))
 
 
 @dataclass

@@ -253,6 +253,40 @@ class TestInputValidation:
         assert res.returncode == 0, res.stderr
         assert res.stderr == ""
 
+    @pytest.mark.parametrize("n, memory, code", [
+        (10, 1 << 33, 1), (3, 4096, 1), (2, 4096, 0), (2, None, 0)],
+        ids=["n10-8GiB", "n3-one-page", "n2-one-page", "no-sysconf"])
+    def test_lock_probe_states_must_fit_in_memory(self, monkeypatch, capsys,
+                                                  n, memory, code):
+        # the 2^n conditional states take 2^(3n+4) bytes, 16 GiB at n = 10;
+        # more than physical memory exits 1, naming both sizes, before any
+        # basis or circuit is made; without sysconf the probe runs
+        import os
+        from qlock import cli, security
+
+        def sysconf(name):
+            if memory is None:
+                raise ValueError(f"unrecognized configuration name {name}")
+            return {"SC_PHYS_PAGES": memory // 4096, "SC_PAGE_SIZE": 4096}[name]
+
+        monkeypatch.setattr(os, "sysconf", sysconf)
+        if code:
+            def fail(*args, **kwargs):
+                raise AssertionError("a basis or circuit was made")
+
+            monkeypatch.setattr(security.Measurement, "computational_basis",
+                                fail)
+            monkeypatch.setattr(security, "locking_probe", fail)
+        assert cli.main(["lock-probe", "--n", str(n), "--K", "2", "--bases",
+                         "0", "--seed", SEED]) == code
+        err = capsys.readouterr().err
+        if code:
+            assert err.startswith("error: ") and err.count("\n") == 1
+            assert f" {16 << 3 * n} bytes" in err
+            assert f" {memory} bytes" in err
+        else:
+            assert err == ""
+
     def test_fragment_cap_exits_before_any_draw(self, monkeypatch, capsys):
         # L = 1.2e11 at n = 2 would ask the draw for a list of 3L slots;
         # the cap rejects it before any circuit is drawn

@@ -24,7 +24,7 @@ def reference_apply(circuit, vec):
     n = circuit.n
     shape = vec.shape
     arr = vec.reshape((2,) * n + shape[1:]).astype(complex)
-    for kind, a, b in circuit.gates:
+    for kind, a, b in circuit:
         qubits = [a, b] if kind >= TWO_QUBIT_CODE else [a]
         k = len(qubits)
         m = dense.GATE_MATRICES[GATE_KINDS[kind]].reshape((2,) * (2 * k))

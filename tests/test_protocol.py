@@ -66,7 +66,7 @@ class TestCodebook:
         assert design_circuit_length(4, 2 ** -4) == 32
         cb = build_codebook(4, 8, 2 ** -4, master_seed=1)
         # each fragment contributes at least one gate
-        assert all(len(c.gates) >= 32 for c in cb.circuits)
+        assert all(len(c) >= 32 for c in cb.circuits)
 
     def test_serialization_round_trip(self):
         cb = build_codebook(3, 5, 0.25, master_seed=0xABCDEF)

@@ -19,7 +19,7 @@ from qlock.sampling import (MAX_FRAGMENTS, DesignCircuit, SamplerConfig,
                             circuit_from_text, circuit_to_text,
                             derive_circuit, design_circuit_length,
                             sample_design_circuit,
-                            sample_two_qubit_clifford, sample_uniform_clifford,
+                            sample_uniform_clifford,
                             single_qubit_table, stream_rng, two_qubit_table)
 from qlock.stabilizer import (GATE_KINDS, TWO_QUBIT_CODE, CliffordCircuit,
                               Tableau, basis_overlap_prob)
@@ -125,7 +125,7 @@ class TestTables:
     def test_closure_matches_the_tableau_bfs(self, n, text):
         # same elements, discovery order and shortest words; each code packs
         # the rows (x_bits, z_bits, delta), row 0 most significant
-        gens = tuple(circuit_from_text(text, n).gates)
+        gens = tuple(circuit_from_text(text, n))
         codes, words = _close_group(n, gens)
         ref = reference_closure(n, gens)
         assert words == [bytes(word) for _, word in ref]
@@ -176,14 +176,14 @@ class TestDrawEngine:
 class TestTwoQubitSampler:
     def test_group_closure(self, rng):
         for _ in range(30):
-            c = sample_two_qubit_clifford(rng)
+            c = sample_uniform_clifford(2, rng)
             t = Tableau(2)
             t.apply_circuit(c)
             assert t.symplectic_ok()
 
     def test_inverse_composition(self, rng):
         for _ in range(20):
-            c = sample_two_qubit_clifford(rng)
+            c = sample_uniform_clifford(2, rng)
             t = Tableau(2)
             t.apply_circuit(c)
             t.apply_circuit(reference_inverse(c))
@@ -203,7 +203,8 @@ class TestTwoQubitSampler:
         draws = 1_000_000
         counts = np.zeros(11520, dtype=np.int64)
         for _ in range(draws):
-            counts[index_of[sample_two_qubit_clifford(rng).codes.tobytes()]] += 1
+            c = sample_uniform_clifford(2, rng)
+            counts[index_of[c.codes.tobytes()]] += 1
         expected = draws / 11520
         chi2 = float(((counts - expected) ** 2 / expected).sum())
         dof = 11519
@@ -244,10 +245,10 @@ class TestDesignSampler:
             assert records == reference_fragments(
                 cfg, stream_rng(0x1234, k), 1)[0]
             want = [c for word, a, b in records
-                    for kind, p, q in table.word(word).gates
+                    for kind, p, q in table.word(word)
                     for c in (kind, (a, b)[p], (a, b)[q])]
             assert circuit.codes.tolist() == want
-            assert len(circuit) == len(circuit.gates) == len(want) // 3
+            assert len(circuit) == len(list(circuit)) == len(want) // 3
             # derive_circuit keeps the draw's records, and expands them to
             # the same gates
             derived = derive_circuit(0x1234, k, cfg)
@@ -266,8 +267,9 @@ class TestDesignSampler:
         assert len(text) < 100
 
     def test_gate_count_does_not_expand(self, monkeypatch):
-        # len() of the gates view, which the benchmark's gate counter
-        # reads, counts the gates of each record's word; it expands nothing
+        # len() of gates, the circuit itself, which the benchmark's gate
+        # counter reads, counts the gates of each record's word; it
+        # expands nothing
         def fail(*args):
             raise AssertionError("len() expanded the records")
 
@@ -535,7 +537,7 @@ class TestSerialization:
         c = random_circuit(n, 25, rng)
         blank = st.sampled_from(["", " ", "  ", "\t", " \t "])
         chunks = []
-        for k, a, b in c.gates:
+        for k, a, b in c:
             qubits = (a, b) if k >= TWO_QUBIT_CODE else (a,)
             words = [GATE_KINDS[k]] + ["0" * data.draw(st.integers(0, 2))
                                        + str(q) for q in qubits]
@@ -561,7 +563,7 @@ class TestSerialization:
 
     def test_leading_zeros_parse_to_the_canonical_gate(self):
         c = circuit_from_text("CNOT 01 00", 2)
-        assert list(c.gates) == [(8, 1, 0)]
+        assert list(c) == [(8, 1, 0)]
         assert circuit_to_text(c) == "CNOT 1 0"
 
     def test_a_gate_first_seen_in_the_text_is_parsed_once(self, monkeypatch):
@@ -575,7 +577,7 @@ class TestSerialization:
         c = circuit_from_text("CNOT 7001 7000; CNOT 7001 7000;CNOT 7001 7000",
                               7002)
         assert calls == ["CNOT 7001 7000"]
-        assert list(c.gates) == [(8, 7001, 7000)] * 3
+        assert list(c) == [(8, 7001, 7000)] * 3
 
     # the reason each bad chunk is rejected for, after "bad gate '<chunk>': "
     BAD_GATES = {

@@ -1,4 +1,6 @@
+import concurrent.futures
 import math
+import os
 import random
 import sys
 from collections import Counter
@@ -609,6 +611,41 @@ class TestEmpiricalChernoff:
     def test_all24_exhaustive_lambda_max(self):
         rho = conditional_state(all24_codebook(), "0")
         assert dense.eigvalsh(rho)[0] == pytest.approx(0.5, abs=1e-12)
+
+
+class TestRunTrials:
+    @pytest.mark.parametrize("jobs, cpus, workers, chunksize", [
+        (8, 2, 2, 1), (3, 4, 3, 3), (2, None, 1, 4)])
+    def test_workers_are_capped_at_the_cpu_count(self, monkeypatch, jobs,
+                                                 cpus, workers, chunksize):
+        # the chunks follow jobs, the workers stop at the CPU count; a
+        # recorder stands in for the pool and maps in process, so no
+        # process is started
+        asked = []
+
+        class Recorder:
+            def __init__(self, max_workers):
+                asked.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, iterable, chunksize=1):
+                asked.append(chunksize)
+                return map(fn, iterable)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            Recorder)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        args = (2, 4, "00", "00", security._basis_weight, None)
+        rows = security._run_trials(security._maurer_trial, args, 7, 8, jobs)
+        assert asked == [workers, chunksize]
+        assert rows == security._run_trials(security._maurer_trial, args, 7,
+                                            8, 1)
+        assert asked == [workers, chunksize]
 
 
 class TestEmpiricalMaurer:

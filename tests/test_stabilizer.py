@@ -290,6 +290,59 @@ class TestSymplecticRejects:
         assert not t.symplectic_ok()
 
 
+def row_matrices(t):
+    """The 2n x n bit matrices X and Z of t's rows, read off its columns."""
+    rows = range(2 * t.n)
+    return (np.array([[(c >> r) & 1 for c in t.xs] for r in rows]),
+            np.array([[(c >> r) & 1 for c in t.zs] for r in rows]))
+
+
+def gf2_symplectic(t):
+    """Oracle for Tableau.symplectic_ok in GF(2) matrices: the rows' form
+    X Z^T + Z X^T must be J, which pairs row i with row n + i, and each
+    row's d0 bit must be the parity of its Y count (a Hermitian row)."""
+    n = t.n
+    x, z = row_matrices(t)
+    eye = np.eye(n, dtype=int)
+    j = np.block([[0 * eye, eye], [eye, 0 * eye]])
+    d0 = np.array([(t.d0 >> r) & 1 for r in range(2 * n)])
+    return (np.array_equal((x @ z.T + z @ x.T) % 2, j)
+            and np.array_equal((x & z).sum(axis=1) % 2, d0))
+
+
+class TestSymplecticOracle:
+    @pytest.mark.parametrize("n, flips", [(2, None), (8, None), (64, 6)])
+    def test_matches_symplectic_ok(self, n, flips):
+        # the identity tableau and a uniform Clifford tableau, then each
+        # with one X or Z bit flipped (every bit up to n = 8, a few at
+        # n = 64, where one full check takes about 0.2 s); the flipped
+        # row's d0 is set to its Y parity, so the verdict rests on the form
+        # alone.  Flips of the identity break one block of the form only:
+        # a Z bit of a destabilizer the D-D block, an X bit of a
+        # stabilizer the S-S block
+        rng = random.Random(2500 + n)
+        uniform = Tableau(n)
+        uniform.apply_circuit(sampling.sample_uniform_clifford(n, rng))
+        verdicts = set()
+        for t in (Tableau(n), uniform):
+            assert t.symplectic_ok() and gf2_symplectic(t)
+            bits = [(part, r, q) for part in ("xs", "zs")
+                    for r in range(2 * n) for q in range(n)]
+            if flips is not None:
+                bits = rng.sample(bits, flips)
+            for part, r, q in bits:
+                u = t.copy()
+                getattr(u, part)[q] ^= 1 << r
+                x, z = row_matrices(u)
+                u.d0 = u.d0 & ~(1 << r) | int((x[r] & z[r]).sum() % 2) << r
+                want = gf2_symplectic(u)
+                assert u.symplectic_ok() == want, (part, r, q)
+                verdicts.add(want)
+        if flips is None:
+            # e.g. Y_q in place of the identity's Z_q keeps the form
+            assert verdicts == {False, True}
+
+
 class TestOverlap:
     def test_identity(self):
         c = CliffordCircuit(3, [])
@@ -438,9 +491,9 @@ class TestGateCodes:
         assert c.codes.tolist() == [0, 7, 7, 8, 299, 3, 2, 0, 0, 7, 1, 2]
         assert CliffordCircuit(256, []).codes.typecode == "B"
         assert len(c) == 4
-        # the gates view reads the codes as triples
-        assert list(c.gates) == [(0, 7, 7), (8, 299, 3), (2, 0, 0), (7, 1, 2)]
-        assert len(c.gates) == 4
+        # a circuit iterates its codes as triples, and is its own gates
+        assert list(c) == [(0, 7, 7), (8, 299, 3), (2, 0, 0), (7, 1, 2)]
+        assert c.gates is c
         # a circuit takes its codes as they are, into an array of its own
         assert CliffordCircuit(300, c.codes) == c
         assert CliffordCircuit(300, c.codes).codes is not c.codes
